@@ -2,7 +2,8 @@
 
 Times the direct-summation kernels (truncated convolution, commutator
 sign/tanh split) in both lanes, with the FFT product pipeline shown for
-scale.  Run:
+scale, then one right-hand-side evaluation (``integrate._rhs_raw``: forcing
+plus fixed-point solve) per model at N = 64 and 256.  Run:
 
     python benchmarks/bench_kernels.py
 
@@ -15,6 +16,9 @@ import time
 import numpy as np
 
 from muskat import _kernels
+from muskat.integrate import _rhs_raw
+from muskat.models import _table
+from muskat.params import ModelParams
 from muskat.spectral import SpectralField, pointwise_product, tanh_clamped
 
 
@@ -31,6 +35,32 @@ def _random_field(n, rng):
     k = np.arange(1, n + 1, dtype=float)
     c[1:] = k**-2 * np.exp(2j * np.pi * rng.random(n))
     return c
+
+
+def _rhs_params(model):
+    if model == "lubrication":
+        return ModelParams.lubrication(lam=1.0, theta=1.0, delta=0.5,
+                                       epsilon=0.1)
+    return ModelParams(lam=1.0, theta=1.0, sigma=0.1, model=model)
+
+
+def rhs_rows(rng, rounds=9):
+    """Median over rounds of the mean time of one RHS evaluation.
+
+    tol = 3e-7 as in acceptance criterion 2; the initial datum has
+    |k|^-2 magnitudes at amplitude 1e-3, inside the contraction regime.
+    """
+    print(f"\n{'N':>6} {'rhs model':<12} {'median [us]':>12} {'iters':>6}")
+    for model in ("wnl1", "wnl2", "lubrication"):
+        p = _rhs_params(model)
+        for n in (64, 256):
+            tab = _table(n, p)
+            c = 1e-3 * _random_field(n, rng)
+            times = [_timeit(_rhs_raw, tab, c, 3e-7, 200, repeat=200)
+                     for _ in range(rounds)]
+            _, iters = _rhs_raw(tab, c, 3e-7, 200)
+            print(f"{n:>6} {model:<12} {np.median(times) * 1e6:>12.1f} "
+                  f"{iters:>6}")
 
 
 def main():
@@ -78,6 +108,7 @@ def main():
             np.abs(s1[1] - s2[1]).max(),
         )
         print(f"\nmax lane disagreement at N=128: {err:.3e}")
+    rhs_rows(rng)
 
 
 if __name__ == "__main__":

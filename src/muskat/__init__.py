@@ -15,6 +15,7 @@ from .elliptic import (
     FixedPointReport,
     MaxIterationsError,
     NotContractingError,
+    SolverError,
     certify_smallness,
     dense_solve,
     solve_quasilinear,

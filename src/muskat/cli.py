@@ -23,7 +23,7 @@ from .config import (
     make_initial_condition,
     parse_config_text,
 )
-from .integrate import StepSizeUnderflowError
+from .elliptic import SolverError
 from .spectral import SpectralField, load_spectrum_csv
 from .strip import StripGrid
 
@@ -85,7 +85,7 @@ def _run_cell(raw, overrides, out_dir, seed):
     h0 = make_initial_condition(config)
     try:
         integrate.run(h0, params, config)
-    except StepSizeUnderflowError as exc:
+    except SolverError as exc:
         return f"{out_dir}: {exc}"
     return None
 
@@ -206,7 +206,7 @@ def cmd_verify(args):
     h0 = make_initial_condition(config)
     try:
         traj = integrate.run(h0, params, config)
-    except StepSizeUnderflowError as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc} (partial output retained)", file=sys.stderr)
         return EXIT_NUMERICAL
     checks = {"monotone_energy": diagnostics.check_monotone_decay(

@@ -15,6 +15,7 @@ on seeded random ensembles.
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,17 +89,24 @@ def energy_from_norms(norms, params):
     return norms[0] + energy_coefficient(params) * norms[energy_norm_order(params)]
 
 
+@lru_cache(maxsize=16)
+def _k_powers(n_modes):
+    """Rows k^0..k^5 over k = 1..n_modes: the Wiener weights of a record."""
+    k = np.arange(1, n_modes + 1, dtype=float)
+    return k ** np.arange(6.0)[:, None]
+
+
 def make_record(t, h, dth, iters, params):
-    a = np.abs(h.coeffs[1:])
-    k = np.arange(1, h.n_modes + 1, dtype=float)
-    norms = [2.0 * float((k**s * a).sum()) for s in range(6)]
-    e = energy_from_norms(norms, params)
+    kp = _k_powers(h.n_modes)
+    norms = (2.0 * (kp * np.abs(h.coeffs[1:])).sum(axis=1)).tolist()
+    rows = kp[[0, models.scheme_norm_order(params)]]
+    dth_a0, dth_high = (2.0 * (rows * np.abs(dth.coeffs[1:])).sum(axis=1)).tolist()
     return EnergyRecord(
         t=t,
         norms=norms,
-        energy=e,
-        dth_a0=wiener_norm(dth, 0),
-        dth_high=wiener_norm(dth, models.scheme_norm_order(params)),
+        energy=energy_from_norms(norms, params),
+        dth_a0=dth_a0,
+        dth_high=dth_high,
         iters=iters,
     )
 

@@ -28,7 +28,11 @@ DEFAULT_MAX_ITER = 200
 _STALL_LIMIT = 3
 
 
-class NotContractingError(RuntimeError):
+class SolverError(RuntimeError):
+    """A numerical failure of a solve or a trajectory (CLI exit code 2)."""
+
+
+class NotContractingError(SolverError):
     """The fixed-point map expanded for several consecutive iterations,
     i.e. h lies outside the smallness regime."""
 
@@ -42,7 +46,7 @@ class NotContractingError(RuntimeError):
         self.iterations = iterations
 
 
-class MaxIterationsError(RuntimeError):
+class MaxIterationsError(SolverError):
     def __init__(self, iterations, increment, tol):
         super().__init__(
             f"no convergence in {iterations} iterations "
@@ -90,27 +94,22 @@ def default_tolerance(F):
     return 1e-11 * max(1.0, wiener_norm(F, 0))
 
 
-def _norm_raw(tab, c, order):
-    k = tab.k3 if order == 3 else tab.k4
-    return 2.0 * float((k * np.abs(c)).sum())
+def _norm_raw(tab, c):
+    """Scheme norm (A^3 small slope, A^4 thin film) of a coefficient array."""
+    return 2.0 * float((tab.norm_k * np.abs(c)).sum())
 
 
 def _solve_raw(tab, cF, hphys, tol, max_iter):
-    """Raw fixed point on coefficient arrays.  Returns (U, iters, increments)."""
-    p = tab.p
-    if p.model == "lubrication":
-        base = tab.lub_base
-        active = p.epsilon != 0.0 and np.any(hphys)
-        pert = models._lub_perturb_raw
-        order = 4
-    else:
-        base = tab.ell0
-        active = p.sigma != 0.0 and np.any(hphys)
-        pert = models._commutator_raw
-        coef = p.sigma * p.theta
-        order = 3
-    V = cF / base
-    V[0] = 0.0
+    """Raw fixed point on coefficient arrays.  Returns (U, iters, increments).
+
+    Each iteration is V <- V0 + sum(solve_out * P[h phys(solve_stack V)]):
+    one 2-row (thin film: 1-row) inverse batch, one forward batch and one
+    weighted sum, the base inverse being folded into the table's rows.
+    """
+    V0 = cF / tab.base
+    V0[0] = 0.0
+    V = V0
+    active = tab.solve_active and np.any(hphys)
     increments = []
     stall = 0
     prev = None
@@ -118,13 +117,8 @@ def _solve_raw(tab, cF, hphys, tol, max_iter):
         if not active:
             increments.append(0.0)
             return V, it, increments
-        if p.model == "lubrication":
-            rhs = cF - pert(tab, hphys, V)
-        else:
-            rhs = cF - coef * pert(tab, hphys, V)
-        Vn = rhs / base
-        Vn[0] = 0.0
-        inc = _norm_raw(tab, Vn - V, order)
+        Vn = V0 + models._solve_update(tab, hphys, V)
+        inc = _norm_raw(tab, Vn - V)
         increments.append(inc)
         V = Vn
         if not np.isfinite(inc):
@@ -134,10 +128,7 @@ def _solve_raw(tab, cF, hphys, tol, max_iter):
         if prev is not None and prev > 0.0:
             stall = stall + 1 if inc >= prev else 0
             if stall >= _STALL_LIMIT:
-                est = max(
-                    b / a for a, b in zip(increments, increments[1:]) if a > 0.0
-                )
-                raise NotContractingError(est, it)
+                raise NotContractingError(_contraction_estimate(increments), it)
         prev = inc
     raise MaxIterationsError(max_iter, increments[-1], tol)
 
@@ -158,7 +149,7 @@ def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
     if tol is None:
         tol = default_tolerance(F)
     hphys = tab.phys(h.coeffs)
-    U_raw, iters, increments = _solve_raw(tab, F.coeffs.copy(), hphys, tol, max_iter)
+    U_raw, iters, increments = _solve_raw(tab, F.coeffs, hphys, tol, max_iter)
     U = SpectralField(U_raw, copy=False)
     residual = wiener_norm(
         SpectralField(
@@ -238,7 +229,6 @@ def certify_smallness(h, params, n_probes=5, seed=0):
     max ratio over random probe directions.  Pass requires factor < 1.
     """
     tab = _tab(h, params)
-    order = models.scheme_norm_order(params)
     hphys = tab.phys(h.coeffs)
     rng = np.random.default_rng(seed)
     n = h.n_modes
@@ -249,16 +239,8 @@ def certify_smallness(h, params, n_probes=5, seed=0):
         phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
         w = np.zeros(n + 1, dtype=complex)
         w[1:] = mag * np.exp(1j * phase)
-        if params.model == "lubrication":
-            img = models._lub_perturb_raw(tab, hphys, w) / tab.lub_base
-        else:
-            img = (
-                params.sigma
-                * params.theta
-                * models._commutator_raw(tab, hphys, w)
-                / tab.ell0
-            )
-        ratios.append(_norm_raw(tab, img, order) / _norm_raw(tab, w, order))
+        img = models._solve_update(tab, hphys, w)
+        ratios.append(_norm_raw(tab, img) / _norm_raw(tab, w))
     factor = max(ratios)
     return SmallnessReport(
         h_a1=wiener_norm(h, 1),

@@ -21,6 +21,7 @@ from .elliptic import (
     DEFAULT_MAX_ITER,
     MaxIterationsError,
     NotContractingError,
+    SolverError,
     _solve_raw,
     solve_quasilinear,
 )
@@ -32,11 +33,12 @@ _RECOVER_EVERY = 10
 _RECOVER_FACTOR = 1.2
 
 
-class StepSizeUnderflowError(RuntimeError):
-    def __init__(self, dt, t):
+class StepSizeUnderflowError(SolverError):
+    def __init__(self, dt, t, rejected_steps):
         super().__init__(f"time step underflow (dt={dt:.3g} at t={t:.6g})")
         self.dt = dt
         self.t = t
+        self.rejected_steps = rejected_steps  # trajectory total, this one included
 
 
 class IntegratorState:
@@ -74,8 +76,7 @@ def _rhs_raw(tab, c, tol, max_iter):
     if tab.p.model == "wnl2":
         return models._rhs_wnl2_raw(tab, c), 0
     if tab.p.model == "lubrication":
-        hphys = tab.phys(c)
-        F = models._forcing_lub_raw(tab, c, hphys)
+        F, hphys = models._forcing_lub_with_h(tab, c)
     else:
         F, hphys = models._forcing_wnl_with_h(tab, c)
     if tol is None:
@@ -122,7 +123,7 @@ def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
             streak = 0
             dt *= 0.5
             if dt < DT_FLOOR:
-                raise StepSizeUnderflowError(dt, state.t)
+                raise StepSizeUnderflowError(dt, state.t, rejected)
     t_new = state.t + dt
     streak += 1
     dt_next = dt
@@ -200,48 +201,41 @@ def run(h0, params, config):
         nonlocal final_report
         if params.model == "wnl2":
             return _rhs_raw(tab, h.coeffs, config.tol, config.max_iter)
-        F = (
-            models.forcing_lub(h, params)
-            if params.model == "lubrication"
-            else models.forcing_wnl(h, params)
-        )
+        F = models.forcing(h, params)
         U, rep = solve_quasilinear(h, F, params, config.tol, config.max_iter)
         final_report = rep.as_dict()
         return U.coeffs, rep.iterations
 
-    failure = None
-    if n_steps == 0:
-        k0, it0 = final_eval(h0)
-        record(0.0, h0, k0, it0)
-        snapshot(h0)
-    else:
-        def advance_once():
-            nonlocal state
-            due = state.step_count % config.output_cadence == 0
-            t_pre, h_pre = state.t, state.h
-            state, k1, iters = step(state, params, config.tol, config.max_iter)
-            if due:
-                record(t_pre, h_pre, k1.coeffs, iters)
-                idx = len(records) - 1
-                if config.snapshot_cadence and \
-                        idx % config.snapshot_cadence == 0:
-                    snapshot(h_pre)
+    def advance_once():
+        nonlocal state
+        due = state.step_count % config.output_cadence == 0
+        t_pre, h_pre = state.t, state.h
+        state, k1, iters = step(state, params, config.tol, config.max_iter)
+        if due:
+            record(t_pre, h_pre, k1.coeffs, iters)
+            idx = len(records) - 1
+            if config.snapshot_cadence and idx % config.snapshot_cadence == 0:
+                snapshot(h_pre)
 
-        try:
-            while state.step_count < n_steps:
-                advance_once()
-            # rejections shrink dt mid-run; top up the remaining time
-            # (no-op for clean runs, whose residue is pure roundoff,
-            # orders below this threshold)
-            while config.t_end - state.t > 1e-9 * max(1.0, config.t_end):
-                if state.t + state.dt > config.t_end:
-                    state.dt = config.t_end - state.t
-                advance_once()
-            kf, itf = final_eval(state.h)
-            record(state.t, state.h, kf, itf)
-            snapshot(state.h)
-        except StepSizeUnderflowError as exc:
-            failure = exc  # flush partial output below, then re-raise
+    failure = None
+    try:
+        while state.step_count < n_steps:
+            advance_once()
+        # rejections shrink dt mid-run; top up the remaining time
+        # (no-op for clean runs, whose residue is pure roundoff,
+        # orders below this threshold)
+        while n_steps and config.t_end - state.t > 1e-9 * max(1.0, config.t_end):
+            if state.t + state.dt > config.t_end:
+                state.dt = config.t_end - state.t
+            advance_once()
+        kf, itf = final_eval(state.h)
+        record(state.t, state.h, kf, itf)
+        snapshot(state.h)
+    except StepSizeUnderflowError as exc:
+        failure = exc  # flush partial output below, then re-raise
+        state.rejected_steps = exc.rejected_steps
+    except (NotContractingError, MaxIterationsError) as exc:
+        failure = exc  # the closing evaluation has no step size to halve
 
     traj = Trajectory(
         records,

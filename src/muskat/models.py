@@ -23,16 +23,30 @@ perturbation and ``N`` collects the forcing terms:
     N(h)  = sqrt(delta)*dx((1+eps*h) dx(chi*h + (lam/4) dx^4 h))
 
 Every quadratic product is dealiased at formation (4N padding) and every
-public operation returns a mean-zero field.  The module keeps an immutable
-per-(n_modes, params) table of symbol arrays; scratch memory is allocated
-per call, so all operations are safe to use from multiple threads.
+public operation returns a mean-zero field.
+
+Transform budget.  With w = (chi + (lam/4) k^4) h the two quadratic pairs
+of the small-slope forcing fold into one,
+
+    sigma*chi [G(h*Gh) + dx(h dx h)] + sigma*lam/4 [G(h*G dx^4 h) + dx(h dx^5 h)]
+        = sigma [G(h*G w) + dx(h dx w)],
+
+so the forcing and the physical profile come from one 3-row inverse batch
+[h, G w, dx w] and one 2-row forward batch.  The fixed-point update folds
+-sigma*theta/ell0 into its output rows and costs 2 + 2 rows per iteration,
+so a small-slope right-hand side converging in one iteration transforms 9
+rows of 4N points (thin film: 2 + 1 for the forcing, 1 + 1 per iteration).
+The batches call numpy.fft directly, with n=4N doing the zero padding.
+
+The module keeps an immutable per-(n_modes, params) table of symbol arrays;
+scratch memory is allocated per call, so all operations are safe to use
+from multiple threads.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
 from .params import ModelParams
 from .spectral import (
@@ -73,10 +87,8 @@ class _OpTable:
         n = n_modes
         self.n = n
         self.m = 4 * n
-        self.nbig = self.m // 2 + 1
         self.p = p
         k = np.arange(n + 1, dtype=float)
-        self.k = k
         tanh = tanh_clamped(k)
         self.tanh = tanh if p.depth == "finite" else np.ones_like(k)
         self.G = k * self.tanh
@@ -88,19 +100,14 @@ class _OpTable:
         to_phys = self.m / SQRT_2PI
         from_phys = SQRT_2PI / self.m
         self.h_scale = to_phys
-        # wnl forcing: factors [G h, dx h, G dx^4 h, dx^5 h]
+        # wnl forcing, folded through w = (chi + lam/4 k^4) h:
+        # factors [h, G w, dx w], outputs sigma [G ., dx .]
+        wsym = p.chi + (p.lam / 4.0) * k**4
         self.nl_stack = np.stack(
-            [self.G + 0j, self.ik, self.G * k**4 + 0j, (1j * k) ** 5]
+            [np.ones_like(k), self.G * wsym, self.ik * wsym]
         ) * to_phys
-        self.nl_out = np.stack(
-            [
-                p.sigma * p.chi * self.G + 0j,
-                p.sigma * p.chi * self.ik,
-                p.sigma * (p.lam / 4.0) * self.G + 0j,
-                p.sigma * (p.lam / 4.0) * self.ik,
-            ]
-        ) * from_phys
-        self.nl_linear = -p.chi * self.G - (p.lam / 4.0) * self.G * k**4
+        self.nl_out = np.stack([self.G + 0j, self.ik]) * (p.sigma * from_phys)
+        self.nl_linear = -self.G * wsym
         # commutator I(h,V): factors [G dxx V, dxxx V], outputs [G ., dx .]
         self.comm_stack = np.stack([-self.G * k**2 + 0j, (1j * k) ** 3]) * to_phys
         self.comm_out = np.stack([self.G + 0j, self.ik]) * from_phys
@@ -112,27 +119,37 @@ class _OpTable:
         ) * to_phys
         self.split_outA = np.stack([self.ik, -np.abs(k) + 0j]) * from_phys
         self.split_outB = np.stack([np.abs(k) + 0j, self.G + 0j]) * from_phys
-        # lubrication: forcing factor dx(chi h + lam/4 dx^4 h); perturbation dx^3 V
-        self.lub_w = self.ik * (p.chi + (p.lam / 4.0) * k**4)
-        self.lub_pert_scale = self.sqd * p.theta * p.epsilon
-        self.k3 = k**3
-        self.k4 = k**4
+        # lubrication forcing sqrt(delta) dx(w + eps h w), w = dx(chi h + lam/4
+        # dx^4 h): factors [h, w]; perturbation factor dx^3 V, output dx .
+        lub_w = self.ik * wsym
+        self.lub_linear = self.sqd * self.ik * lub_w
+        self.lub_stack = np.stack([np.ones_like(k) + 0j, lub_w]) * to_phys
+        self.lub_out = self.ik[None, :] * (self.sqd * p.epsilon * from_phys)
+        self.pert_stack = (1j * k)[None, :] ** 3 * to_phys
+        self.pert_out = self.lub_out * p.theta
+        # fixed point V <- V0 + sum(solve_out * P[h phys(solve_stack V)]): the
+        # perturbation's sign and coefficient and the base inverse are folded
+        # into the output rows
+        if p.model == "lubrication":
+            self.base, self.norm_k = self.lub_base, k**4
+            self.solve_stack = self.pert_stack
+            self.solve_out = -self.pert_out / self.lub_base
+        else:
+            self.base, self.norm_k = self.ell0, k**3
+            self.solve_stack = self.comm_stack
+            self.solve_out = -(p.sigma * p.theta) * self.comm_out / self.ell0
+        self.solve_active = bool(np.any(self.solve_out))
 
-    # -- transforms ---------------------------------------------------------
+    # -- transforms (n=4N zero-pads the inverse input) ------------------------
 
     def phys(self, c):
-        buf = np.zeros(self.nbig, dtype=complex)
-        buf[: self.n + 1] = c
-        buf[: self.n + 1] *= self.h_scale
-        return _fft.irfft(buf, n=self.m)
+        return np.fft.irfft(c * self.h_scale, n=self.m)
 
     def phys_stack(self, rows):
-        buf = np.zeros((rows.shape[0], self.nbig), dtype=complex)
-        buf[:, : self.n + 1] = rows
-        return _fft.irfft(buf, n=self.m, axis=1)
+        return np.fft.irfft(rows, n=self.m, axis=1)
 
     def prods(self, hphys, rows_phys):
-        return _fft.rfft(rows_phys * hphys, axis=1)[:, : self.n + 1]
+        return np.fft.rfft(rows_phys * hphys, axis=1)[:, : self.n + 1]
 
 
 @lru_cache(maxsize=64)
@@ -150,77 +167,74 @@ def _tab(field, params):
 # raw-array pipeline (used by the elliptic solver and the integrator)
 # ---------------------------------------------------------------------------
 
-def _forcing_wnl_raw(tab, c, hphys=None):
-    out = tab.nl_linear * c
-    if tab.p.sigma != 0.0:
-        if hphys is None:
-            hphys = tab.phys(c)
-        rows = tab.phys_stack(tab.nl_stack * c)
-        pr = tab.prods(hphys, rows)
-        out = out + (tab.nl_out * pr).sum(axis=0)
+def _products(tab, hphys, rows, weights):
+    """sum_j weights_j P[h phys(rows_j)], mean-projected: two batches."""
+    out = (weights * tab.prods(hphys, tab.phys_stack(rows))).sum(axis=0)
     out[0] = 0.0
     return out
 
 
-def _forcing_wnl_with_h(tab, c):
-    """Forcing and the physical profile in one batched transform."""
-    if tab.p.sigma == 0.0:
-        out = tab.nl_linear * c
-        out[0] = 0.0
-        return out, tab.phys(c)
-    rows = np.empty((5, tab.n + 1), dtype=complex)
-    rows[0] = c * tab.h_scale
-    rows[1:] = tab.nl_stack * c
-    ph = tab.phys_stack(rows)
-    hphys = ph[0]
-    pr = tab.prods(hphys, ph[1:])
-    out = tab.nl_linear * c + (tab.nl_out * pr).sum(axis=0)
+def _forcing_with_h(tab, c, linear, stack, weights, active):
+    """linear*c + sum_j weights_j P[h phys(stack_{j+1} c)], and h itself.
+
+    Row 0 of ``stack`` is the profile, so one inverse batch yields both
+    the product factors and the physical h the solve needs.
+    """
+    out = linear * c
+    if active:
+        ph = tab.phys_stack(stack * c)
+        hphys = ph[0]
+        out += (weights * tab.prods(hphys, ph[1:])).sum(axis=0)
+    else:
+        hphys = tab.phys(c)
     out[0] = 0.0
     return out, hphys
 
 
+def _forcing_wnl_with_h(tab, c):
+    """Small-slope forcing and profile: 3 inverse rows, 2 forward rows."""
+    return _forcing_with_h(tab, c, tab.nl_linear, tab.nl_stack, tab.nl_out,
+                           tab.p.sigma != 0.0)
+
+
+def _forcing_wnl_raw(tab, c, hphys=None):
+    # the batch transforms h alongside the factors, so hphys saves nothing
+    return _forcing_wnl_with_h(tab, c)[0]
+
+
+def _forcing_lub_with_h(tab, c):
+    """Thin-film forcing and profile: 2 inverse rows, 1 forward row."""
+    return _forcing_with_h(tab, c, tab.lub_linear, tab.lub_stack, tab.lub_out,
+                           tab.p.epsilon != 0.0)
+
+
+def _forcing_lub_raw(tab, c, hphys=None):
+    return _forcing_lub_with_h(tab, c)[0]
+
+
 def _commutator_raw(tab, hphys, v):
-    rows = tab.phys_stack(tab.comm_stack * v)
-    pr = tab.prods(hphys, rows)
-    out = (tab.comm_out * pr).sum(axis=0)
-    out[0] = 0.0
-    return out
+    return _products(tab, hphys, tab.comm_stack * v, tab.comm_out)
+
+
+def _lub_perturb_raw(tab, hphys, v):
+    return _products(tab, hphys, tab.pert_stack * v, tab.pert_out)
+
+
+def _solve_update(tab, hphys, v):
+    """-base^{-1} perturbation(h, v): the fixed-point map minus its V0."""
+    return _products(tab, hphys, tab.solve_stack * v, tab.solve_out)
 
 
 def _leading_velocity_raw(tab, c):
     return tab.nl_linear * c / tab.ell0
 
 
-def _rhs_wnl2_raw(tab, c, hphys=None):
-    f = _forcing_wnl_raw(tab, c, hphys)
-    if tab.p.sigma != 0.0 and tab.p.theta != 0.0:
-        if hphys is None:
-            hphys = tab.phys(c)
-        mu = _leading_velocity_raw(tab, c)
-        f = f - tab.p.sigma * tab.p.theta * _commutator_raw(tab, hphys, mu)
+def _rhs_wnl2_raw(tab, c):
+    # the model-1 fixed-point map applied once, to mu instead of U
+    f, hphys = _forcing_wnl_with_h(tab, c)
     out = f / tab.ell0
-    out[0] = 0.0
-    return out
-
-
-def _forcing_lub_raw(tab, c, hphys=None):
-    w = tab.lub_w * c
-    flux = w.copy()
-    if tab.p.epsilon != 0.0:
-        if hphys is None:
-            hphys = tab.phys(c)
-        rows = tab.phys_stack(w[None, :] * tab.h_scale)
-        flux = flux + tab.p.epsilon * tab.prods(hphys, rows)[0] * (SQRT_2PI / tab.m)
-    out = tab.sqd * tab.ik * flux
-    out[0] = 0.0
-    return out
-
-
-def _lub_perturb_raw(tab, hphys, v):
-    rows = tab.phys_stack(((1j * tab.k) ** 3 * v)[None, :] * tab.h_scale)
-    pr = tab.prods(hphys, rows)[0] * (SQRT_2PI / tab.m)
-    out = tab.lub_pert_scale * tab.ik * pr
-    out[0] = 0.0
+    if tab.solve_active:
+        out += _solve_update(tab, hphys, _leading_velocity_raw(tab, c))
     return out
 
 

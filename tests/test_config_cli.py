@@ -145,6 +145,32 @@ def test_simulate_t_end_zero(tmp_path):
     assert len(records) == 2  # header + initial record
 
 
+def _steep_cfg(tmp_path):
+    # sigma = 1 and amplitude 5: outside the contraction regime
+    text = BASE_CFG.format(t_end=0.0, out=str(tmp_path / "traj"))
+    for a, b in (("sigma = 0.1", "sigma = 1.0"),
+                 ("initial_condition.k = 1", "initial_condition.k = 3"),
+                 ("amplitude = 1e-3", "amplitude = 5")):
+        text = text.replace(a, b)
+    path = tmp_path / "steep.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "decay"]])
+def test_final_evaluation_failure_exit_2(tmp_path, capsys, command):
+    # t_end = 0: the only solve is the closing evaluation, and it fails
+    path = _steep_cfg(tmp_path)
+    out = tmp_path / "res"
+    assert main(command + ["--config", path, "--out", str(out)]) == 2
+    assert "not contracting" in capsys.readouterr().err
+    traj = out if command == ["simulate"] else out / "trajectory"
+    meta = json.loads((traj / "meta.json").read_text())
+    assert "not contracting" in meta["failed"]
+    assert meta["records"] == 0
+    assert (traj / "energy.csv").read_text().startswith("t,a0")
+
+
 def test_simulate_theta_zero_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("theta = 0\noutput_dir = x\n")

@@ -206,6 +206,7 @@ def test_solver_failure_retains_partial_output(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert "failed" in meta and "underflow" in meta["failed"]
     assert (out / "energy.csv").is_file()
+    assert meta["rejected_steps"] > 0
 
 
 def test_deterministic_reruns(tmp_path):
@@ -251,3 +252,50 @@ def test_model1_vs_model2_sigma_scaling():
     g_full = gap(1e-2, 0.2)
     g_half_sigma = gap(1e-2, 0.1)
     assert g_full / g_half_sigma == pytest.approx(4.0, abs=1.2)
+
+
+def _transform_calls(monkeypatch):
+    """Record (method, rows) for every transform batch of the op table."""
+    from muskat.models import _OpTable
+
+    calls = []
+    for name in ("phys", "phys_stack", "prods"):
+        def counted(self, *args, _orig=getattr(_OpTable, name), _name=name):
+            rows = args[-1].shape[0] if args[-1].ndim == 2 else 1
+            calls.append((_name, rows))
+            return _orig(self, *args)
+
+        monkeypatch.setattr(_OpTable, name, counted)
+    return calls
+
+
+def test_rhs_transform_budget(monkeypatch):
+    # wnl1 converging in one iteration: the folded forcing transforms
+    # [h, G w, dx w] in and two products out, the update 2 rows each way
+    from muskat.integrate import _rhs_raw
+    from muskat.models import _table
+
+    p = wnl(sigma=0.1, lam=1.0)
+    tab = _table(64, p)
+    c = SpectralField.cosine(1, 1e-3, 64).coeffs
+    calls = _transform_calls(monkeypatch)
+    _, iters = _rhs_raw(tab, c, 1e-6, 200)
+    assert iters == 1
+    assert calls == [("phys_stack", 3), ("prods", 2),
+                     ("phys_stack", 2), ("prods", 2)]
+    assert sum(rows for _, rows in calls) == 9
+
+
+def test_lub_rhs_single_inverse_before_solve(monkeypatch):
+    # the thin film's forcing and profile share one inverse batch
+    from muskat.integrate import _rhs_raw
+    from muskat.models import _table
+
+    p = ModelParams.lubrication(lam=1.0, theta=1.0, delta=0.5, epsilon=0.1)
+    tab = _table(64, p)
+    c = SpectralField.cosine(1, 1e-3, 64).coeffs
+    calls = _transform_calls(monkeypatch)
+    _, iters = _rhs_raw(tab, c, None, 200)
+    assert iters >= 2
+    assert calls[:2] == [("phys_stack", 2), ("prods", 1)]
+    assert calls[2:] == [("phys_stack", 1), ("prods", 1)] * iters
