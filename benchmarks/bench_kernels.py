@@ -1,9 +1,13 @@
-"""Benchmark the numba lane against the pure-numpy fallback.
+"""Benchmark the numba lane against the pure-numpy fallback, and the
+ground-truth solvers against their oracles.
 
 Times the direct-summation kernels (truncated convolution, commutator
 sign/tanh split) in both lanes, with the FFT product pipeline shown for
 scale, then one right-hand-side evaluation (``integrate._rhs_raw``: forcing
-plus fixed-point solve) per model at N = 64 and 256.  Run:
+plus fixed-point solve) per model at N = 64 and 256, then the strip solve
+(``strip.solve_strip``, preconditioned CG) next to a sparse LU of the same
+system, and ``diagnostics.check_operator_bounds`` at 500 samples, N = 64.
+Run:
 
     python benchmarks/bench_kernels.py
 
@@ -14,8 +18,10 @@ implementations are timed side by side when numba is importable.
 import time
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from muskat import _kernels
+from muskat import _kernels, strip
+from muskat.diagnostics import check_operator_bounds
 from muskat.integrate import _rhs_raw
 from muskat.models import _table
 from muskat.params import ModelParams
@@ -61,6 +67,55 @@ def rhs_rows(rng, rounds=9):
             _, iters = _rhs_raw(tab, c, 3e-7, 200)
             print(f"{n:>6} {model:<12} {np.median(times) * 1e6:>12.1f} "
                   f"{iters:>6}")
+
+
+def _lu_strip_solve(h, psi, grid, params):
+    """The oracle: assemble the same system and solve it by sparse LU."""
+    nx, nz = grid.n_x, grid.n_z
+    A = strip.assemble_system(h, grid, params)
+    idx = np.arange(nx * nz).reshape(nx, nz)
+    u_ids, d_ids = idx[:, :-1].ravel(), idx[:, -1]
+    rhs = -(A[u_ids][:, d_ids] @ psi.values(nx))
+    return spla.splu(A[u_ids][:, u_ids].tocsc()).solve(rhs)
+
+
+def _median_time(fn, *args, rounds=3):
+    times = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)), out
+
+
+def strip_rows():
+    """solve_strip (assembly + CG) against assembly + LU, median of 3.
+
+    256x65 flat is the size of `muskat verify flux`; 512x256 at sigma =
+    0.05 and 0.2 are two of the solves of `muskat verify dtn`.
+    """
+    print(f"\n{'grid':>8} {'sigma':>6} {'cg [s]':>9} {'iters':>6} "
+          f"{'residual':>10} {'splu [s]':>9} {'max |cg - lu|':>14}")
+    cases = ((256, 65, 0.0), (512, 256, 0.05), (512, 256, 0.2))
+    for nx, nz, sigma in cases:
+        grid = strip.StripGrid(nx, nz)
+        p = ModelParams(theta=1.0, sigma=sigma, delta=1.0, epsilon=sigma)
+        h = (SpectralField.cosine(1, 1.0, 64) if sigma
+             else SpectralField.zeros(64))
+        psi = SpectralField.cosine(2, 1.0, 64)
+        t_cg, sol = _median_time(strip.solve_strip, h, psi, grid, p)
+        t_lu, phi_lu = _median_time(_lu_strip_solve, h, psi, grid, p)
+        diff = np.abs(sol.phi[:, :-1].ravel() - phi_lu).max()
+        print(f"{nx:>4}x{nz:<3} {sigma:>6.2f} {t_cg:>9.3f} "
+              f"{sol.iterations:>6} {sol.residual_norm:>10.2e} {t_lu:>9.3f} "
+              f"{diff:>14.2e}")
+
+
+def bounds_row():
+    p = ModelParams(lam=1.0, theta=1.0, sigma=0.1)
+    t, rep = _median_time(check_operator_bounds, 500, p, 2024, 64)
+    print(f"\ncheck_operator_bounds(500, N=64): {t:.3f} s "
+          f"(passed={rep.passed})")
 
 
 def main():
@@ -109,6 +164,8 @@ def main():
         )
         print(f"\nmax lane disagreement at N=128: {err:.3e}")
     rhs_rows(rng)
+    strip_rows()
+    bounds_row()
 
 
 if __name__ == "__main__":

@@ -1,9 +1,14 @@
-"""Hot kernels with a numba lane and a pure-numpy fallback.
+"""Direct-summation test oracles, with a numba lane and a pure-numpy fallback.
 
-The direct-summation kernels here are the slow-but-transparent route for
-quadratic mode interactions: they evaluate truncated convolutions and the
-sign/tanh commutator split literally, term by term, and serve as the
-independent cross-check for the FFT pipeline in :mod:`muskat.models`.
+The kernels here are the slow-but-transparent route for quadratic mode
+interactions: they evaluate truncated convolutions and the sign/tanh
+commutator split literally, term by term, in O(N^2).  No production path
+calls them; they serve only as the independent oracle the tests hold the
+FFT pipeline of :mod:`muskat.models` against (``check_operator_bounds``
+uses ``models.commutator_sign_split``).  The module stays importable under
+these names because the benchmark harness in ``perfbench/`` wraps
+``sign_split_direct`` and reads ``KERNEL_LANE``, which every run also
+records in its ``meta.json``.
 
 Lane selection: the numba lane is used when numba imports successfully and
 the environment variable ``MUSKAT_NO_NUMBA`` is unset/empty/"0".  Both lanes

@@ -25,7 +25,7 @@ from .config import (
 )
 from .elliptic import SolverError
 from .spectral import SpectralField, load_spectrum_csv
-from .strip import StripGrid
+from .strip import LinearSolveError, StripGrid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +59,7 @@ def _parse_sweep(specs):
     return keys
 
 
-def _sweep_cells(raw, sweep):
+def _sweep_cells(sweep):
     if not sweep:
         return [({}, "")]
     cells = []
@@ -75,18 +75,20 @@ def _sweep_cells(raw, sweep):
     return cells
 
 
-def _run_cell(raw, overrides, out_dir, seed):
-    cell_raw = dict(raw)
-    cell_raw.update(overrides)
+def _prepare_cell(cell_raw, out_dir, seed):
+    """(h0, params, config) of one cell; raises ConfigError if invalid."""
     config, params = load_config(cell_raw)
     if seed is not None:
         config.rng_seed = seed
     config.output_dir = out_dir
-    h0 = make_initial_condition(config)
+    return make_initial_condition(config), params, config
+
+
+def _run_cell(h0, params, config):
     try:
         integrate.run(h0, params, config)
     except SolverError as exc:
-        return f"{out_dir}: {exc}"
+        return f"{config.output_dir}: {exc}"
     return None
 
 
@@ -98,12 +100,13 @@ def cmd_simulate(args):
     if not base_out:
         raise ConfigError("no output directory (set output_dir or pass --out)")
     sweep = _parse_sweep(args.sweep)
-    cells = _sweep_cells(raw, sweep)
-    jobs = []
-    for overrides, name in cells:
-        out_dir = os.path.join(base_out, name) if name else base_out
-        jobs.append((raw, overrides, out_dir, args.seed))
-    failures = []
+    # every cell is validated and set up before the first one starts
+    jobs = [
+        _prepare_cell({**raw, **overrides},
+                      os.path.join(base_out, name) if name else base_out,
+                      args.seed)
+        for overrides, name in _sweep_cells(sweep)
+    ]
     workers = _workers(len(jobs))
     if workers == 1 or len(jobs) == 1:
         results = [_run_cell(*j) for j in jobs]
@@ -323,6 +326,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except LinearSolveError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

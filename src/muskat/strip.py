@@ -18,6 +18,15 @@ scheme is conservative and second order, and the bottom condition is the
 natural boundary condition of the quadratic form.  This route never touches
 the Fourier-side model operators; it exists to validate them.
 
+Linear solve: conjugate gradients on the unknown (non-Dirichlet) nodes,
+preconditioned by the exact flat operator (h = 0, eps = 0),
+delta*(Kx (x) Mz) + (Mx (x) Kz) with the Dirichlet row removed.  The 1-D
+x-blocks Kx, Mx are circulant, so one real FFT along x splits that
+operator into one symmetric positive definite tridiagonal system in z per
+wavenumber, all solved by one batched Thomas sweep.  On a flat interface
+the preconditioner is the operator and CG stops after one iteration; the
+iteration count grows slowly with the steepness eps*h.
+
 All checks here are stationary: the surface datum is prescribed, never
 coupled back through the time derivative.
 """
@@ -29,12 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import simpson
 
 from .spectral import GridMismatchError, SpectralField, tanh_clamped
 
 DEGENERACY_FLOOR = 0.05
+# CG stops once ||r|| <= CG_RTOL * ||rhs||, and fails after CG_MAXITER steps
+CG_RTOL = 1e-13
+CG_MAXITER = 500
 
 
 class DegenerateLiftError(ValueError):
@@ -78,11 +89,13 @@ class StripGrid:
 class StripSolution:
     """Discrete pullback potential with its solve diagnostics."""
 
-    __slots__ = ("phi", "residual_norm", "grid", "delta", "epsilon")
+    __slots__ = ("phi", "residual_norm", "iterations", "grid", "delta",
+                 "epsilon")
 
-    def __init__(self, phi, residual_norm, grid, delta, epsilon):
+    def __init__(self, phi, residual_norm, iterations, grid, delta, epsilon):
         self.phi = phi
         self.residual_norm = residual_norm
+        self.iterations = iterations
         self.grid = grid
         self.delta = delta
         self.epsilon = epsilon
@@ -145,11 +158,16 @@ def assemble_P_delta(h, grid, params):
 _C1 = np.array([[-0.5, -0.5], [0.5, 0.5]])
 
 
+def _blocks_1d(L):
+    """1-D linear-element stiffness and mass blocks (k1, m1) of length L."""
+    k1 = np.array([[1.0, -1.0], [-1.0, 1.0]]) / L
+    m1 = L * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    return k1, m1
+
+
 def _local_blocks(dx, dz):
-    k1x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / dx
-    m1x = dx * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    k1z = np.array([[1.0, -1.0], [-1.0, 1.0]]) / dz
-    m1z = dz * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    k1x, m1x = _blocks_1d(dx)
+    k1z, m1z = _blocks_1d(dz)
     kxx = np.kron(k1x, m1z)
     kzz = np.kron(m1x, k1z)
     kxz = np.kron(_C1.T, _C1) + np.kron(_C1, _C1.T)
@@ -188,36 +206,115 @@ def assemble_system(h, grid, params):
     return sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def flat_preconditioner(grid, delta):
+    """Inverse of the flat (h = 0, eps = 0) operator on the unknown nodes,
+    as a function of a flat (n_x * (n_z - 1)) vector in z-fastest order.
+
+    The operator is delta*(Kx (x) Mz) + (Mx (x) Kz), assembled from the
+    1-D blocks.  Kx and Mx are circulant with the symbols
+    (2 - 2 cos(k dx)) / dx and dx (4 + 2 cos(k dx)) / 6, so after an rfft
+    along x, wavenumber k solves the tridiagonal system
+    delta*Kx(k) Mz + Mx(k) Kz in z (Dirichlet node dropped, no-flux bottom
+    node carrying half an element).  The Thomas factors of every
+    wavenumber are computed once here; each application is one rfft, one
+    batched forward and back substitution, and one irfft.
+    """
+    nx, nu = grid.n_x, grid.n_z - 1
+    cos_k = np.cos(grid.dx * np.arange(nx // 2 + 1))
+
+    def symbol(b):  # circulant 1-D block in x
+        return b[0, 0] + b[1, 1] + 2.0 * b[0, 1] * cos_k
+
+    def tridiag(b):  # 1-D block in z on the unknown nodes: (main, off)
+        main = np.full(nu, b[0, 0] + b[1, 1])
+        main[0] = b[0, 0]
+        return main[:, None], np.full((nu - 1, 1), b[0, 1])
+
+    k1x, m1x = _blocks_1d(grid.dx)
+    k1z, m1z = _blocks_1d(grid.dz)
+    (mz, mz_off), (kz, kz_off) = tridiag(m1z), tridiag(k1z)
+    kx, mx = delta * symbol(k1x), symbol(m1x)
+    # rows: z index, columns: wavenumber
+    diag = mz * kx + kz * mx
+    off = mz_off * kx + kz_off * mx
+    lower = np.empty_like(off)
+    inv_piv = np.empty_like(diag)
+    inv_piv[0] = 1.0 / diag[0]
+    for i in range(1, nu):
+        lower[i - 1] = off[i - 1] * inv_piv[i - 1]
+        inv_piv[i] = 1.0 / (diag[i] - lower[i - 1] * off[i - 1])
+
+    def apply(r):
+        y = _fft.rfft(r.reshape(nx, nu).T, axis=1)
+        for i in range(1, nu):
+            y[i] -= lower[i - 1] * y[i - 1]
+        y[nu - 1] *= inv_piv[nu - 1]
+        for i in range(nu - 2, -1, -1):
+            y[i] = (y[i] - off[i] * y[i + 1]) * inv_piv[i]
+        return _fft.irfft(y, n=nx, axis=1).T.ravel()
+
+    return apply
+
+
+def _pcg(A, b, precond):
+    """Preconditioned CG for the SPD matrix A; returns (x, iterations)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    rnorm = b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return x, 0
+    z = precond(r)
+    p = z
+    rz = r @ z
+    for it in range(1, CG_MAXITER + 1):
+        q = A @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rnorm = np.linalg.norm(r)
+        if not math.isfinite(rnorm):
+            raise LinearSolveError("sparse solve failed: non-finite residual "
+                                   f"at CG iteration {it}")
+        if rnorm <= CG_RTOL * b_norm:
+            return x, it
+        z = precond(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise LinearSolveError(
+        f"sparse solve failed: CG did not reach ||r|| <= {CG_RTOL:g}*||rhs|| "
+        f"in {CG_MAXITER} iterations (||r|| / ||rhs|| = "
+        f"{rnorm / b_norm:.3g})"
+    )
+
+
 def solve_strip(h, psi, grid, params):
     """Solve the flattened problem for the prescribed surface datum psi.
 
-    The Dirichlet row of the returned solution equals the supplied datum
-    exactly; the bottom no-flux condition is built into the operator.
+    The unknown nodes are solved by conjugate gradients preconditioned with
+    the flat-strip operator (``flat_preconditioner``) to a relative
+    residual of CG_RTOL; no factorization is formed.  The Dirichlet row of
+    the returned solution equals the supplied datum exactly; the bottom
+    no-flux condition is built into the operator.  ``residual_norm`` is the
+    true residual ||Auu phi_u - rhs|| of the returned solution.  Raises
+    LinearSolveError when CG does not converge within CG_MAXITER
+    iterations or produces non-finite values.
     """
     nx, nz = grid.n_x, grid.n_z
     A = assemble_system(h, grid, params)
     psi_vals = _field_values(psi, nx)
     idx = np.arange(nx * nz).reshape(nx, nz)
     d_ids = idx[:, nz - 1].ravel()
-    u_mask = np.ones(nx * nz, dtype=bool)
-    u_mask[d_ids] = False
-    u_ids = np.where(u_mask)[0]
-    Auu = A[u_ids][:, u_ids].tocsc()
-    Aud = A[u_ids][:, d_ids]
-    rhs = -Aud @ psi_vals
-    try:
-        lu = spla.splu(Auu)
-        phi_u = lu.solve(rhs)
-    except Exception as exc:  # singular factorization, memory, ...
-        raise LinearSolveError(f"sparse solve failed: {exc}") from exc
-    if not np.all(np.isfinite(phi_u)):
-        raise LinearSolveError("sparse solve produced non-finite values")
+    u_ids = idx[:, : nz - 1].ravel()
+    Au = A[u_ids]
+    Auu = Au[:, u_ids]
+    rhs = -(Au[:, d_ids] @ psi_vals)
+    phi_u, iterations = _pcg(Auu, rhs, flat_preconditioner(grid, params.delta))
     residual = float(np.linalg.norm(Auu @ phi_u - rhs))
-    phi = np.empty(nx * nz)
-    phi[u_ids] = phi_u
-    phi[d_ids] = psi_vals
+    phi = np.empty((nx, nz))
+    phi[:, : nz - 1] = phi_u.reshape(nx, nz - 1)
+    phi[:, nz - 1] = psi_vals
     return StripSolution(
-        phi.reshape(nx, nz), residual, grid, params.delta, params.epsilon
+        phi, residual, iterations, grid, params.delta, params.epsilon
     )
 
 

@@ -213,6 +213,21 @@ def test_simulate_sweep_cells(tmp_path, monkeypatch):
         assert str(meta["config"]["sigma"]) in cell
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("sweep", ["sigma=0.1,abc,0.2",
+                                   "initial_condition.k=1,64,2"])
+def test_sweep_bad_value_runs_no_cell(tmp_path, monkeypatch, threads, sweep):
+    # every cell is validated, initial condition included, before the first
+    # cell starts
+    monkeypatch.setenv("MUSKAT_THREADS", threads)
+    path, _ = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    rc = main(["simulate", "--config", path, "--out", str(out),
+               "--sweep", sweep])
+    assert rc == 1
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_sweep_too_many_keys(tmp_path, capsys):
     path, _ = write_cfg(tmp_path)
     rc = main(["simulate", "--config", path, "--sweep", "a=1", "--sweep", "b=2",
@@ -237,6 +252,18 @@ def test_verify_dtn_grid_limited_exit_2(tmp_path, capsys):
     rc = main(["verify", "dtn", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "grid-limited" in capsys.readouterr().err
+
+
+def test_verify_flux_solve_failure_exit_2(tmp_path, monkeypatch, capsys):
+    import muskat.strip as strip_mod
+
+    monkeypatch.setattr(strip_mod, "CG_MAXITER", 0)
+    p = tmp_path / "f.cfg"
+    p.write_text("theta = 1.0\nepsilon = 0.1\nverify.flux.n_x = 32\n"
+                 "verify.flux.n_z = 17\nverify.flux.n_modes = 8\n")
+    rc = main(["verify", "flux", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "sparse solve failed" in capsys.readouterr().err
 
 
 def test_verify_decay_cli(tmp_path):

@@ -7,16 +7,22 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
   direct double sum of ``_kernels.convolve_truncated``;
 * one folded fixed-point update equals (F - perturbation(h, V)) / base
   composed from the public operators;
-* ``integrate._rhs_raw`` agrees with the public forcing + solve route.
+* ``integrate._rhs_raw`` agrees with the public forcing + solve route;
+* the FFT sign/tanh split of the commutator (``models.commutator_sign_split``,
+  which ``diagnostics.check_operator_bounds`` evaluates) equals the direct
+  double sum of ``_kernels.sign_split_direct``;
+* the preconditioned CG strip solve equals a sparse LU solve of the same
+  assembled system.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muskat import _kernels, integrate, models
+from muskat import _kernels, integrate, models, strip
 from muskat.elliptic import solve_quasilinear
 from muskat.models import _table
 from muskat.params import ModelParams
@@ -27,6 +33,7 @@ from muskat.spectral import (
     depth_symbol,
     derivative_symbol,
     pointwise_product,
+    tanh_clamped,
     wiener_norm,
 )
 
@@ -132,3 +139,43 @@ def test_rhs_raw_matches_public_route(n, seed, depth, sigma, amplitude, model):
     scale = wiener_norm(ref, 0)
     assert math.isfinite(scale)
     assert a0_dist(SpectralField(got), ref) <= 1e-12 * max(scale, 1e-30)
+
+
+@PROPS
+@given(n=st.integers(4, 48), seed=seeds, depth=depths)
+def test_sign_split_matches_direct_sum(n, seed, depth):
+    p = ModelParams(lam=1.0, theta=1.0, sigma=0.1, depth=depth)
+    h, v = field(n, seed), field(n, seed + 1)
+    tanha = tanh_clamped(np.arange(n + 1)) if depth == "finite" else np.ones(n + 1)
+    direct = _kernels.sign_split_direct(_kernels.full_spectrum(h.coeffs),
+                                        _kernels.full_spectrum(v.coeffs), tanha)
+    refs = [SpectralField(_kernels.half_spectrum(d) / SQRT_2PI) for d in direct]
+    got = models.commutator_sign_split(h, v, p)
+    err = sum(a0_dist(g, r) for g, r in zip(got, refs))
+    assert err <= 1e-12 * sum(wiener_norm(r, 0) for r in refs)
+
+
+def lu_strip_solve(h, psi, grid, params):
+    """Oracle: the same assembled system solved by a sparse LU."""
+    nx, nz = grid.n_x, grid.n_z
+    A = strip.assemble_system(h, grid, params)
+    idx = np.arange(nx * nz).reshape(nx, nz)
+    u_ids, d_ids = idx[:, :-1].ravel(), idx[:, -1]
+    rhs = -(A[u_ids][:, d_ids] @ psi.values(nx))
+    return spla.splu(A[u_ids][:, u_ids].tocsc()).solve(rhs).reshape(nx, nz - 1)
+
+
+@PROPS
+@given(nx=st.integers(4, 16).map(lambda m: 2 * m), nz=st.integers(16, 24),
+       seed=seeds, delta=st.floats(0.01, 1.0), lift=st.floats(0.0, 0.9))
+def test_strip_cg_matches_lu(nx, nz, seed, delta, lift):
+    grid = strip.StripGrid(nx, nz)
+    n = min(8, nx // 2 - 1)
+    h = field(n, seed)
+    # scale eps so that min(1 + eps*h) = 1 - lift, down to 0.1
+    eps = lift / -h.values(nx).min()
+    p = ModelParams.lubrication(lam=1.0, theta=1.0, delta=delta, epsilon=eps)
+    psi = field(n, seed + 1)
+    got = strip.solve_strip(h, psi, grid, p).phi[:, :-1]
+    ref = lu_strip_solve(h, psi, grid, p)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()

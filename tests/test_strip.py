@@ -75,17 +75,40 @@ def test_degenerate_lift_rejected():
         solve_strip(h, h, g, p_of(eps=0.96))
 
 
-def test_factorization_failure_wrapped(monkeypatch):
+def test_solve_failure_wrapped(monkeypatch):
     import muskat.strip as strip_mod
 
-    def boom(*_a, **_k):
-        raise RuntimeError("factorization failed")
+    def broken(grid, delta):
+        return lambda r: np.full_like(r, np.nan)
 
-    monkeypatch.setattr(strip_mod.spla, "splu", boom)
+    monkeypatch.setattr(strip_mod, "flat_preconditioner", broken)
     g = StripGrid(32, 17)
     with pytest.raises(LinearSolveError, match="sparse solve failed"):
         solve_strip(SpectralField.zeros(8), SpectralField.cosine(1, 1.0, 8),
                     g, p_of())
+
+
+def test_cg_iteration_limit_raises(monkeypatch):
+    import muskat.strip as strip_mod
+
+    g = StripGrid(32, 17)
+    h = SpectralField.cosine(1, 0.5, 8)
+    psi = SpectralField.cosine(2, 1.0, 8)
+    p = p_of(delta=0.5, eps=0.4)
+    needed = solve_strip(h, psi, g, p).iterations
+    assert needed > 1
+    monkeypatch.setattr(strip_mod, "CG_MAXITER", needed - 1)
+    with pytest.raises(LinearSolveError, match="sparse solve failed"):
+        solve_strip(h, psi, g, p)
+
+
+def test_flat_strip_solves_in_one_iteration():
+    # on a flat interface the preconditioner is the operator itself
+    g = StripGrid(64, 33)
+    sol = solve_strip(SpectralField.zeros(8), SpectralField.cosine(3, 1.0, 8),
+                      g, p_of(delta=0.3))
+    assert sol.iterations == 1
+    assert sol.residual_norm <= 1e-12
 
 
 def test_assembled_operator_symmetric():
