@@ -3,8 +3,10 @@ ground-truth solvers against their oracles.
 
 Times the direct-summation kernels (truncated convolution, commutator
 sign/tanh split) in both lanes, with the FFT product pipeline shown for
-scale, then one right-hand-side evaluation (``integrate._rhs_raw``: forcing
-plus fixed-point solve) per model at N = 64 and 256, then the strip solve
+scale, then one transform batch of the op table (``_OpTable.phys_stack``
+with 3 rows, ``prods`` with 2 rows) next to the same ``numpy.fft`` call, and
+one right-hand-side evaluation (``integrate._rhs_raw``: forcing plus
+fixed-point solve) per model, both at N = 64 and 256, then the strip solve
 (``strip.solve_strip``, preconditioned CG) next to a sparse LU of the same
 system, and ``diagnostics.check_operator_bounds`` at 500 samples, N = 64.
 Run:
@@ -48,6 +50,30 @@ def _rhs_params(model):
         return ModelParams.lubrication(lam=1.0, theta=1.0, delta=0.5,
                                        epsilon=0.1)
     return ModelParams(lam=1.0, theta=1.0, sigma=0.1, model=model)
+
+
+def transform_rows(rng, rounds=9):
+    """Per-call time of one op-table batch and of the same numpy.fft call,
+    median over rounds that time the two in turn; both give the same bits
+    (see test_properties)."""
+    print(f"\n{'N':>6} {'batch':<18} {'op table [us]':>14} {'numpy.fft [us]':>15}")
+    p = ModelParams(lam=1.0, theta=1.0, sigma=0.1)
+    for n in (64, 256):
+        tab = _table(n, p)
+        spec = np.stack([_random_field(n, rng) for _ in range(3)])
+        rows_phys = rng.standard_normal((2, 4 * n))
+        hphys = rng.standard_normal(4 * n)
+        cases = (
+            ("phys_stack 3 rows", lambda: tab.phys_stack(spec),
+             lambda: np.fft.irfft(spec, n=4 * n, axis=1)),
+            ("prods 2 rows", lambda: tab.prods(hphys, rows_phys),
+             lambda: np.fft.rfft(rows_phys * hphys, axis=1)[:, : n + 1]),
+        )
+        for name, ours, ref in cases:
+            times = [(_timeit(ours, repeat=2000), _timeit(ref, repeat=2000))
+                     for _ in range(rounds)]
+            t_ours, t_ref = np.median(times, axis=0)
+            print(f"{n:>6} {name:<18} {t_ours * 1e6:>14.1f} {t_ref * 1e6:>15.1f}")
 
 
 def rhs_rows(rng, rounds=9):
@@ -163,6 +189,7 @@ def main():
             np.abs(s1[1] - s2[1]).max(),
         )
         print(f"\nmax lane disagreement at N=128: {err:.3e}")
+    transform_rows(rng)
     rhs_rows(rng)
     strip_rows()
     bounds_row()

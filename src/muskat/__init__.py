@@ -2,6 +2,7 @@
 porous-media interface models on the periodic line."""
 
 from ._kernels import KERNEL_LANE
+from .config import PACKAGE_VERSION as __version__
 from .config import ConfigError, SolverConfig, load_config, make_initial_condition
 from .diagnostics import (
     EnergyRecord,
@@ -60,5 +61,3 @@ from .strip import (
     verify_dtn_expansion,
     verify_lub_flux,
 )
-
-__version__ = "0.1.0"

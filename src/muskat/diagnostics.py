@@ -75,18 +75,15 @@ def energy_coefficient(params):
     return params.theta * t1
 
 
-def energy_norm_order(params):
-    return 4 if params.model == "lubrication" else 3
-
-
 def energy(h, params):
     """Model-selected dissipation energy of h."""
-    s = energy_norm_order(params)
+    s = models.scheme_norm_order(params)
     return wiener_norm(h, 0) + energy_coefficient(params) * wiener_norm(h, s)
 
 
 def energy_from_norms(norms, params):
-    return norms[0] + energy_coefficient(params) * norms[energy_norm_order(params)]
+    s = models.scheme_norm_order(params)
+    return norms[0] + energy_coefficient(params) * norms[s]
 
 
 @lru_cache(maxsize=16)
@@ -99,8 +96,10 @@ def _k_powers(n_modes):
 def make_record(t, h, dth, iters, params):
     kp = _k_powers(h.n_modes)
     norms = (2.0 * (kp * np.abs(h.coeffs[1:])).sum(axis=1)).tolist()
-    rows = kp[[0, models.scheme_norm_order(params)]]
-    dth_a0, dth_high = (2.0 * (rows * np.abs(dth.coeffs[1:])).sum(axis=1)).tolist()
+    # row k^0 is all ones, so the A^0 sum needs no weighting
+    dth_abs = np.abs(dth.coeffs[1:])
+    dth_a0 = 2.0 * float(dth_abs.sum())
+    dth_high = 2.0 * float((kp[models.scheme_norm_order(params)] * dth_abs).sum())
     return EnergyRecord(
         t=t,
         norms=norms,

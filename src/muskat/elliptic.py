@@ -18,6 +18,8 @@ linear system directly.  It exists to check the iteration, never to replace
 it.
 """
 
+import math
+
 import numpy as np
 
 from . import models
@@ -105,23 +107,24 @@ def _solve_raw(tab, cF, hphys, tol, max_iter):
     Each iteration is V <- V0 + sum(solve_out * P[h phys(solve_stack V)]):
     one 2-row (thin film: 1-row) inverse batch, one forward batch and one
     weighted sum, the base inverse being folded into the table's rows.
+    With h = 0 the update is exactly zero, so the first increment is 0.0
+    and the solve returns V0 after one iteration.
     """
     V0 = cF / tab.base
     V0[0] = 0.0
+    if not tab.solve_active:
+        return V0, 1, [0.0]
     V = V0
-    active = tab.solve_active and np.any(hphys)
     increments = []
     stall = 0
     prev = None
     for it in range(1, max_iter + 1):
-        if not active:
-            increments.append(0.0)
-            return V, it, increments
-        Vn = V0 + models._solve_update(tab, hphys, V)
+        Vn = models._solve_update(tab, hphys, V)
+        Vn += V0
         inc = _norm_raw(tab, Vn - V)
         increments.append(inc)
         V = Vn
-        if not np.isfinite(inc):
+        if not math.isfinite(inc):
             raise NotContractingError(float("inf"), it)
         if inc <= tol:
             return V, it, increments

@@ -98,7 +98,7 @@ def _try_advance(tab, c, dt, scheme, tol, max_iter):
         cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         iters = n1 + n2 + n3 + n4
     cn[0] = 0.0
-    if not np.all(np.isfinite(cn)):
+    if not np.isfinite(cn).all():
         raise NotContractingError(float("inf"), 0)
     return cn, k1, iters
 

@@ -36,7 +36,19 @@ so the forcing and the physical profile come from one 3-row inverse batch
 -sigma*theta/ell0 into its output rows and costs 2 + 2 rows per iteration,
 so a small-slope right-hand side converging in one iteration transforms 9
 rows of 4N points (thin film: 2 + 1 for the forcing, 1 + 1 per iteration).
-The batches call numpy.fft directly, with n=4N doing the zero padding.
+
+Transform binding.  The batches call pocketfft's C++ ``c2r``/``r2c``
+through ``scipy.fft._pocketfft.pypocketfft``, the code that numpy.fft and
+scipy.fft both wrap, loaded already by ``spectral``'s ``import scipy.fft``.
+A batch of 2-3 rows of 4N = 1024 points is mostly per-call overhead, and
+the Python wrappers of ``numpy.fft.irfft``/``rfft`` add about 5-7 us per
+call on top of the C++ work (``benchmarks/bench_kernels.py``).  The inverse
+input is zero-padded from N+1 to 2N+1 modes in a fresh per-call buffer.
+The results are bitwise equal to ``numpy.fft.irfft(., n=4N)`` and
+``numpy.fft.rfft``, which
+``tests/test_properties.py::test_transform_binding_bitwise_equals_numpy_fft``
+checks at random N and row counts, so a change of the private binding
+fails the tests instead of changing the outputs.
 
 The module keeps an immutable per-(n_modes, params) table of symbol arrays;
 scratch memory is allocated per call, so all operations are safe to use
@@ -47,6 +59,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
 from .params import ModelParams
 from .spectral import (
@@ -140,16 +153,24 @@ class _OpTable:
             self.solve_out = -(p.sigma * p.theta) * self.comm_out / self.ell0
         self.solve_active = bool(np.any(self.solve_out))
 
-    # -- transforms (n=4N zero-pads the inverse input) ------------------------
+    # -- transforms: pocketfft's c2r/r2c on the 4N grid (module docstring).
+    # The arguments are positional, c2r(a, axes, lastsize, forward, inorm)
+    # and r2c(a, axes, forward, inorm); inorm=2 divides by 4N, 0 does not
+    # scale.  Called with keywords, the binding holds an allocation that
+    # grows to about 2 MB over the first 1e5 calls.
 
     def phys(self, c):
-        return np.fft.irfft(c * self.h_scale, n=self.m)
+        pad = np.zeros(2 * self.n + 1, dtype=complex)
+        np.multiply(c, self.h_scale, out=pad[: self.n + 1])
+        return _c2r(pad, (0,), self.m, False, 2)
 
     def phys_stack(self, rows):
-        return np.fft.irfft(rows, n=self.m, axis=1)
+        pad = np.zeros((rows.shape[0], 2 * self.n + 1), dtype=complex)
+        pad[:, : self.n + 1] = rows
+        return _c2r(pad, (1,), self.m, False, 2)
 
     def prods(self, hphys, rows_phys):
-        return np.fft.rfft(rows_phys * hphys, axis=1)[:, : self.n + 1]
+        return _r2c(rows_phys * hphys, (1,), True, 0)[:, : self.n + 1]
 
 
 @lru_cache(maxsize=64)
@@ -167,9 +188,18 @@ def _tab(field, params):
 # raw-array pipeline (used by the elliptic solver and the integrator)
 # ---------------------------------------------------------------------------
 
+def _weighted_sum(weights, rows):
+    """sum_j weights_j rows_j, accumulated row by row in order (the same
+    bits as ``(weights * rows).sum(axis=0)`` without the 2-D temporary)."""
+    out = weights[0] * rows[0]
+    for j in range(1, len(rows)):
+        out += weights[j] * rows[j]
+    return out
+
+
 def _products(tab, hphys, rows, weights):
     """sum_j weights_j P[h phys(rows_j)], mean-projected: two batches."""
-    out = (weights * tab.prods(hphys, tab.phys_stack(rows))).sum(axis=0)
+    out = _weighted_sum(weights, tab.prods(hphys, tab.phys_stack(rows)))
     out[0] = 0.0
     return out
 
@@ -178,15 +208,18 @@ def _forcing_with_h(tab, c, linear, stack, weights, active):
     """linear*c + sum_j weights_j P[h phys(stack_{j+1} c)], and h itself.
 
     Row 0 of ``stack`` is the profile, so one inverse batch yields both
-    the product factors and the physical h the solve needs.
+    the product factors and the physical h the solve needs.  The product
+    rows are summed first and the linear part is added last: that order
+    fixes the rounding of every output file.
     """
-    out = linear * c
     if active:
         ph = tab.phys_stack(stack * c)
         hphys = ph[0]
-        out += (weights * tab.prods(hphys, ph[1:])).sum(axis=0)
+        out = _weighted_sum(weights, tab.prods(hphys, ph[1:]))
+        out += linear * c
     else:
         hphys = tab.phys(c)
+        out = linear * c
     out[0] = 0.0
     return out, hphys
 
@@ -298,8 +331,8 @@ def commutator_sign_split(h, V, params):
     hphys = tab.phys(h.coeffs)
     rows = tab.phys_stack(tab.split_stack * V.coeffs)
     pr = tab.prods(hphys, rows)
-    ia = (tab.split_outA * pr[:2]).sum(axis=0)
-    ib = (tab.split_outB * pr[1:]).sum(axis=0)
+    ia = _weighted_sum(tab.split_outA, pr[:2])
+    ib = _weighted_sum(tab.split_outB, pr[1:])
     ia[0] = 0.0
     ib[0] = 0.0
     return SpectralField(ia, copy=False), SpectralField(ib, copy=False)

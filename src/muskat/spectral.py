@@ -46,7 +46,7 @@ class SpectralField:
         arr = np.array(coeffs, dtype=complex, copy=copy)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("coeffs must be a 1-D array with at least modes k=0,1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coeffs must be finite")
         self.coeffs = arr
 

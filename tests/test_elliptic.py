@@ -9,7 +9,7 @@ from muskat.elliptic import (
     dense_solve,
     solve_quasilinear,
 )
-from muskat.models import apply_quasilinear, forcing_wnl
+from muskat.models import _table, apply_quasilinear, forcing_wnl
 from muskat.params import ModelParams
 from muskat.spectral import SpectralField, galerkin_project, wiener_norm
 
@@ -26,9 +26,15 @@ def lub(eps=0.5, delta=0.25, lam=0.0, theta=1.0):
 
 
 def test_zero_profile_exact_in_one_iteration(rng):
+    # the perturbation is active, but with h = 0 its update is exactly
+    # zero: the first iteration returns V0 = F / base with a zero increment
     F = random_field(32, rng, p=3.0)
     for p in (wnl(), lub()):
         U, rep = solve_quasilinear(SpectralField.zeros(32), F, p)
+        V0 = F.coeffs / _table(32, p).base
+        V0[0] = 0.0
+        assert _table(32, p).solve_active
+        assert np.array_equal(U.coeffs, V0)
         assert rep.iterations == 1
         assert rep.converged
         assert rep.contraction_estimate == 0.0

@@ -2,6 +2,10 @@
 
 Random grids and parameters, drawn reproducibly (``derandomize=True``):
 
+* the op table's transform batches (``_OpTable.phys``, ``phys_stack``,
+  ``prods``), which call pocketfft's C++ ``c2r``/``r2c`` through scipy's
+  private binding, are bitwise equal to ``numpy.fft.irfft``/``rfft``, so a
+  change of that binding fails here instead of drifting the outputs;
 * the folded forcing equals the four-product formula, evaluated once with
   the FFT product of ``spectral.pointwise_product`` and once with the
   direct double sum of ``_kernels.convolve_truncated``;
@@ -51,6 +55,23 @@ unit = st.floats(0.0, 1.0)
 def field(n, seed, amplitude=1.0):
     return random_field(n, np.random.default_rng(seed), p=3.0,
                         amplitude=amplitude)
+
+
+@PROPS
+@given(n=st.integers(2, 300), rows=st.integers(1, 3), seed=seeds)
+def test_transform_binding_bitwise_equals_numpy_fft(n, rows, seed):
+    tab = _table(n, ModelParams(lam=1.0, theta=1.0, sigma=0.1))
+    rng = np.random.default_rng(seed)
+    spec = (rng.standard_normal((rows, n + 1))
+            + 1j * rng.standard_normal((rows, n + 1)))
+    phys = rng.standard_normal((rows, 4 * n))
+    hphys = rng.standard_normal(4 * n)
+    assert np.array_equal(tab.phys(spec[0]),
+                          np.fft.irfft(spec[0] * tab.h_scale, n=4 * n))
+    assert np.array_equal(tab.phys_stack(spec),
+                          np.fft.irfft(spec, n=4 * n, axis=1))
+    assert np.array_equal(tab.prods(hphys, phys),
+                          np.fft.rfft(phys * hphys, axis=1)[:, : n + 1])
 
 
 def direct_product(f, g):
