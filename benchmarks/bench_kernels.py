@@ -1,9 +1,8 @@
-"""Benchmark the numba lane against the pure-numpy fallback, and the
-ground-truth solvers against their oracles.
+"""Benchmark the direct-sum oracles, the FFT pipeline and the ground-truth
+solvers.
 
 Times the direct-summation kernels (truncated convolution, commutator
-sign/tanh split) in both lanes, with the FFT product pipeline shown for
-scale, then one transform batch of the op table (``_OpTable.phys_stack``
+sign/tanh split) with the FFT product pipeline shown for scale, then one transform batch of the op table (``_OpTable.phys_stack``
 with 3 rows, ``prods`` with 2 rows) next to the same ``numpy.fft`` call, and
 one right-hand-side evaluation (``integrate._rhs_raw``: forcing plus
 fixed-point solve) per model, both at N = 64 and 256, then the strip solve
@@ -12,9 +11,6 @@ system, and ``diagnostics.check_operator_bounds`` at 500 samples, N = 64.
 Run:
 
     python benchmarks/bench_kernels.py
-
-Lane selection elsewhere in the package follows MUSKAT_NO_NUMBA; here both
-implementations are timed side by side when numba is importable.
 """
 
 import time
@@ -31,7 +27,7 @@ from muskat.spectral import SpectralField, pointwise_product, tanh_clamped
 
 
 def _timeit(fn, *args, repeat=20):
-    fn(*args)  # warm-up / JIT
+    fn(*args)  # warm-up
     t0 = time.perf_counter()
     for _ in range(repeat):
         fn(*args)
@@ -146,49 +142,24 @@ def bounds_row():
 
 def main():
     rng = np.random.default_rng(0)
-    print(f"numba available: {_kernels.NUMBA_AVAILABLE} "
-          f"(active lane: {_kernels.KERNEL_LANE})")
-    header = f"{'N':>6} {'kernel':<12} {'numpy [ms]':>12} {'numba [ms]':>12} {'speedup':>9}"
+    header = f"{'N':>6} {'kernel':<12} {'numpy [ms]':>12}"
     print(header)
     print("-" * len(header))
     for n in (64, 128, 256, 512):
         a = _kernels.full_spectrum(_random_field(n, rng))
         b = _kernels.full_spectrum(_random_field(n, rng))
         tanha = tanh_clamped(np.arange(n + 1))
-        rows = []
-        t_np = _timeit(_kernels._convolve_np, a, b)
-        t_nb = (_timeit(_kernels._convolve_nb, a, b)
-                if _kernels.NUMBA_AVAILABLE else float("nan"))
-        rows.append(("convolution", t_np, t_nb))
-        t_np = _timeit(_kernels._sign_split_np, a, b, tanha)
-        t_nb = (_timeit(_kernels._sign_split_nb, a, b, tanha)
-                if _kernels.NUMBA_AVAILABLE else float("nan"))
-        rows.append(("sign_split", t_np, t_nb))
-        for name, tn, tb in rows:
-            speed = tn / tb if tb == tb and tb > 0 else float("nan")
-            print(f"{n:>6} {name:<12} {tn * 1e3:>12.3f} {tb * 1e3:>12.3f} "
-                  f"{speed:>8.1f}x")
+        rows = (
+            ("convolution", _timeit(_kernels.convolve_truncated, a, b)),
+            ("sign_split", _timeit(_kernels.sign_split_direct, a, b, tanha)),
+        )
+        for name, t in rows:
+            print(f"{n:>6} {name:<12} {t * 1e3:>12.3f}")
         # FFT product pipeline, for scale
         f = SpectralField(_random_field(n, rng))
         g = SpectralField(_random_field(n, rng))
         t_fft = _timeit(pointwise_product, f, g, repeat=200)
-        print(f"{n:>6} {'fft product':<12} {t_fft * 1e3:>12.3f} "
-              f"{'(scipy.fft both lanes)':>22}")
-    # consistency spot check between lanes
-    if _kernels.NUMBA_AVAILABLE:
-        a = _kernels.full_spectrum(_random_field(128, rng))
-        b = _kernels.full_spectrum(_random_field(128, rng))
-        tanha = tanh_clamped(np.arange(129))
-        c1 = _kernels._convolve_np(a, b)
-        c2 = _kernels._convolve_nb(a, b)
-        s1 = _kernels._sign_split_np(a, b, tanha)
-        s2 = _kernels._sign_split_nb(a, b, tanha)
-        err = max(
-            np.abs(c1 - c2).max(),
-            np.abs(s1[0] - s2[0]).max(),
-            np.abs(s1[1] - s2[1]).max(),
-        )
-        print(f"\nmax lane disagreement at N=128: {err:.3e}")
+        print(f"{n:>6} {'fft product':<12} {t_fft * 1e3:>12.3f}")
     transform_rows(rng)
     rhs_rows(rng)
     strip_rows()

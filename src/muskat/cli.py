@@ -212,20 +212,8 @@ def cmd_verify(args):
     except SolverError as exc:
         print(f"solver failure: {exc} (partial output retained)", file=sys.stderr)
         return EXIT_NUMERICAL
-    checks = {"monotone_energy": diagnostics.check_monotone_decay(
-        traj.records).as_dict()}
-    ok = checks["monotone_energy"]["passed"]
-    if params.chi == 1 and (params.lam > 0 or params.model == "lubrication") \
-            and len(traj.records) >= diagnostics.MIN_FIT_RECORDS:
-        rate = diagnostics.check_exponential_decay(traj.records, params)
-        checks["exponential_decay"] = rate.as_dict()
-        ok = ok and rate.passed
-    elif params.chi == 1 and len(traj.records) >= 4:
-        # no bending term: only a rateless decay statement holds, so check
-        # the A0 trend over dyadic windows instead of fitting a rate
-        trend = diagnostics.check_a0_dyadic_trend(traj.records)
-        checks["a0_dyadic_trend"] = trend.as_dict()
-        ok = ok and trend.passed
+    checks = diagnostics.decay_checks(traj.records, params)
+    ok = all(c["passed"] for c in checks.values())
     diagnostics.append_checks_to_meta(config.output_dir, checks)
     path = _write_report(out_dir, "decay_report.json", checks)
     print(f"decay report: {path} passed={ok}")

@@ -6,6 +6,8 @@ The dissipation structure of the models is quantified by two energies:
   tanh(1) for the bounded strip and 1 for the unbounded one;
 * thin film: E = ||h||_{A0} + sqrt(delta)*theta*||h||_{A4}.
 
+The norm order and the coefficient come from ``models.model_spec``.
+
 For gravitationally stable data (chi = +1) in the small-data regime these
 are nonincreasing along trajectories, and for lam > 0 the A0 norm decays at
 least at rate tanh(1)/2 (bounded strip).  The checkers below verify those
@@ -14,7 +16,6 @@ on seeded random ensembles.
 """
 
 import json
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -68,22 +69,16 @@ class EnergyRecord:
         )
 
 
-def energy_coefficient(params):
-    if params.model == "lubrication":
-        return math.sqrt(params.delta) * params.theta
-    t1 = math.tanh(1.0) if params.depth == "finite" else 1.0
-    return params.theta * t1
-
-
 def energy(h, params):
     """Model-selected dissipation energy of h."""
-    s = models.scheme_norm_order(params)
-    return wiener_norm(h, 0) + energy_coefficient(params) * wiener_norm(h, s)
+    spec = models.model_spec(params)
+    return (wiener_norm(h, 0)
+            + spec.energy_coefficient * wiener_norm(h, spec.norm_order))
 
 
 def energy_from_norms(norms, params):
-    s = models.scheme_norm_order(params)
-    return norms[0] + energy_coefficient(params) * norms[s]
+    spec = models.model_spec(params)
+    return norms[0] + spec.energy_coefficient * norms[spec.norm_order]
 
 
 @lru_cache(maxsize=16)
@@ -99,7 +94,8 @@ def make_record(t, h, dth, iters, params):
     # row k^0 is all ones, so the A^0 sum needs no weighting
     dth_abs = np.abs(dth.coeffs[1:])
     dth_a0 = 2.0 * float(dth_abs.sum())
-    dth_high = 2.0 * float((kp[models.scheme_norm_order(params)] * dth_abs).sum())
+    s = models.model_spec(params).norm_order
+    dth_high = 2.0 * float((kp[s] * dth_abs).sum())
     return EnergyRecord(
         t=t,
         norms=norms,
@@ -182,7 +178,7 @@ def check_exponential_decay(records, params):
     """
     if params.chi != 1:
         raise ValueError("decay verification assumes the stable sign chi = +1")
-    if params.lam <= 0 and params.model != "lubrication":
+    if params.lam <= 0 and not models.model_spec(params).thin_film:
         raise ValueError("exponential-rate fit assumes lam > 0")
     if len(records) < MIN_FIT_RECORDS:
         raise ValueError(f"need at least {MIN_FIT_RECORDS} records, "
@@ -204,8 +200,7 @@ def check_exponential_decay(records, params):
 
 
 def _decay_bound(params):
-    t1 = math.tanh(1.0) if params.depth == "finite" else 1.0
-    return params.chi * t1 / 2.0 - DECAY_RATE_MARGIN
+    return params.chi * models.model_spec(params).t1 / 2.0 - DECAY_RATE_MARGIN
 
 
 def check_a0_dyadic_trend(records):
@@ -242,6 +237,26 @@ def check_a0_dyadic_trend(records):
     return DecayVerdict(passed, first, worst, len(records))
 
 
+def decay_checks(records, params):
+    """The decay verdicts that apply to one trajectory, as a dict by name.
+
+    Always the monotone energy.  With chi = +1, the exponential-rate fit
+    where the theory gives a rate (lam > 0, or the thin film) and there are
+    enough records; otherwise only a rateless decay statement holds, so
+    the A0 trend over dyadic windows is checked instead.
+    """
+    checks = {"monotone_energy": check_monotone_decay(records).as_dict()}
+    if params.chi != 1:
+        return checks
+    has_rate = params.lam > 0 or models.model_spec(params).thin_film
+    if has_rate and len(records) >= MIN_FIT_RECORDS:
+        checks["exponential_decay"] = check_exponential_decay(
+            records, params).as_dict()
+    elif len(records) >= 4:
+        checks["a0_dyadic_trend"] = check_a0_dyadic_trend(records).as_dict()
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # random ensembles and operator bound checks
 # ---------------------------------------------------------------------------
@@ -269,9 +284,6 @@ class BoundReport:
     def as_dict(self):
         return {"passed": self.passed, "checks": self.checks}
 
-    def to_json(self, indent=2):
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
 
 def check_operator_bounds(sample_count, params, rng_seed, n_modes=64):
     """Evaluate the operator inequalities on seeded random fields.
@@ -292,15 +304,12 @@ def check_operator_bounds(sample_count, params, rng_seed, n_modes=64):
     """
     rng = np.random.default_rng(rng_seed)
     rep = BoundReport()
+    spec = models.model_spec(params)
     k = np.arange(n_modes + 1, dtype=float)
-    sym = models.base_elliptic_symbol(params).eval(k)
+    sym = spec.base(k)
     rep.add("base_symbol_inverse", np.all(1.0 / sym <= 1.0),
             max_ratio=float((1.0 / sym).max()))
-    if params.model == "lubrication":
-        damped = math.sqrt(params.delta) * params.theta * k**4 / sym
-    else:
-        t1 = math.tanh(1.0) if params.depth == "finite" else 1.0
-        damped = params.theta * t1 * k[1:] ** 3 / sym[1:]
+    damped = spec.energy_coefficient * k**spec.norm_order / sym
     rep.add("damped_high_mode", np.all(damped <= 1.0 + 1e-15),
             max_ratio=float(damped.max()))
 
@@ -364,13 +373,7 @@ def verify_trajectory_dir(out_dir):
         meta = json.load(fh)
     config, params = load_config(meta["config"])
     records = read_energy_csv(os.path.join(out_dir, "energy.csv"))
-    checks = {"monotone_energy": check_monotone_decay(records).as_dict()}
-    if params.chi == 1 and (params.lam > 0 or params.model == "lubrication") \
-            and len(records) >= MIN_FIT_RECORDS:
-        checks["exponential_decay"] = check_exponential_decay(
-            records, params).as_dict()
-    elif params.chi == 1 and len(records) >= 4:
-        checks["a0_dyadic_trend"] = check_a0_dyadic_trend(records).as_dict()
+    checks = decay_checks(records, params)
     worst = 0.0
     for idx in meta.get("snapshots", []):
         snap = os.path.join(out_dir, "snapshots", f"t_{idx:06d}.csv")

@@ -93,7 +93,13 @@ class FixedPointReport:
 
 
 def default_tolerance(F):
-    return 1e-11 * max(1.0, wiener_norm(F, 0))
+    """1e-11 max(1, ||F||_{A0}) for a field or a mean-zero coefficient array.
+
+    The sum runs over k >= 1, as in ``wiener_norm(F, 0)``, so both routes
+    give the same bits.
+    """
+    c = F.coeffs if isinstance(F, SpectralField) else F
+    return 1e-11 * max(1.0, 2.0 * float(np.abs(c[1:]).sum()))
 
 
 def _norm_raw(tab, c):
@@ -166,7 +172,7 @@ def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
         contraction_estimate=_contraction_estimate(increments),
         converged=True,
         increments=increments,
-        norm_order=models.scheme_norm_order(params),
+        norm_order=tab.spec.norm_order,
         tol=tol,
     )
     return U, report

@@ -6,10 +6,12 @@ for ``wnl2``.  Because the inversion caps the stiffness of the solved rate
 at O(k^2) (the rate tends to (lam/4theta) k^2 as |k| grows), classical RK4
 with dt of order 1/N^2 is stable and no implicit machinery is needed.
 
-A step is rejected, and dt halved, whenever a stage solve fails to contract
-or produces non-finite values; dt recovers by a factor 1.2 every 10 accepted
-steps up to the configured value.  The mean mode is pinned to zero after
-every accepted step.
+The first stage is solved once per step: it does not depend on dt, so a
+failure there ends the run at once.  A step is rejected, and dt halved,
+whenever a later stage solve fails to contract or the step produces
+non-finite values; dt recovers by a factor 1.2 every 10 accepted steps up
+to the configured value.  The mean mode is pinned to zero after every
+accepted step.
 """
 
 import os
@@ -23,6 +25,7 @@ from .elliptic import (
     NotContractingError,
     SolverError,
     _solve_raw,
+    default_tolerance,
     solve_quasilinear,
 )
 from .models import _table
@@ -73,50 +76,52 @@ class IntegratorState:
 
 def _rhs_raw(tab, c, tol, max_iter):
     """dh/dt for the model in tab.p; returns (coeffs, solver iterations)."""
-    if tab.p.model == "wnl2":
+    if tab.spec.explicit:
         return models._rhs_wnl2_raw(tab, c), 0
-    if tab.p.model == "lubrication":
+    if tab.spec.thin_film:
         F, hphys = models._forcing_lub_with_h(tab, c)
     else:
         F, hphys = models._forcing_wnl_with_h(tab, c)
     if tol is None:
-        tol = 1e-11 * max(1.0, 2.0 * float(np.abs(F).sum()))
+        tol = default_tolerance(F)
     U, iters, _ = _solve_raw(tab, F, hphys, tol, max_iter)
     return U, iters
 
 
-def _try_advance(tab, c, dt, scheme, tol, max_iter):
-    """One explicit step attempt.  Returns (c_new, k1, iterations)."""
-    k1, n1 = _rhs_raw(tab, c, tol, max_iter)
+def _try_advance(tab, c, k1, dt, scheme, tol, max_iter):
+    """One explicit step attempt from the solved first stage k1.
+    Returns (c_new, iterations of the later stages)."""
     if scheme == "euler":
         cn = c + dt * k1
-        iters = n1
+        iters = 0
     else:
         k2, n2 = _rhs_raw(tab, c + 0.5 * dt * k1, tol, max_iter)
         k3, n3 = _rhs_raw(tab, c + 0.5 * dt * k2, tol, max_iter)
         k4, n4 = _rhs_raw(tab, c + dt * k3, tol, max_iter)
         cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        iters = n1 + n2 + n3 + n4
+        iters = n2 + n3 + n4
     cn[0] = 0.0
     if not np.isfinite(cn).all():
         raise NotContractingError(float("inf"), 0)
-    return cn, k1, iters
+    return cn, iters
 
 
 def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
-    """Advance one accepted step, halving dt on stage failures.
+    """Advance one accepted step, halving dt on later-stage failures.
 
     Returns (new_state, k1_field, solver_iterations); k1 is the solved
-    dh/dt at the step's starting point.
+    dh/dt at the step's starting point.  A failed k1 solve raises at once:
+    no smaller dt changes it.
     """
     tab = _table(state.h.n_modes, params)
     c = state.h.coeffs
+    k1, n1 = _rhs_raw(tab, c, tol, max_iter)
     dt = state.dt
     rejected = state.rejected_steps
     streak = state.accepted_streak
     while True:
         try:
-            cn, k1, iters = _try_advance(tab, c, dt, state.scheme, tol, max_iter)
+            cn, iters = _try_advance(tab, c, k1, dt, state.scheme, tol, max_iter)
             break
         except (NotContractingError, MaxIterationsError):
             rejected += 1
@@ -139,7 +144,7 @@ def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
         rejected_steps=rejected,
         accepted_streak=streak,
     )
-    return new, SpectralField(k1, copy=False), iters
+    return new, SpectralField(k1, copy=False), n1 + iters
 
 
 class Trajectory:
@@ -153,9 +158,6 @@ class Trajectory:
         self.final_h = final_h
         self.out_dir = out_dir
         self.rejected_steps = rejected_steps
-
-    def energy_series(self):
-        return [(r.t, r.energy) for r in self.records]
 
 
 def run(h0, params, config):
@@ -199,7 +201,7 @@ def run(h0, params, config):
     def final_eval(h):
         # the closing rhs evaluation doubles as the logged solve report
         nonlocal final_report
-        if params.model == "wnl2":
+        if tab.spec.explicit:
             return _rhs_raw(tab, h.coeffs, config.tol, config.max_iter)
         F = models.forcing(h, params)
         U, rep = solve_quasilinear(h, F, params, config.tol, config.max_iter)
@@ -235,7 +237,7 @@ def run(h0, params, config):
         failure = exc  # flush partial output below, then re-raise
         state.rejected_steps = exc.rejected_steps
     except (NotContractingError, MaxIterationsError) as exc:
-        failure = exc  # the closing evaluation has no step size to halve
+        failure = exc  # a first-stage or closing solve: no step size to halve
 
     traj = Trajectory(
         records,

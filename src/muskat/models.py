@@ -50,12 +50,20 @@ The results are bitwise equal to ``numpy.fft.irfft(., n=4N)`` and
 checks at random N and row counts, so a change of the private binding
 fails the tests instead of changing the outputs.
 
+One description per model.  ``model_spec(params)`` is the one place the
+model and depth names are read: it decides the thin film against the
+small-slope models, the explicit model 2, the depth factor T, the scheme
+norm order and the energy coefficient, and carries the symbols T(k),
+base(k) and rate(k).  The op table, the solver, the integrator and the
+diagnostics ask the spec instead of comparing names.
+
 The module keeps an immutable per-(n_modes, params) table of symbol arrays;
 scratch memory is allocated per call, so all operations are safe to use
 from multiple threads.
 """
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -83,8 +91,72 @@ __all__ = [
     "apply_quasilinear_lub",
     "invert_lub_base",
     "linear_decay_rate",
-    "scheme_norm_order",
+    "model_spec",
 ]
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What the model and depth of one ``ModelParams`` decide.
+
+    thin_film          : lubrication (base 1 + sqrt(delta) theta k^4, A^4
+                         scheme norm) rather than a small-slope model
+    explicit           : model 2, whose right-hand side needs no solve
+    finite_depth       : bounded strip (T = tanh) rather than unbounded (T = 1)
+    norm_order         : order s of the scheme norm A^s (3 or 4)
+    t1                 : T(1), tanh(1) for the bounded strip, 1 unbounded
+    energy_coefficient : weight of the A^s norm in the energy
+    """
+
+    params: ModelParams
+    thin_film: bool
+    explicit: bool
+    finite_depth: bool
+    norm_order: int
+    t1: float
+    energy_coefficient: float
+
+    def T(self, k):
+        """Depth factor of G = |k| T(|k|): tanh|k| or 1."""
+        return tanh_clamped(k) if self.finite_depth else np.ones_like(k)
+
+    def base(self, k):
+        """Symbol of the base operator acting on dh/dt (always >= 1)."""
+        k = np.abs(k)
+        p = self.params
+        if self.thin_film:
+            return 1.0 + math.sqrt(p.delta) * p.theta * k**4
+        return 1.0 + p.theta * k**3 * self.T(k)
+
+    def rate(self, k):
+        """Decay rate m(k) of the linearized evolution dh/dt = -m h."""
+        k = np.abs(np.asarray(k, dtype=float))
+        p = self.params
+        if self.thin_film:
+            sqd = math.sqrt(p.delta)
+            return sqd * (p.chi * k**2 + (p.lam / 4.0) * k**6) / self.base(k)
+        return (p.chi + (p.lam / 4.0) * k**4) * k * self.T(k) / self.base(k)
+
+
+@lru_cache(maxsize=64)
+def model_spec(params):
+    """The cached ``ModelSpec`` of ``params``: every model and depth
+    decision of the package is made here, once."""
+    if not isinstance(params, ModelParams):
+        raise TypeError("params must be a ModelParams")
+    thin_film = params.model == "lubrication"
+    finite_depth = params.depth == "finite"
+    t1 = math.tanh(1.0) if finite_depth else 1.0
+    return ModelSpec(
+        params=params,
+        thin_film=thin_film,
+        explicit=params.model == "wnl2",
+        finite_depth=finite_depth,
+        norm_order=4 if thin_film else 3,
+        t1=t1,
+        energy_coefficient=(math.sqrt(params.delta) * params.theta
+                            if thin_film else params.theta * t1),
+    )
 
 
 class _OpTable:
@@ -101,9 +173,9 @@ class _OpTable:
         self.n = n
         self.m = 4 * n
         self.p = p
+        self.spec = spec = model_spec(p)
         k = np.arange(n + 1, dtype=float)
-        tanh = tanh_clamped(k)
-        self.tanh = tanh if p.depth == "finite" else np.ones_like(k)
+        self.tanh = spec.T(k)
         self.G = k * self.tanh
         self.ik = 1j * k
         # base symbols
@@ -143,12 +215,13 @@ class _OpTable:
         # fixed point V <- V0 + sum(solve_out * P[h phys(solve_stack V)]): the
         # perturbation's sign and coefficient and the base inverse are folded
         # into the output rows
-        if p.model == "lubrication":
-            self.base, self.norm_k = self.lub_base, k**4
+        self.norm_k = k**spec.norm_order
+        if spec.thin_film:
+            self.base = self.lub_base
             self.solve_stack = self.pert_stack
             self.solve_out = -self.pert_out / self.lub_base
         else:
-            self.base, self.norm_k = self.ell0, k**3
+            self.base = self.ell0
             self.solve_stack = self.comm_stack
             self.solve_out = -(p.sigma * p.theta) * self.comm_out / self.ell0
         self.solve_active = bool(np.any(self.solve_out))
@@ -281,19 +354,12 @@ def base_elliptic_symbol(params):
     Small-slope models: 1 + theta |k|^3 T(|k|) with T = tanh (bounded) or 1
     (unbounded); thin film: 1 + sqrt(delta) theta k^4.  Always >= 1.
     """
-    if params.model == "lubrication":
-        sqd = math.sqrt(params.delta)
-        return MultiplierSymbol(
-            lambda k: 1.0 + sqd * params.theta * k**4, "1 + sqrt(delta) theta k^4"
-        )
-    if params.depth == "finite":
-        return MultiplierSymbol(
-            lambda k: 1.0 + params.theta * np.abs(k) ** 3 * tanh_clamped(k),
-            "1 + theta |k|^3 tanh|k|",
-        )
-    return MultiplierSymbol(
-        lambda k: 1.0 + params.theta * np.abs(k) ** 3, "1 + theta |k|^3"
-    )
+    spec = model_spec(params)
+    if spec.thin_film:
+        label = "1 + sqrt(delta) theta k^4"
+    else:
+        label = "1 + theta |k|^3" + (" tanh|k|" if spec.finite_depth else "")
+    return MultiplierSymbol(spec.base, label)
 
 
 def invert_base(F, params):
@@ -402,14 +468,14 @@ def invert_lub_base(F, params):
 
 def apply_quasilinear(h, U, params):
     """Model-dispatched L_h."""
-    if params.model == "lubrication":
+    if model_spec(params).thin_film:
         return apply_quasilinear_lub(h, U, params)
     return apply_quasilinear_wnl(h, U, params)
 
 
 def forcing(h, params):
     """Model-dispatched N(h)."""
-    if params.model == "lubrication":
+    if model_spec(params).thin_film:
         return forcing_lub(h, params)
     return forcing_wnl(h, params)
 
@@ -421,15 +487,4 @@ def linear_decay_rate(k, params):
     thin film:   m(k) = sqrt(delta) (chi k^2 + (lam/4) k^6)
                         / (1 + sqrt(delta) theta k^4).
     """
-    k = np.abs(np.asarray(k, dtype=float))
-    p = params
-    if p.model == "lubrication":
-        sqd = math.sqrt(p.delta)
-        return sqd * (p.chi * k**2 + (p.lam / 4.0) * k**6) / (1.0 + sqd * p.theta * k**4)
-    t = tanh_clamped(k) if p.depth == "finite" else np.ones_like(k)
-    return (p.chi + (p.lam / 4.0) * k**4) * k * t / (1.0 + p.theta * k**3 * t)
-
-
-def scheme_norm_order(params):
-    """Order of the norm in which the per-step elliptic iteration contracts."""
-    return 4 if params.model == "lubrication" else 3
+    return model_spec(params).rate(k)

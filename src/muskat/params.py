@@ -1,7 +1,7 @@
 """Dimensionless model parameters and the nondimensionalization map."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 MODELS = ("wnl1", "wnl2", "lubrication")
 DEPTHS = ("finite", "infinite")
@@ -68,11 +68,6 @@ class ModelParams:
             depth="finite",
             model="lubrication",
         )
-
-    def with_model(self, model):
-        if model == "lubrication":
-            return replace(self, model=model, sigma=self.epsilon * math.sqrt(self.delta))
-        return replace(self, model=model)
 
     def as_dict(self):
         return {

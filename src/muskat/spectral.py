@@ -104,10 +104,6 @@ class SpectralField:
     def copy(self):
         return SpectralField(self.coeffs, copy=True)
 
-    @property
-    def mean_coefficient(self):
-        return self.coeffs[0]
-
     def __repr__(self):
         return f"SpectralField(n_modes={self.n_modes})"
 
@@ -135,14 +131,6 @@ class MultiplierSymbol:
 
 def identity_symbol():
     return MultiplierSymbol(lambda k: np.ones_like(k), "1")
-
-
-def lam_symbol():
-    return MultiplierSymbol(lambda k: np.abs(k), "|k|")
-
-
-def tanh_symbol():
-    return MultiplierSymbol(tanh_clamped, "tanh|k|")
 
 
 def depth_symbol(depth):

@@ -31,7 +31,6 @@ All checks here are stationary: the surface datum is prescribed, never
 coupled back through the time derivative.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -347,21 +346,6 @@ def dtn_apply(h, psi, grid, params, sigma=None):
     return out
 
 
-def flat_strip_profile(psi, delta, z):
-    """Closed-form solution for h = 0: mode k has the vertical profile
-    cosh(sqrt(delta) k (1+z)) / cosh(sqrt(delta) k)."""
-    z = np.asarray(z)
-    n = psi.n_modes
-    k = np.arange(n + 1, dtype=float)
-    sd = math.sqrt(delta)
-    prof = np.cosh(np.minimum(sd * k[:, None] * (1.0 + z[None, :]), 700.0))
-    prof = prof / np.cosh(np.minimum(sd * k, 700.0))[:, None]
-    out = np.zeros((4 * n, z.size))
-    for j in range(z.size):
-        out[:, j] = SpectralField(psi.coeffs * prof[:, j], copy=False).values(4 * n)
-    return out
-
-
 def flat_dtn_symbol(delta):
     """Exact flat-interface map per mode: k tanh(sqrt(delta) k)."""
     sd = math.sqrt(delta)
@@ -408,9 +392,6 @@ class OrderReport:
             "grid_limited": self.grid_limited,
             **self.extra,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
 def _a0_of_values(vals):

@@ -291,6 +291,36 @@ def test_verify_decay_cli_rateless_regime(tmp_path):
     assert "exponential_decay" not in rep
 
 
+def test_verify_decay_report_matches_recomputed_checks(tmp_path):
+    # the CLI's report and the checks recomputed from the run directory's
+    # files take the same branch: rate fit (wnl1, lambda > 0), dyadic trend
+    # (wnl1, lambda = 0) and rate fit through the thin film (lambda = 0)
+    from muskat.diagnostics import verify_trajectory_dir
+
+    cases = {
+        "rate": ({}, "exponential_decay"),
+        "trend": ({"lambda = 1.0": "lambda = 0.0"}, "a0_dyadic_trend"),
+        "thin_film": ({"model = wnl1": "model = lubrication",
+                       "lambda = 1.0": "lambda = 0.0",
+                       "sigma = 0.1": "delta = 0.01\nepsilon = 0.1"},
+                      "exponential_decay"),
+    }
+    for name, (edits, branch) in cases.items():
+        text = BASE_CFG.format(t_end=0.4, out=str(tmp_path / f"{name}_sim"))
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        code = main(["verify", "decay", "--config", str(cfg), "--out", str(out)])
+        rep = json.loads((out / "decay_report.json").read_text())
+        recomputed = verify_trajectory_dir(str(out / "trajectory"))
+        assert recomputed.pop("energy_consistency")["passed"]
+        assert rep == json.loads(json.dumps(recomputed)), name
+        assert branch in rep, name
+        assert code == (0 if all(c["passed"] for c in rep.values()) else 2)
+
+
 def test_plot_outputs(tmp_path):
     path, out = write_cfg(tmp_path, t_end=0.05)
     assert main(["simulate", "--config", path]) == 0

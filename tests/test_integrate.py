@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from muskat.config import SolverConfig
+from muskat.elliptic import NotContractingError
 from muskat.integrate import (
     IntegratorState,
     StepSizeUnderflowError,
@@ -147,13 +148,19 @@ def test_wnl2_trajectory_runs(rng):
     assert all(r.iters == 0 for r in traj.records)  # explicit model: no solves
 
 
-def test_step_rejection_halves_dt_then_underflows():
-    # a profile far outside the contraction regime can never be advanced
-    p = wnl(sigma=1.0, theta=1.0)
-    h = SpectralField.cosine(1, 1000.0, 32)
-    state = IntegratorState(h=h, dt=0.1)
-    with pytest.raises(StepSizeUnderflowError):
-        step(state, p)
+def test_step_rejection_halves_dt_then_underflows(monkeypatch):
+    # a later stage that never succeeds halves dt until it underflows:
+    # 0.1 * 2^-44 is the first halving below DT_FLOOR = 1e-14
+    import muskat.integrate as integ
+
+    def failing(tab, c, k1, dt, scheme, tol, max_iter):
+        raise integ.NotContractingError(2.0, 1)
+
+    monkeypatch.setattr(integ, "_try_advance", failing)
+    state = IntegratorState(h=SpectralField.cosine(1, 1e-3, 32), dt=0.1)
+    with pytest.raises(StepSizeUnderflowError) as info:
+        step(state, wnl(sigma=1.0, theta=1.0))
+    assert info.value.rejected_steps == 44
 
 
 def test_dt_recovery_after_rejection():
@@ -176,11 +183,11 @@ def test_rejected_step_still_reaches_t_end(monkeypatch):
     orig = integ._try_advance
     calls = {"n": 0}
 
-    def flaky(tab, c, dt, scheme, tol, max_iter):
+    def flaky(tab, c, k1, dt, scheme, tol, max_iter):
         calls["n"] += 1
         if calls["n"] == 1:
             raise integ.NotContractingError(2.0, 1)
-        return orig(tab, c, dt, scheme, tol, max_iter)
+        return orig(tab, c, k1, dt, scheme, tol, max_iter)
 
     monkeypatch.setattr(integ, "_try_advance", flaky)
     p = wnl(lam=1.0)
@@ -194,19 +201,19 @@ def test_rejected_step_still_reaches_t_end(monkeypatch):
 
 
 def test_solver_failure_retains_partial_output(tmp_path):
-    # data far outside the contraction regime: the run must still flush
-    # the records gathered before the step size underflowed
+    # data far outside the contraction regime: the first-stage solve fails
+    # whatever dt is, so the run stops at once and still flushes its output
     p = wnl(sigma=1.0, theta=1.0)
     out = tmp_path / "partial"
     cfg = config(t_end=1.0, dt=0.01, output_cadence=1, output_dir=str(out))
     h0 = SpectralField.cosine(1, 1000.0, 32)
-    with pytest.raises(StepSizeUnderflowError):
+    with pytest.raises(NotContractingError):
         run(h0, p, cfg)
     import json
     meta = json.loads((out / "meta.json").read_text())
-    assert "failed" in meta and "underflow" in meta["failed"]
+    assert "failed" in meta and "not contracting" in meta["failed"]
     assert (out / "energy.csv").is_file()
-    assert meta["rejected_steps"] > 0
+    assert meta["rejected_steps"] == 0
 
 
 def test_deterministic_reruns(tmp_path):

@@ -1,10 +1,8 @@
-"""The direct-sum kernels against the FFT pipeline, and the two lanes
-against each other."""
+"""The direct-sum kernels against the FFT pipeline."""
 
 import math
 
 import numpy as np
-import pytest
 
 from muskat import _kernels
 from muskat.params import ModelParams
@@ -54,30 +52,3 @@ def test_sign_split_direct_matches_fft_route(rng):
         total = commutator(h, v, p)
         assert np.abs(ia.coeffs + ib.coeffs - total.coeffs).max() < 1e-13
 
-
-def test_lanes_agree_when_numba_present(rng):
-    if not _kernels.NUMBA_AVAILABLE:
-        pytest.skip("numba lane not active")
-    a = _kernels.full_spectrum(random_field(24, rng).coeffs)
-    b = _kernels.full_spectrum(random_field(24, rng, p=3.0).coeffs)
-    tanha = tanh_clamped(np.arange(25))
-    assert np.abs(_kernels._convolve_nb(a, b) - _kernels._convolve_np(a, b)).max() < 1e-13
-    ia1, ib1 = _kernels._sign_split_nb(a, b, tanha)
-    ia2, ib2 = _kernels._sign_split_np(a, b, tanha)
-    assert np.abs(ia1 - ia2).max() < 1e-12
-    assert np.abs(ib1 - ib2).max() < 1e-12
-
-
-def test_numpy_lane_env_flag(monkeypatch):
-    # the env flag must force the numpy lane at import time
-    import importlib
-    import muskat._kernels as mod
-
-    monkeypatch.setenv("MUSKAT_NO_NUMBA", "1")
-    try:
-        reloaded = importlib.reload(mod)
-        assert reloaded.KERNEL_LANE == "numpy"
-        assert not reloaded.NUMBA_AVAILABLE
-    finally:
-        monkeypatch.delenv("MUSKAT_NO_NUMBA")
-        importlib.reload(mod)
