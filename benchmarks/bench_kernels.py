@@ -2,26 +2,35 @@
 solvers.
 
 Times the direct-summation kernels (truncated convolution, commutator
-sign/tanh split) with the FFT product pipeline shown for scale, then one transform batch of the op table (``_OpTable.phys_stack``
+sign/tanh split) with the FFT product pipeline shown for scale, then one
+transform batch of the op table (``_OpTable.phys_stack``
 with 3 rows, ``prods`` with 2 rows) next to the same ``numpy.fft`` call, and
 one right-hand-side evaluation (``integrate._rhs_raw``: forcing plus
-fixed-point solve) per model, both at N = 64 and 256, then the strip solve
+fixed-point solve) per model, and one RK4 ``integrate.step`` (wnl1 at
+criterion 2's dt), all at N = 64 and 256, then the strip solve
 (``strip.solve_strip``, preconditioned CG) next to a sparse LU of the same
-system, and ``diagnostics.check_operator_bounds`` at 500 samples, N = 64.
+system, ``diagnostics.check_operator_bounds`` at 500 samples, N = 64, and
+last the wall time and peak RSS of ``import muskat.cli`` in a fresh
+interpreter, the fixed cost every CLI call and sweep worker pays.
 Run:
 
     python benchmarks/bench_kernels.py
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
+import muskat
 from muskat import _kernels, strip
 from muskat.diagnostics import check_operator_bounds
-from muskat.integrate import _rhs_raw
-from muskat.models import _table
+from muskat.integrate import IntegratorState, _rhs_raw, step
+from muskat.models import _table, linear_decay_rate
 from muskat.params import ModelParams
 from muskat.spectral import SpectralField, pointwise_product, tanh_clamped
 
@@ -89,6 +98,56 @@ def rhs_rows(rng, rounds=9):
             _, iters = _rhs_raw(tab, c, 3e-7, 200)
             print(f"{n:>6} {model:<12} {np.median(times) * 1e6:>12.1f} "
                   f"{iters:>6}")
+
+
+def step_rows(rng, rounds=9):
+    """Median over rounds of the mean time of one accepted RK4 step.
+
+    wnl1 as in acceptance criterion 2: dt = 2.7/m(N), tol = 3e-7, an
+    initial datum of |k|^-2 magnitudes at amplitude 1e-3.
+    """
+    print(f"\n{'N':>6} {'rk4 step':<12} {'median [us]':>12} {'iters':>6}")
+    p = _rhs_params("wnl1")
+    for n in (64, 256):
+        h = SpectralField(1e-3 * _random_field(n, rng))
+        state = IntegratorState(h, 2.7 / float(linear_decay_rate(n, p)))
+        times = [_timeit(step, state, p, 3e-7, 200, repeat=100)
+                 for _ in range(rounds)]
+        _, _, iters = step(state, p, 3e-7, 200)
+        print(f"{n:>6} {'wnl1':<12} {np.median(times) * 1e6:>12.1f} "
+              f"{iters:>6}")
+
+
+# The peak RSS is the process's own VmHWM: ru_maxrss would carry over the
+# high-water mark of the (larger) benchmark process that spawned it.
+_IMPORT_PROBE = """
+import time
+t0 = time.perf_counter()
+import muskat.cli
+wall = time.perf_counter() - t0
+import json, sys
+with open("/proc/self/status") as fh:
+    hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM"))
+print(json.dumps({"wall_s": wall, "n_modules": len(sys.modules),
+                  "peak_rss_mb": hwm / 1024.0,
+                  "scipy.integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def import_row(rounds=5):
+    """``import muskat.cli`` in fresh interpreters: median wall time, peak
+    RSS and module count, and whether scipy.integrate was loaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(muskat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
+        capture_output=True, text=True).stdout) for _ in range(rounds)]
+    wall = np.median([r["wall_s"] for r in runs])
+    rss = np.median([r["peak_rss_mb"] for r in runs])
+    print(f"\nimport muskat.cli (fresh process, median of {rounds}): "
+          f"{wall:.3f} s, peak RSS {rss:.1f} MB, "
+          f"{runs[0]['n_modules']} modules, "
+          f"scipy.integrate loaded: {runs[0]['scipy.integrate']}")
 
 
 def _lu_strip_solve(h, psi, grid, params):
@@ -162,8 +221,10 @@ def main():
         print(f"{n:>6} {'fft product':<12} {t_fft * 1e3:>12.3f}")
     transform_rows(rng)
     rhs_rows(rng)
+    step_rows(rng)
     strip_rows()
     bounds_row()
+    import_row()
 
 
 if __name__ == "__main__":

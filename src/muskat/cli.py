@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage or configuration errors, 2 numerical
 failures (solver breakdown, grid-limited verification, failed checks).
 Sweep cells run in a worker pool capped by the MUSKAT_THREADS environment
-variable; every cell writes only inside its own directory.
+variable; every cell writes only inside its own directory, and a cell that
+fails for any reason keeps its partial output while the other cells run
+on (exit code 2).
 """
 
 import argparse
@@ -85,10 +87,18 @@ def _prepare_cell(cell_raw, out_dir, seed):
 
 
 def _run_cell(h0, params, config):
+    """Run one cell; returns None, or a line naming its failure.
+
+    Any exception is caught here, inside the worker, so one failing cell
+    never loses the results of the others; ``integrate.run`` has already
+    written that cell's partial output.
+    """
     try:
         integrate.run(h0, params, config)
     except SolverError as exc:
-        return f"{config.output_dir}: {exc}"
+        return f"solver failure: {config.output_dir}: {exc}"
+    except Exception as exc:
+        return f"error: {config.output_dir}: {type(exc).__name__}: {exc}"
     return None
 
 
@@ -112,15 +122,11 @@ def cmd_simulate(args):
         results = [_run_cell(*j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_star, jobs))
+            results = list(pool.map(_run_cell, *zip(*jobs)))
     failures = [r for r in results if r]
     for f in failures:
-        print(f"solver failure: {f} (partial output retained)", file=sys.stderr)
+        print(f"{f} (partial output retained)", file=sys.stderr)
     return EXIT_NUMERICAL if failures else EXIT_OK
-
-
-def _run_cell_star(job):
-    return _run_cell(*job)
 
 
 def _verify_out_dir(args, config):

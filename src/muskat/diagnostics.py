@@ -26,12 +26,12 @@ from .spectral import SpectralField, wiener_norm
 ENERGY_HEADER = "t,a0,a1,a2,a3,a4,a5,energy,dth_a0,dth_high,iters"
 
 MONOTONE_SLACK = 1e-9
-DECAY_RATE_MARGIN = 0.05
 MIN_FIT_RECORDS = 20
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+# one record per row: t, A^0..A^5, energy, dth_a0, dth_high to 17
+# significant digits, then the iteration count
+_CSV_ROW = ",".join(["%.17g"] * 10 + ["%d"])
 
 
 class EnergyRecord:
@@ -48,10 +48,8 @@ class EnergyRecord:
         self.iters = iters
 
     def csv_row(self):
-        cells = [_fmt(self.t)] + [_fmt(v) for v in self.norms]
-        cells += [_fmt(self.energy), _fmt(self.dth_a0), _fmt(self.dth_high),
-                  str(self.iters)]
-        return ",".join(cells)
+        return _CSV_ROW % (self.t, *self.norms, self.energy, self.dth_a0,
+                           self.dth_high, self.iters)
 
     @classmethod
     def from_csv_row(cls, row):
@@ -76,11 +74,6 @@ def energy(h, params):
             + spec.energy_coefficient * wiener_norm(h, spec.norm_order))
 
 
-def energy_from_norms(norms, params):
-    spec = models.model_spec(params)
-    return norms[0] + spec.energy_coefficient * norms[spec.norm_order]
-
-
 @lru_cache(maxsize=16)
 def _k_powers(n_modes):
     """Rows k^0..k^5 over k = 1..n_modes: the Wiener weights of a record."""
@@ -94,16 +87,11 @@ def make_record(t, h, dth, iters, params):
     # row k^0 is all ones, so the A^0 sum needs no weighting
     dth_abs = np.abs(dth.coeffs[1:])
     dth_a0 = 2.0 * float(dth_abs.sum())
-    s = models.model_spec(params).norm_order
+    spec = models.model_spec(params)
+    s = spec.norm_order
     dth_high = 2.0 * float((kp[s] * dth_abs).sum())
-    return EnergyRecord(
-        t=t,
-        norms=norms,
-        energy=energy_from_norms(norms, params),
-        dth_a0=dth_a0,
-        dth_high=dth_high,
-        iters=iters,
-    )
+    return EnergyRecord(t, norms, norms[0] + spec.energy_coefficient * norms[s],
+                        dth_a0, dth_high, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +159,16 @@ class RateReport:
 def check_exponential_decay(records, params):
     """Least-squares decay rate of log ||h||_{A0} against the model's bound.
 
-    The dissipation structure guarantees decay at least at rate
-    chi*T(1)/2 when lam > 0, so any faster fitted decay passes.  Requires
+    The bound is ``ModelSpec.decay_bound``: chi*T(1)/2 less a margin for
+    the small-slope models (lam > 0), a share of the slowest linear rate
+    rate(1) for the thin film; any faster fitted decay passes.  Requires
     chi = +1 and at least 20 records; identically-zero trajectories are
     reported degenerate.
     """
     if params.chi != 1:
         raise ValueError("decay verification assumes the stable sign chi = +1")
-    if params.lam <= 0 and not models.model_spec(params).thin_film:
+    spec = models.model_spec(params)
+    if params.lam <= 0 and not spec.thin_film:
         raise ValueError("exponential-rate fit assumes lam > 0")
     if len(records) < MIN_FIT_RECORDS:
         raise ValueError(f"need at least {MIN_FIT_RECORDS} records, "
@@ -186,7 +176,7 @@ def check_exponential_decay(records, params):
     t = np.array([r.t for r in records])
     a0 = np.array([r.norms[0] for r in records])
     if np.all(a0 == 0.0):
-        return RateReport(0.0, _decay_bound(params), True, None, True)
+        return RateReport(0.0, spec.decay_bound(), True, None, True)
     if np.any(a0 <= 0.0):
         raise ValueError("A0 norm vanished mid-run; cannot fit a rate")
     logs = np.log(a0)
@@ -195,12 +185,8 @@ def check_exponential_decay(records, params):
     halves = []
     for sl in (slice(0, mid + 1), slice(mid, None)):
         halves.append(-np.polyfit(t[sl], logs[sl], 1)[0])
-    bound = _decay_bound(params)
+    bound = spec.decay_bound()
     return RateReport(float(rate), bound, bool(rate >= bound), halves, False)
-
-
-def _decay_bound(params):
-    return params.chi * models.model_spec(params).t1 / 2.0 - DECAY_RATE_MARGIN
 
 
 def check_a0_dyadic_trend(records):

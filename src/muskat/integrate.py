@@ -95,10 +95,27 @@ def _try_advance(tab, c, k1, dt, scheme, tol, max_iter):
         cn = c + dt * k1
         iters = 0
     else:
-        k2, n2 = _rhs_raw(tab, c + 0.5 * dt * k1, tol, max_iter)
-        k3, n3 = _rhs_raw(tab, c + 0.5 * dt * k2, tol, max_iter)
-        k4, n4 = _rhs_raw(tab, c + dt * k3, tol, max_iter)
-        cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # c + a*k and c + (dt/6)(k1 + 2 k2 + 2 k3 + k4) evaluated in place,
+        # in the operation order of those expressions (same bits).  One
+        # buffer carries the stage inputs; c and k1 are never written.
+        half = 0.5 * dt
+        x = np.multiply(k1, half)
+        x += c
+        k2, n2 = _rhs_raw(tab, x, tol, max_iter)
+        np.multiply(k2, half, out=x)
+        x += c
+        k3, n3 = _rhs_raw(tab, x, tol, max_iter)
+        np.multiply(k3, dt, out=x)
+        x += c
+        k4, n4 = _rhs_raw(tab, x, tol, max_iter)
+        cn = k2
+        cn *= 2.0
+        cn += k1
+        k3 *= 2.0
+        cn += k3
+        cn += k4
+        cn *= dt / 6.0
+        cn += c
         iters = n2 + n3 + n4
     cn[0] = 0.0
     if not np.isfinite(cn).all():
@@ -134,8 +151,10 @@ def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
     dt_next = dt
     if streak % _RECOVER_EVERY == 0:
         dt_next = min(dt * _RECOVER_FACTOR, state.dt_max)
+    # cn passed _try_advance's finiteness scan, which a non-finite k1
+    # would have failed, so neither is scanned again
     new = IntegratorState(
-        h=SpectralField(cn, copy=False),
+        h=SpectralField._checked(cn),
         dt=dt_next,
         scheme=state.scheme,
         t=t_new,
@@ -144,7 +163,7 @@ def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
         rejected_steps=rejected,
         accepted_streak=streak,
     )
-    return new, SpectralField(k1, copy=False), n1 + iters
+    return new, SpectralField._checked(k1), n1 + iters
 
 
 class Trajectory:
@@ -166,7 +185,9 @@ def run(h0, params, config):
     Records are taken every output_cadence-th step (the step's starting
     point, whose stage-1 solve provides the logged dh/dt at no extra cost)
     plus the final state.  Deterministic: identical config and initial data
-    produce identical bytes on disk.
+    produce identical bytes on disk.  If the run fails, whatever the error,
+    the records so far, energy.csv and meta.json (with "failed") are
+    written before the exception propagates.
     """
     from .config import trajectory_paths, write_meta
 
@@ -183,12 +204,8 @@ def run(h0, params, config):
     records = []
     snap_indices = []
 
-    def record(t, h, dth_raw, iters):
-        records.append(
-            diagnostics.make_record(
-                t, h, SpectralField(dth_raw, copy=False), iters, params
-            )
-        )
+    def record(t, h, dth, iters):
+        records.append(diagnostics.make_record(t, h, dth, iters, params))
 
     def snapshot(h):
         idx = len(records) - 1
@@ -214,7 +231,7 @@ def run(h0, params, config):
         t_pre, h_pre = state.t, state.h
         state, k1, iters = step(state, params, config.tol, config.max_iter)
         if due:
-            record(t_pre, h_pre, k1.coeffs, iters)
+            record(t_pre, h_pre, k1, iters)
             idx = len(records) - 1
             if config.snapshot_cadence and idx % config.snapshot_cadence == 0:
                 snapshot(h_pre)
@@ -231,13 +248,15 @@ def run(h0, params, config):
                 state.dt = config.t_end - state.t
             advance_once()
         kf, itf = final_eval(state.h)
-        record(state.t, state.h, kf, itf)
+        record(state.t, state.h, SpectralField(kf, copy=False), itf)
         snapshot(state.h)
     except StepSizeUnderflowError as exc:
         failure = exc  # flush partial output below, then re-raise
         state.rejected_steps = exc.rejected_steps
     except (NotContractingError, MaxIterationsError) as exc:
         failure = exc  # a first-stage or closing solve: no step size to halve
+    except Exception as exc:
+        failure = exc  # any other error: keep what was computed, re-raise
 
     traj = Trajectory(
         records,

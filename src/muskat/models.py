@@ -43,7 +43,8 @@ scipy.fft both wrap, loaded already by ``spectral``'s ``import scipy.fft``.
 A batch of 2-3 rows of 4N = 1024 points is mostly per-call overhead, and
 the Python wrappers of ``numpy.fft.irfft``/``rfft`` add about 5-7 us per
 call on top of the C++ work (``benchmarks/bench_kernels.py``).  The inverse
-input is zero-padded from N+1 to 2N+1 modes in a fresh per-call buffer.
+input is zero-padded from N+1 to 2N+1 modes, and the forward input is the
+product of the factor rows and h, both in scratch buffers (below).
 The results are bitwise equal to ``numpy.fft.irfft(., n=4N)`` and
 ``numpy.fft.rfft``, which
 ``tests/test_properties.py::test_transform_binding_bitwise_equals_numpy_fft``
@@ -57,12 +58,23 @@ norm order and the energy coefficient, and carries the symbols T(k),
 base(k) and rate(k).  The op table, the solver, the integrator and the
 diagnostics ask the spec instead of comparing names.
 
-The module keeps an immutable per-(n_modes, params) table of symbol arrays;
-scratch memory is allocated per call, so all operations are safe to use
-from multiple threads.
+Memory and threads.  The module keeps an immutable per-(n_modes, params)
+table of symbol arrays, shared by every caller.  The scratch buffers of the
+transform batches (the 2N+1-mode pads and the 4N-point product rows)
+belong to the calling thread, never to the table: ``_scratch`` keeps one
+of each shape per thread and reuses it on every call, which spares an
+allocation per batch.  No buffer outlives the call that fills it and no
+input array is written, so all operations are safe to use from multiple
+threads.
+
+Imports.  ``import muskat`` loads numpy, ``scipy.fft`` (which brings in
+``scipy.special``) and ``scipy.sparse``, and no other scipy subpackage:
+their start-up, about 240 modules for the integration routines alone,
+would be paid by every CLI call and sweep worker.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,6 +105,12 @@ __all__ = [
     "linear_decay_rate",
     "model_spec",
 ]
+
+
+# Slack of the fitted A0 decay rate against ModelSpec.decay_bound: absolute
+# below the small-slope rate chi*T(1)/2, a share of the thin film's rate(1).
+DECAY_RATE_MARGIN = 0.05
+THIN_FILM_RATE_SHARE = 0.9
 
 
 @dataclass(frozen=True)
@@ -136,6 +154,29 @@ class ModelSpec:
             sqd = math.sqrt(p.delta)
             return sqd * (p.chi * k**2 + (p.lam / 4.0) * k**6) / self.base(k)
         return (p.chi + (p.lam / 4.0) * k**4) * k * self.T(k) / self.base(k)
+
+    def decay_bound(self):
+        """Least decay rate of ||h||_{A0} that a chi = +1 run must fit.
+
+        Small slope: the dissipation estimate gives decay at least at
+        chi*T(1)/2 when lam > 0; the bound is that rate minus
+        DECAY_RATE_MARGIN.
+
+        Thin film: linearized, mode k decays at rate(k) = sqrt(delta) k^2
+        (chi + (lam/4) k^4) / (1 + sqrt(delta) theta k^4).  The factor after
+        k^2 is monotone in k^4 and grows when lam/4 >= chi sqrt(delta) theta,
+        so every rate(k) >= rate(1) and ||h||_{A0}, a sum of the moduli,
+        decays at least at rate(1).  (Otherwise, lam = 0 for instance, the
+        short waves decay more slowly than mode 1 and the check holds only
+        while mode 1 dominates the norm.)  That rate is much smaller than the
+        small-slope one (0.114 at configs/lubrication.cfg against 0.331), so
+        the bound is the share THIN_FILM_RATE_SHARE of rate(1), leaving room
+        for the O(eps |h|) nonlinear coupling; a run decaying clearly slower
+        than its slowest linear mode still fails.
+        """
+        if self.thin_film:
+            return THIN_FILM_RATE_SHARE * float(self.rate(1.0))
+        return self.params.chi * self.t1 / 2.0 - DECAY_RATE_MARGIN
 
 
 @lru_cache(maxsize=64)
@@ -233,17 +274,43 @@ class _OpTable:
     # grows to about 2 MB over the first 1e5 calls.
 
     def phys(self, c):
-        pad = np.zeros(2 * self.n + 1, dtype=complex)
+        pad = _scratch(("pad", self.n), 2 * self.n + 1, complex)
         np.multiply(c, self.h_scale, out=pad[: self.n + 1])
         return _c2r(pad, (0,), self.m, False, 2)
 
     def phys_stack(self, rows):
-        pad = np.zeros((rows.shape[0], 2 * self.n + 1), dtype=complex)
+        r = rows.shape[0]
+        pad = _scratch(("pad", self.n, r), (r, 2 * self.n + 1), complex)
         pad[:, : self.n + 1] = rows
         return _c2r(pad, (1,), self.m, False, 2)
 
     def prods(self, hphys, rows_phys):
-        return _r2c(rows_phys * hphys, (1,), True, 0)[:, : self.n + 1]
+        prod = _scratch(rows_phys.shape, rows_phys.shape, float)
+        np.multiply(rows_phys, hphys, prod)
+        return _r2c(prod, (1,), True, 0)[:, : self.n + 1]
+
+
+class _ThreadScratch(threading.local):
+    def __init__(self):
+        self.bufs = {}
+
+
+_thread_scratch = _ThreadScratch()
+
+
+def _scratch(key, shape, dtype):
+    """This thread's reusable array for ``key``, zero when first made.
+
+    The pads are written only in their first n+1 columns, so their
+    zero-padding survives reuse; the product buffer is overwritten whole.
+    Each is consumed by the transform it feeds before the next call, and
+    no caller keeps a reference, so one buffer per thread suffices.
+    """
+    bufs = _thread_scratch.bufs
+    buf = bufs.get(key)
+    if buf is None:
+        buf = bufs[key] = np.zeros(shape, dtype)
+    return buf
 
 
 @lru_cache(maxsize=64)

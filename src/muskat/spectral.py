@@ -50,6 +50,14 @@ class SpectralField:
             raise ValueError("coeffs must be finite")
         self.coeffs = arr
 
+    @classmethod
+    def _checked(cls, coeffs):
+        """Wrap a 1-D complex array the caller has already found finite,
+        without the copy and the re-scan of the constructor."""
+        field = cls.__new__(cls)
+        field.coeffs = coeffs
+        return field
+
     @property
     def n_modes(self):
         return self.coeffs.size - 1

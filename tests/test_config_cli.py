@@ -15,6 +15,7 @@ from muskat.config import (
 from muskat.params import nondimensionalize
 from muskat.spectral import load_spectrum_csv, save_spectrum_csv
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BASE_CFG = """
 # comment line
@@ -349,6 +350,71 @@ def test_sweep_process_pool(tmp_path, monkeypatch):
     assert sorted(os.listdir(out)) == ["sigma=0.05", "sigma=0.1"]
     for cell in os.listdir(out):
         assert os.path.isfile(os.path.join(out, cell, "energy.csv"))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_cell_error_keeps_every_cell(tmp_path, monkeypatch, capsys,
+                                           threads):
+    # a non-solver exception in one of two cells: that cell reports it and
+    # keeps its partial output, the other completes, the sweep exits 2
+    from muskat import diagnostics
+
+    monkeypatch.setenv("MUSKAT_THREADS", threads)
+    real = diagnostics.make_record
+
+    def broken(t, h, dth, iters, params):
+        if params.sigma == 0.1 and t > 0.015:
+            raise KeyError("injected")
+        return real(t, h, dth, iters, params)
+
+    monkeypatch.setattr(diagnostics, "make_record", broken)
+    path, _ = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    rc = main(["simulate", "--config", path, "--out", str(out),
+               "--sweep", "sigma=0.05,0.1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sigma=0.1: KeyError: 'injected'" in err
+    assert "sigma=0.05" not in err
+    good = json.loads((out / "sigma=0.05" / "meta.json").read_text())
+    assert "failed" not in good and good["records"] == 6
+    bad = json.loads((out / "sigma=0.1" / "meta.json").read_text())
+    assert "injected" in bad["failed"] and bad["records"] == 2
+    rows = (out / "sigma=0.1" / "energy.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2
+
+
+def test_verify_decay_thin_film_config_passes(tmp_path):
+    # configs/lubrication.cfg decays at about its slowest linear rate,
+    # rate(1) = 0.114; held to the small-slope bound 0.331 it could not pass
+    text = open(os.path.join(REPO, "configs", "lubrication.cfg")).read()
+    assert "t_end = 24.0" in text
+    cfg = tmp_path / "lub.cfg"
+    cfg.write_text(text.replace("t_end = 24.0", "t_end = 4.8"))
+    out = tmp_path / "rep"
+    assert main(["verify", "decay", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "decay_report.json").read_text())["exponential_decay"]
+    assert rep["passed"]
+    assert 0.102 < rep["rate_bound"] < 0.103 < 0.114 < rep["fitted_rate"] < 0.331
+
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    # start-up cost: the package and its CLI load numpy, scipy.fft and
+    # scipy.sparse, not scipy.integrate or scipy.optimize (checked in a
+    # fresh interpreter, as every CLI call and sweep worker starts)
+    import subprocess
+    import sys
+
+    import muskat
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(muskat.__file__)))
+    code = ("import sys, muskat, muskat.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] in (['scipy', 'integrate'],"
+            " ['scipy', 'optimize'])))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_meta_contains_final_solve_report(tmp_path):

@@ -17,6 +17,7 @@ from muskat.diagnostics import (
     verify_trajectory_dir,
 )
 from muskat.integrate import run
+from muskat.models import linear_decay_rate
 from muskat.params import ModelParams
 from muskat.spectral import SpectralField
 
@@ -141,6 +142,31 @@ def test_exponential_decay_guards():
         check_exponential_decay(recs, wnl(lam=1.0, chi=-1))
     with pytest.raises(ValueError, match="lam"):
         check_exponential_decay(recs, wnl(lam=0.0))
+
+
+def _decaying_records(rate, n=40, t_end=10.0):
+    return [EnergyRecord(t, [math.exp(-rate * t)] + [0.0] * 5, 0.0, 0.0, 0.0, 0)
+            for t in np.linspace(0.0, t_end, n)]
+
+
+def test_decay_bound_per_model():
+    # small slope: chi*T(1)/2 - 0.05, the bound criterion 2 asserts, to the bit
+    rep = check_exponential_decay(_decaying_records(1.0), wnl(lam=1.0))
+    assert rep.rate_bound == 1 * math.tanh(1.0) / 2.0 - 0.05
+    # thin film: a share of the slowest linear rate rate(1), which a run
+    # at that rate passes and a run decaying clearly slower fails
+    pl = ModelParams.lubrication(chi=1, lam=1.0, theta=1.0, delta=0.01,
+                                 epsilon=0.1)
+    m1 = float(linear_decay_rate(1, pl))
+    assert m1 == pytest.approx(0.11364, rel=1e-4)
+    ok = check_exponential_decay(_decaying_records(m1), pl)
+    assert ok.passed and ok.rate_bound == pytest.approx(0.9 * m1, rel=1e-14)
+    for slow in (0.5 * m1, 0.85 * m1):
+        rep = check_exponential_decay(_decaying_records(slow), pl)
+        assert not rep.passed
+        assert rep.fitted_rate == pytest.approx(slow, rel=1e-9)
+    # the small-slope bound would hold the thin film above its own rate(1)
+    assert check_exponential_decay(_decaying_records(m1), wnl(lam=1.0)).passed is False
 
 
 def test_unstable_sign_runs_and_verdict_reports():

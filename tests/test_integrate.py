@@ -306,3 +306,66 @@ def test_lub_rhs_single_inverse_before_solve(monkeypatch):
     assert iters >= 2
     assert calls[:2] == [("phys_stack", 2), ("prods", 1)]
     assert calls[2:] == [("phys_stack", 1), ("prods", 1)] * iters
+
+
+def test_rk4_stages_in_place_match_textbook_and_keep_inputs():
+    # _try_advance combines the stages in place; the bits must equal the
+    # textbook expression, and neither c nor k1 may be written
+    from muskat.integrate import _rhs_raw, _try_advance
+    from muskat.models import _table
+
+    p = wnl(sigma=0.1, lam=1.0)
+    tab = _table(64, p)
+    c = random_field(64, np.random.default_rng(3), p=3.0, amplitude=1e-3).coeffs
+    k1, _ = _rhs_raw(tab, c, None, 200)
+    c0, k10 = c.copy(), k1.copy()
+    dt = 2.0 / float(linear_decay_rate(64, p))
+    got, _ = _try_advance(tab, c, k1, dt, "rk4", None, 200)
+    k2, _ = _rhs_raw(tab, c + 0.5 * dt * k1, None, 200)
+    k3, _ = _rhs_raw(tab, c + 0.5 * dt * k2, None, 200)
+    k4, _ = _rhs_raw(tab, c + dt * k3, None, 200)
+    ref = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ref[0] = 0.0
+    assert got.tobytes() == ref.tobytes()
+    assert c.tobytes() == c0.tobytes() and k1.tobytes() == k10.tobytes()
+
+
+def test_concurrent_runs_write_sequential_bytes(tmp_path):
+    # the transform scratch buffers are per thread: runs on one shared op
+    # table, in more threads than cores with a tiny switch interval so that
+    # their transform calls interleave, write the bytes of a run made alone
+    import os
+    import sys
+    import threading
+
+    p = wnl(sigma=0.1, lam=1.0)
+    h0 = random_field(32, np.random.default_rng(5), p=3.0, amplitude=1e-3)
+
+    def go(name):
+        run(h0, p, config(dt=0.005, t_end=0.5, output_cadence=5,
+                          snapshot_cadence=10, output_dir=str(tmp_path / name)))
+
+    go("alone")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        names = ("a", "b", "c", "d")
+        threads = [threading.Thread(target=go, args=(n,)) for n in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+    def contents(name):
+        root = tmp_path / name
+        files = sorted(str(f.relative_to(root)) for f in root.rglob("*.csv"))
+        return {f: (root / f).read_bytes() for f in files}
+
+    alone = contents("alone")
+    assert len(alone) > 2 and "energy.csv" in alone
+    for name in names:
+        assert contents(name) == alone
+        assert os.path.isfile(tmp_path / name / "meta.json")

@@ -436,3 +436,24 @@ def test_all_operations_preserve_mean_zero_and_finiteness(rng):
         for out in outs:
             assert out.coeffs[0] == 0.0
             assert np.all(np.isfinite(out.coeffs))
+
+
+def test_transform_batches_leave_inputs_unchanged():
+    # phys/phys_stack/prods pad and multiply in reused scratch buffers,
+    # never in the arrays they are given
+    from muskat.models import _table
+
+    n = 48
+    tab = _table(n, ModelParams(lam=1.0, theta=1.0, sigma=0.1))
+    rng = np.random.default_rng(8)
+    spec = rng.standard_normal((3, n + 1)) + 1j * rng.standard_normal((3, n + 1))
+    phys = rng.standard_normal((2, 4 * n))
+    hphys = rng.standard_normal(4 * n)
+    saved = [a.copy() for a in (spec, phys, hphys)]
+    first = (tab.phys(spec[0]), tab.phys_stack(spec), tab.prods(hphys, phys))
+    again = (tab.phys(spec[0]), tab.phys_stack(spec), tab.prods(hphys, phys))
+    for a, b in zip((spec, phys, hphys), saved):
+        assert a.tobytes() == b.tobytes()
+    # a result is never a view of a buffer the next call overwrites
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)

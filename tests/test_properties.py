@@ -16,7 +16,9 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
   which ``diagnostics.check_operator_bounds`` evaluates) equals the direct
   double sum of ``_kernels.sign_split_direct``;
 * the preconditioned CG strip solve equals a sparse LU solve of the same
-  assembled system.
+  assembled system;
+* ``strip._simpson`` is bitwise equal to ``scipy.integrate.simpson``, which
+  the package itself no longer imports.
 """
 
 import math
@@ -200,3 +202,18 @@ def test_strip_cg_matches_lu(nx, nz, seed, delta, lift):
     got = strip.solve_strip(h, psi, grid, p).phi[:, :-1]
     ref = lu_strip_solve(h, psi, grid, p)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@PROPS
+@given(n_z=st.integers(16, 79), rows=st.integers(1, 4), seed=seeds,
+       dx=st.floats(1e-3, 1.0))
+def test_simpson_bitwise_equals_scipy(n_z, rows, seed, dx):
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(seed)
+    for n in (n_z, n_z + 1):  # an odd and an even sample count
+        y = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3, 3)
+        assert np.array_equal(strip._simpson(y, dx),
+                              simpson(y, dx=dx, axis=1))
+        assert np.array_equal(strip._simpson(y, 1.0 / (n - 1)),
+                              simpson(y, dx=1.0 / (n - 1), axis=1))
