@@ -23,15 +23,11 @@ from .elliptic import (
 )
 from .integrate import IntegratorState, StepSizeUnderflowError, Trajectory, run, step
 from .models import (
-    apply_quasilinear_lub,
-    apply_quasilinear_wnl,
-    base_elliptic_symbol,
+    apply_quasilinear,
     commutator,
     commutator_sign_split,
-    forcing_lub,
-    forcing_wnl,
+    forcing,
     invert_base,
-    invert_lub_base,
     leading_velocity_wnl2,
     linear_decay_rate,
     rhs_wnl2,
@@ -39,7 +35,6 @@ from .models import (
 from .params import ModelParams, nondimensionalize
 from .spectral import (
     GridMismatchError,
-    MultiplierSymbol,
     SpectralField,
     apply_multiplier,
     depth_symbol,

@@ -21,6 +21,9 @@ import numpy as np
 from . import diagnostics, integrate, strip
 from .config import (
     ConfigError,
+    _as_float,
+    _as_float_list,
+    _as_int,
     load_config,
     make_initial_condition,
     parse_config_text,
@@ -148,12 +151,13 @@ def cmd_verify(args):
     out_dir = _verify_out_dir(args, config)
     v = config.verify
 
-    def vget(prefix, key, default):
-        return v.get(f"{prefix}.{key}", default)
+    def vget(prefix, key, default, parse=_as_float):  # ConfigError if bad
+        name = f"{prefix}.{key}"
+        return parse(f"verify.{name}", v.get(name, default))
 
     if args.kind == "bounds":
-        samples = int(float(vget("bounds", "samples", 500)))
-        n_modes = int(float(vget("bounds", "n_modes", 64)))
+        samples = vget("bounds", "samples", 500, _as_int)
+        n_modes = vget("bounds", "n_modes", 64, _as_int)
         seed = args.seed if args.seed is not None else config.rng_seed
         rep = diagnostics.check_operator_bounds(samples, params, seed, n_modes)
         path = _write_report(out_dir, "bounds_report.json", rep.as_dict())
@@ -161,17 +165,15 @@ def cmd_verify(args):
         return EXIT_OK if rep.passed else EXIT_NUMERICAL
 
     if args.kind == "dtn":
-        n_x = int(float(vget("dtn", "n_x", 512)))
-        n_z = int(float(vget("dtn", "n_z", 256)))
-        sigmas = vget("dtn", "sigmas", "0.2,0.1,0.05")
-        sigmas = [float(s) for s in str(sigmas).split(",")]
-        n_modes = int(float(vget("dtn", "n_modes", min(64, n_x // 2 - 1))))
+        n_x = vget("dtn", "n_x", 512, _as_int)
+        n_z = vget("dtn", "n_z", 256, _as_int)
+        sigmas = vget("dtn", "sigmas", "0.2,0.1,0.05", _as_float_list)
+        n_modes = vget("dtn", "n_modes", min(64, n_x // 2 - 1), _as_int)
         grid = StripGrid(n_x, n_z)
-        h = SpectralField.cosine(int(float(vget("dtn", "h_mode", 1))),
-                                 float(vget("dtn", "h_amplitude", 1.0)), n_modes)
-        psi = SpectralField.cosine(int(float(vget("dtn", "psi_mode", 2))),
-                                   float(vget("dtn", "psi_amplitude", 1.0)),
-                                   n_modes)
+        h = SpectralField.cosine(vget("dtn", "h_mode", 1, _as_int),
+                                 vget("dtn", "h_amplitude", 1.0), n_modes)
+        psi = SpectralField.cosine(vget("dtn", "psi_mode", 2, _as_int),
+                                   vget("dtn", "psi_amplitude", 1.0), n_modes)
         p = replace(params, delta=1.0, sigma=params.epsilon * 1.0)
         rep = strip.verify_dtn_expansion(h, psi, sigmas, grid, p)
         path = _write_report(out_dir, "dtn_report.json", rep.as_dict())
@@ -185,21 +187,18 @@ def cmd_verify(args):
         return EXIT_OK if ok else EXIT_NUMERICAL
 
     if args.kind == "flux":
-        n_x = int(float(vget("flux", "n_x", 256)))
-        n_z = int(float(vget("flux", "n_z", 65)))
-        deltas = vget("flux", "deltas", "0.04,0.02,0.01")
-        deltas = [float(s) for s in str(deltas).split(",")]
-        n_modes = int(float(vget("flux", "n_modes", min(64, n_x // 2 - 1))))
-        grid = StripGrid(n_x, max(n_z, 16))
-        f = SpectralField.cosine(int(float(vget("flux", "f_mode", 1))),
-                                 float(vget("flux", "f_amplitude", 1.0)), n_modes)
-        hm = vget("flux", "h_mode", None)
-        if hm is None:
+        n_x = vget("flux", "n_x", 256, _as_int)
+        n_z = vget("flux", "n_z", 65, _as_int)
+        deltas = vget("flux", "deltas", "0.04,0.02,0.01", _as_float_list)
+        n_modes = vget("flux", "n_modes", min(64, n_x // 2 - 1), _as_int)
+        grid = StripGrid(n_x, n_z)
+        f = SpectralField.cosine(vget("flux", "f_mode", 1, _as_int),
+                                 vget("flux", "f_amplitude", 1.0), n_modes)
+        if v.get("flux.h_mode") is None:
             h = SpectralField.zeros(n_modes)
         else:
-            h = SpectralField.cosine(int(float(hm)),
-                                     float(vget("flux", "h_amplitude", 1.0)),
-                                     n_modes)
+            h = SpectralField.cosine(vget("flux", "h_mode", None, _as_int),
+                                     vget("flux", "h_amplitude", 1.0), n_modes)
         flux_rep, phi_rep = strip.verify_lub_flux(h, f, deltas, grid, params)
         payload = {"flux": flux_rep.as_dict(), "phi": phi_rep.as_dict()}
         path = _write_report(out_dir, "flux_report.json", payload)

@@ -159,24 +159,24 @@ class RateReport:
 def check_exponential_decay(records, params):
     """Least-squares decay rate of log ||h||_{A0} against the model's bound.
 
-    The bound is ``ModelSpec.decay_bound``: chi*T(1)/2 less a margin for
-    the small-slope models (lam > 0), a share of the slowest linear rate
-    rate(1) for the thin film; any faster fitted decay passes.  Requires
-    chi = +1 and at least 20 records; identically-zero trajectories are
-    reported degenerate.
+    The bound is ``ModelSpec.decay_bound`` (chi*T(1)/2 less a margin small
+    slope, a share of rate(1) thin film); any faster fitted decay passes.
+    Requires chi = +1, a model with a bound (not None) and at least 20
+    records; identically-zero trajectories are reported degenerate.
     """
     if params.chi != 1:
         raise ValueError("decay verification assumes the stable sign chi = +1")
-    spec = models.model_spec(params)
-    if params.lam <= 0 and not spec.thin_film:
-        raise ValueError("exponential-rate fit assumes lam > 0")
+    bound = models.model_spec(params).decay_bound()
+    if bound is None:
+        raise ValueError("no decay rate to fit: it needs lam > 0 "
+                         "(thin film: lam/4 >= sqrt(delta)*theta)")
     if len(records) < MIN_FIT_RECORDS:
         raise ValueError(f"need at least {MIN_FIT_RECORDS} records, "
                          f"got {len(records)}")
     t = np.array([r.t for r in records])
     a0 = np.array([r.norms[0] for r in records])
     if np.all(a0 == 0.0):
-        return RateReport(0.0, spec.decay_bound(), True, None, True)
+        return RateReport(0.0, bound, True, None, True)
     if np.any(a0 <= 0.0):
         raise ValueError("A0 norm vanished mid-run; cannot fit a rate")
     logs = np.log(a0)
@@ -185,7 +185,6 @@ def check_exponential_decay(records, params):
     halves = []
     for sl in (slice(0, mid + 1), slice(mid, None)):
         halves.append(-np.polyfit(t[sl], logs[sl], 1)[0])
-    bound = spec.decay_bound()
     return RateReport(float(rate), bound, bool(rate >= bound), halves, False)
 
 
@@ -227,14 +226,14 @@ def decay_checks(records, params):
     """The decay verdicts that apply to one trajectory, as a dict by name.
 
     Always the monotone energy.  With chi = +1, the exponential-rate fit
-    where the theory gives a rate (lam > 0, or the thin film) and there are
-    enough records; otherwise only a rateless decay statement holds, so
-    the A0 trend over dyadic windows is checked instead.
+    where the theory gives a rate (``ModelSpec.decay_bound`` is not None)
+    and there are enough records; otherwise only a rateless decay statement
+    holds, so the A0 trend over dyadic windows is checked instead.
     """
     checks = {"monotone_energy": check_monotone_decay(records).as_dict()}
     if params.chi != 1:
         return checks
-    has_rate = params.lam > 0 or models.model_spec(params).thin_film
+    has_rate = models.model_spec(params).decay_bound() is not None
     if has_rate and len(records) >= MIN_FIT_RECORDS:
         checks["exponential_decay"] = check_exponential_decay(
             records, params).as_dict()

@@ -23,11 +23,14 @@ import math
 import numpy as np
 
 from . import models
-from .models import _tab
+from .diagnostics import random_decay_field
+from .models import _table
 from .spectral import SpectralField, check_same_grid, wiener_norm
 
 DEFAULT_MAX_ITER = 200
 _STALL_LIMIT = 3
+_POWER_STEPS = 50  # power-iteration budget of a stall's contraction factor
+_POWER_RTOL = 1e-3
 
 
 class SolverError(RuntimeError):
@@ -127,7 +130,8 @@ def _solve_raw(tab, cF, hphys, tol, max_iter):
     for it in range(1, max_iter + 1):
         Vn = models._solve_update(tab, hphys, V)
         Vn += V0
-        inc = _norm_raw(tab, Vn - V)
+        d = Vn - V
+        inc = _norm_raw(tab, d)
         increments.append(inc)
         V = Vn
         if not math.isfinite(inc):
@@ -137,7 +141,7 @@ def _solve_raw(tab, cF, hphys, tol, max_iter):
         if prev is not None and prev > 0.0:
             stall = stall + 1 if inc >= prev else 0
             if stall >= _STALL_LIMIT:
-                raise NotContractingError(_contraction_estimate(increments), it)
+                raise NotContractingError(_stall_ratio(tab, hphys, d), it)
         prev = inc
     raise MaxIterationsError(max_iter, increments[-1], tol)
 
@@ -147,6 +151,35 @@ def _contraction_estimate(increments):
     return max(ratios) if ratios else 0.0
 
 
+def _gain(tab, hphys, w):
+    """The update S w and its gain ||S w|| / ||w|| in the scheme norm."""
+    img = models._solve_update(tab, hphys, w)
+    return img, _norm_raw(tab, img) / _norm_raw(tab, w)
+
+
+def _stall_ratio(tab, hphys, d):
+    """Contraction factor of an expanding fixed point: the spectral radius
+    of the update S, by power iteration from the last increment d.
+
+    The estimate is the two-step gain sqrt(||S^2 d|| / ||d||): a
+    single-mode h couples mode k to k +- m only, so the dominant
+    eigenvalues of S come as a pair +-lam and one-step gains alternate
+    around |lam|.  Stops when two estimates agree to _POWER_RTOL relative,
+    or after _POWER_STEPS steps.
+    """
+    gain = prev = None
+    for _ in range(_POWER_STEPS):
+        d, g = _gain(tab, hphys, d)
+        if not 0.0 < g < math.inf:
+            return g
+        d /= _norm_raw(tab, d)
+        est = g if gain is None else math.sqrt(gain * g)
+        if prev is not None and abs(est - prev) <= _POWER_RTOL * est:
+            break
+        gain, prev = g, est
+    return est
+
+
 def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
     """Solve L_h U = F.  Returns (U, FixedPointReport).
 
@@ -154,7 +187,7 @@ def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
     MaxIterationsError if the tolerance is not reached.
     """
     check_same_grid(h, F)
-    tab = _tab(h, params)
+    tab = _table(h.n_modes, params)
     if tol is None:
         tol = default_tolerance(F)
     hphys = tab.phys(h.coeffs)
@@ -235,21 +268,14 @@ def certify_smallness(h, params, n_probes=5, seed=0):
 
     The map is affine, so the factor is the operator norm of
     base^{-1} perturbation(h, .) in the scheme norm; it is estimated as the
-    max ratio over random probe directions.  Pass requires factor < 1.
+    max gain over random probe directions (``random_decay_field`` with
+    |k|^-4 moduli).  Pass requires factor < 1.
     """
-    tab = _tab(h, params)
+    tab = _table(h.n_modes, params)
     hphys = tab.phys(h.coeffs)
     rng = np.random.default_rng(seed)
-    n = h.n_modes
-    k = np.arange(1, n + 1, dtype=float)
-    ratios = []
-    for _ in range(n_probes):
-        mag = k ** (-4.0) * rng.uniform(0.5, 1.0, size=n)
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        w = np.zeros(n + 1, dtype=complex)
-        w[1:] = mag * np.exp(1j * phase)
-        img = models._solve_update(tab, hphys, w)
-        ratios.append(_norm_raw(tab, img) / _norm_raw(tab, w))
+    ratios = [_gain(tab, hphys, random_decay_field(h.n_modes, 4, rng).coeffs)[1]
+              for _ in range(n_probes)]
     factor = max(ratios)
     return SmallnessReport(
         h_a1=wiener_norm(h, 1),

@@ -28,7 +28,7 @@ from .elliptic import (
     default_tolerance,
     solve_quasilinear,
 )
-from .models import _table
+from .models import _forcing_with_h, _table
 from .spectral import SpectralField, save_spectrum_csv
 
 DT_FLOOR = 1e-14
@@ -75,13 +75,10 @@ class IntegratorState:
 
 
 def _rhs_raw(tab, c, tol, max_iter):
-    """dh/dt for the model in tab.p; returns (coeffs, solver iterations)."""
+    """dh/dt for the model of tab.spec; returns (coeffs, solver iterations)."""
     if tab.spec.explicit:
         return models._rhs_wnl2_raw(tab, c), 0
-    if tab.spec.thin_film:
-        F, hphys = models._forcing_lub_with_h(tab, c)
-    else:
-        F, hphys = models._forcing_wnl_with_h(tab, c)
+    F, hphys = _forcing_with_h(tab, c)
     if tol is None:
         tol = default_tolerance(F)
     U, iters, _ = _solve_raw(tab, F, hphys, tol, max_iter)
@@ -220,8 +217,8 @@ def run(h0, params, config):
         nonlocal final_report
         if tab.spec.explicit:
             return _rhs_raw(tab, h.coeffs, config.tol, config.max_iter)
-        F = models.forcing(h, params)
-        U, rep = solve_quasilinear(h, F, params, config.tol, config.max_iter)
+        U, rep = solve_quasilinear(h, models.forcing(h, params), params,
+                                   config.tol, config.max_iter)
         final_report = rep.as_dict()
         return U.coeffs, rep.iterations
 

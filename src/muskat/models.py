@@ -33,7 +33,7 @@ of the small-slope forcing fold into one,
 
 so the forcing and the physical profile come from one 3-row inverse batch
 [h, G w, dx w] and one 2-row forward batch.  The fixed-point update folds
--sigma*theta/ell0 into its output rows and costs 2 + 2 rows per iteration,
+-sigma*theta/base into its output rows and costs 2 + 2 rows per iteration,
 so a small-slope right-hand side converging in one iteration transforms 9
 rows of 4N points (thin film: 2 + 1 for the forcing, 1 + 1 per iteration).
 
@@ -57,6 +57,12 @@ small-slope models, the explicit model 2, the depth factor T, the scheme
 norm order and the energy coefficient, and carries the symbols T(k),
 base(k) and rate(k).  The op table, the solver, the integrator and the
 diagnostics ask the spec instead of comparing names.
+
+One table per model.  ``_OpTable`` holds its own model's base, forcing and
+perturbation rows, so each operation is one function for all three models.
+The benchmark's tracer (``perfbench/spans.py``) wraps attributes by name,
+so the old per-model names stay bound as aliases until the program counts
+its own layers (ROADMAP item 1).
 
 Memory and threads.  The module keeps an immutable per-(n_modes, params)
 table of symbol arrays, shared by every caller.  The scratch buffers of the
@@ -84,24 +90,19 @@ from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 from .params import ModelParams
 from .spectral import (
     SQRT_2PI,
-    MultiplierSymbol,
     SpectralField,
     check_same_grid,
     tanh_clamped,
 )
 
 __all__ = [
-    "base_elliptic_symbol",
+    "forcing",
+    "apply_quasilinear",
     "invert_base",
     "commutator",
     "commutator_sign_split",
-    "apply_quasilinear_wnl",
-    "forcing_wnl",
     "leading_velocity_wnl2",
     "rhs_wnl2",
-    "forcing_lub",
-    "apply_quasilinear_lub",
-    "invert_lub_base",
     "linear_decay_rate",
     "model_spec",
 ]
@@ -156,27 +157,29 @@ class ModelSpec:
         return (p.chi + (p.lam / 4.0) * k**4) * k * self.T(k) / self.base(k)
 
     def decay_bound(self):
-        """Least decay rate of ||h||_{A0} that a chi = +1 run must fit.
+        """Least decay rate of ||h||_{A0} that a chi = +1 run must fit, or
+        None where the model gives no rate.
 
-        Small slope: the dissipation estimate gives decay at least at
-        chi*T(1)/2 when lam > 0; the bound is that rate minus
-        DECAY_RATE_MARGIN.
+        Small slope: chi*T(1)/2 - DECAY_RATE_MARGIN when lam > 0, the
+        rate of the dissipation estimate (none at lam = 0).
 
         Thin film: linearized, mode k decays at rate(k) = sqrt(delta) k^2
         (chi + (lam/4) k^4) / (1 + sqrt(delta) theta k^4).  The factor after
         k^2 is monotone in k^4 and grows when lam/4 >= chi sqrt(delta) theta,
         so every rate(k) >= rate(1) and ||h||_{A0}, a sum of the moduli,
-        decays at least at rate(1).  (Otherwise, lam = 0 for instance, the
-        short waves decay more slowly than mode 1 and the check holds only
-        while mode 1 dominates the norm.)  That rate is much smaller than the
-        small-slope one (0.114 at configs/lubrication.cfg against 0.331), so
-        the bound is the share THIN_FILM_RATE_SHARE of rate(1), leaving room
-        for the O(eps |h|) nonlinear coupling; a run decaying clearly slower
-        than its slowest linear mode still fails.
+        decays at least at rate(1); otherwise (lam = 0: rate(k) ->
+        1/(theta k^2)) no rate is a lower bound.  The bound is the share
+        THIN_FILM_RATE_SHARE of rate(1) (0.114 at configs/lubrication.cfg),
+        leaving room for the O(eps |h|) nonlinear coupling.
         """
+        p = self.params
         if self.thin_film:
+            if p.lam / 4.0 < p.chi * math.sqrt(p.delta) * p.theta:
+                return None
             return THIN_FILM_RATE_SHARE * float(self.rate(1.0))
-        return self.params.chi * self.t1 / 2.0 - DECAY_RATE_MARGIN
+        if p.lam <= 0:
+            return None
+        return p.chi * self.t1 / 2.0 - DECAY_RATE_MARGIN
 
 
 @lru_cache(maxsize=64)
@@ -203,6 +206,12 @@ def model_spec(params):
 class _OpTable:
     """Per-(n_modes, params) constant arrays for the FFT pipeline.
 
+    ``base`` is ``ModelSpec.base``; ``force_*`` and ``pert_*`` are the
+    model's forcing and perturbation rows, the perturbation being
+    ``pert_scale`` (sigma*theta; thin film 1.0) times its products, and
+    ``force_active`` (sigma, thin film eps, nonzero) switches both on.  The
+    commutator and split rows depend on the depth only.
+
     Immutable after construction.  Scaling conventions: rows of *_stack are
     premultiplied so that irfft gives physical samples directly, rows of
     *_out fold in the inverse-transform normalization of the 4N product
@@ -213,59 +222,53 @@ class _OpTable:
         n = n_modes
         self.n = n
         self.m = 4 * n
-        self.p = p
         self.spec = spec = model_spec(p)
         k = np.arange(n + 1, dtype=float)
-        self.tanh = spec.T(k)
-        self.G = k * self.tanh
-        self.ik = 1j * k
-        # base symbols
-        self.ell0 = 1.0 + p.theta * k**3 * self.tanh
-        self.sqd = math.sqrt(p.delta)
-        self.lub_base = 1.0 + self.sqd * p.theta * k**4
+        G = k * spec.T(k)
+        ik = 1j * k
+        self.base = spec.base(k)
         to_phys = self.m / SQRT_2PI
         from_phys = SQRT_2PI / self.m
         self.h_scale = to_phys
-        # wnl forcing, folded through w = (chi + lam/4 k^4) h:
-        # factors [h, G w, dx w], outputs sigma [G ., dx .]
-        wsym = p.chi + (p.lam / 4.0) * k**4
-        self.nl_stack = np.stack(
-            [np.ones_like(k), self.G * wsym, self.ik * wsym]
-        ) * to_phys
-        self.nl_out = np.stack([self.G + 0j, self.ik]) * (p.sigma * from_phys)
-        self.nl_linear = -self.G * wsym
         # commutator I(h,V): factors [G dxx V, dxxx V], outputs [G ., dx .]
-        self.comm_stack = np.stack([-self.G * k**2 + 0j, (1j * k) ** 3]) * to_phys
-        self.comm_out = np.stack([self.G + 0j, self.ik]) * from_phys
+        self.comm_stack = np.stack([-G * k**2 + 0j, ik**3]) * to_phys
+        self.comm_out = np.stack([G + 0j, ik]) * from_phys
         # sign/tanh split of I: I_A = dx(h dxxx V) - Lam(h Lam^3 V),
-        # I_B = Lam(h Lam^3 V) + G(h G dxx V); for the unbounded symbol
-        # (tanh == 1) I_B vanishes identically.
-        self.split_stack = np.stack(
-            [(1j * k) ** 3, k**3 + 0j, -self.G * k**2 + 0j]
-        ) * to_phys
-        self.split_outA = np.stack([self.ik, -np.abs(k) + 0j]) * from_phys
-        self.split_outB = np.stack([np.abs(k) + 0j, self.G + 0j]) * from_phys
-        # lubrication forcing sqrt(delta) dx(w + eps h w), w = dx(chi h + lam/4
-        # dx^4 h): factors [h, w]; perturbation factor dx^3 V, output dx .
-        lub_w = self.ik * wsym
-        self.lub_linear = self.sqd * self.ik * lub_w
-        self.lub_stack = np.stack([np.ones_like(k) + 0j, lub_w]) * to_phys
-        self.lub_out = self.ik[None, :] * (self.sqd * p.epsilon * from_phys)
-        self.pert_stack = (1j * k)[None, :] ** 3 * to_phys
-        self.pert_out = self.lub_out * p.theta
-        # fixed point V <- V0 + sum(solve_out * P[h phys(solve_stack V)]): the
-        # perturbation's sign and coefficient and the base inverse are folded
-        # into the output rows
-        self.norm_k = k**spec.norm_order
+        # I_B = Lam(h Lam^3 V) + G(h G dxx V)
+        self.split_stack = np.stack([ik**3, k**3 + 0j, -G * k**2 + 0j]) * to_phys
+        self.split_outA = np.stack([ik, -k + 0j]) * from_phys
+        self.split_outB = np.stack([k + 0j, G + 0j]) * from_phys
+        # forcing linear*c + sum(force_out * P[h phys(force_stack[1:] c)]),
+        # force_stack[0] giving h itself; w = chi + lam/4 k^4
+        wsym = p.chi + (p.lam / 4.0) * k**4
+        dw = ik * wsym
         if spec.thin_film:
-            self.base = self.lub_base
-            self.solve_stack = self.pert_stack
-            self.solve_out = -self.pert_out / self.lub_base
+            # sqrt(delta) dx((1 + eps h) dx(w h)): factors [h, dx(w h)];
+            # perturbation factor dx^3 V, output theta sqrt(delta) eps dx .
+            sqd = math.sqrt(p.delta)
+            self.force_linear = sqd * ik * dw
+            self.force_stack = np.stack([np.ones_like(k) + 0j, dw]) * to_phys
+            self.force_out = ik[None, :] * (sqd * p.epsilon * from_phys)
+            self.force_active = p.epsilon != 0.0
+            self.pert_stack = ik[None, :] ** 3 * to_phys
+            self.pert_out = self.force_out * p.theta
+            self.pert_scale = 1.0
         else:
-            self.base = self.ell0
-            self.solve_stack = self.comm_stack
-            self.solve_out = -(p.sigma * p.theta) * self.comm_out / self.ell0
+            # -G w h + sigma [G(h * G w h) + dx(h * dx w h)]:
+            # factors [h, G w h, dx w h], outputs sigma [G ., dx .]
+            self.force_linear = -G * wsym
+            self.force_stack = np.stack([np.ones_like(k), G * wsym, dw]) * to_phys
+            self.force_out = np.stack([G + 0j, ik]) * (p.sigma * from_phys)
+            self.force_active = p.sigma != 0.0
+            self.pert_stack = self.comm_stack
+            self.pert_out = self.comm_out
+            self.pert_scale = p.sigma * p.theta
+        # fixed point V <- V0 + sum(solve_out * P[h phys(pert_stack V)]): the
+        # perturbation's sign and scale and the base inverse are folded
+        # into the output rows
+        self.solve_out = -(self.pert_scale * self.pert_out) / self.base
         self.solve_active = bool(np.any(self.solve_out))
+        self.norm_k = k**spec.norm_order
 
     # -- transforms: pocketfft's c2r/r2c on the 4N grid (module docstring).
     # The arguments are positional, c2r(a, axes, lastsize, forward, inorm)
@@ -318,12 +321,6 @@ def _table(n_modes, params):
     return _OpTable(n_modes, params)
 
 
-def _tab(field, params):
-    if not isinstance(params, ModelParams):
-        raise TypeError("params must be a ModelParams")
-    return _table(field.n_modes, params)
-
-
 # ---------------------------------------------------------------------------
 # raw-array pipeline (used by the elliptic solver and the integrator)
 # ---------------------------------------------------------------------------
@@ -344,70 +341,52 @@ def _products(tab, hphys, rows, weights):
     return out
 
 
-def _forcing_with_h(tab, c, linear, stack, weights, active):
-    """linear*c + sum_j weights_j P[h phys(stack_{j+1} c)], and h itself.
+def _forcing_with_h(tab, c):
+    """N(h) and the physical h, from one inverse and one forward batch.
 
-    Row 0 of ``stack`` is the profile, so one inverse batch yields both
-    the product factors and the physical h the solve needs.  The product
-    rows are summed first and the linear part is added last: that order
-    fixes the rounding of every output file.
+    Row 0 of ``force_stack`` is the profile, so one inverse batch yields
+    both the product factors and the physical h the solve needs (3 + 2 rows
+    small slope, 2 + 1 thin film).  The product rows are summed first and
+    the linear part is added last: that order fixes the rounding of every
+    output file.
     """
-    if active:
-        ph = tab.phys_stack(stack * c)
+    if tab.force_active:
+        ph = tab.phys_stack(tab.force_stack * c)
         hphys = ph[0]
-        out = _weighted_sum(weights, tab.prods(hphys, ph[1:]))
-        out += linear * c
+        out = _weighted_sum(tab.force_out, tab.prods(hphys, ph[1:]))
+        out += tab.force_linear * c
     else:
         hphys = tab.phys(c)
-        out = linear * c
+        out = tab.force_linear * c
     out[0] = 0.0
     return out, hphys
-
-
-def _forcing_wnl_with_h(tab, c):
-    """Small-slope forcing and profile: 3 inverse rows, 2 forward rows."""
-    return _forcing_with_h(tab, c, tab.nl_linear, tab.nl_stack, tab.nl_out,
-                           tab.p.sigma != 0.0)
-
-
-def _forcing_wnl_raw(tab, c, hphys=None):
-    # the batch transforms h alongside the factors, so hphys saves nothing
-    return _forcing_wnl_with_h(tab, c)[0]
-
-
-def _forcing_lub_with_h(tab, c):
-    """Thin-film forcing and profile: 2 inverse rows, 1 forward row."""
-    return _forcing_with_h(tab, c, tab.lub_linear, tab.lub_stack, tab.lub_out,
-                           tab.p.epsilon != 0.0)
-
-
-def _forcing_lub_raw(tab, c, hphys=None):
-    return _forcing_lub_with_h(tab, c)[0]
 
 
 def _commutator_raw(tab, hphys, v):
     return _products(tab, hphys, tab.comm_stack * v, tab.comm_out)
 
 
-def _lub_perturb_raw(tab, hphys, v):
+def _perturb_raw(tab, hphys, v):
+    """The perturbation of L_h divided by ``pert_scale``."""
     return _products(tab, hphys, tab.pert_stack * v, tab.pert_out)
 
 
 def _solve_update(tab, hphys, v):
     """-base^{-1} perturbation(h, v): the fixed-point map minus its V0."""
-    return _products(tab, hphys, tab.solve_stack * v, tab.solve_out)
+    return _products(tab, hphys, tab.pert_stack * v, tab.solve_out)
 
 
-def _leading_velocity_raw(tab, c):
-    return tab.nl_linear * c / tab.ell0
+# names perfbench/spans.py wraps, kept until ROADMAP item 1 retires it
+_forcing_wnl_with_h = _forcing_wnl_raw = _forcing_lub_raw = _forcing_with_h
+_lub_perturb_raw = _perturb_raw
 
 
 def _rhs_wnl2_raw(tab, c):
     # the model-1 fixed-point map applied once, to mu instead of U
-    f, hphys = _forcing_wnl_with_h(tab, c)
-    out = f / tab.ell0
+    f, hphys = _forcing_with_h(tab, c)
+    out = f / tab.base
     if tab.solve_active:
-        out += _solve_update(tab, hphys, _leading_velocity_raw(tab, c))
+        out += _solve_update(tab, hphys, tab.force_linear * c / tab.base)
     return out
 
 
@@ -415,24 +394,29 @@ def _rhs_wnl2_raw(tab, c):
 # public field-level operations
 # ---------------------------------------------------------------------------
 
-def base_elliptic_symbol(params):
-    """Symbol of the base operator acting on dh/dt.
+def forcing(h, params):
+    """N(h): the linear and quadratic forcing of the model in ``params``."""
+    tab = _table(h.n_modes, params)
+    return SpectralField(_forcing_with_h(tab, h.coeffs)[0], copy=False)
 
-    Small-slope models: 1 + theta |k|^3 T(|k|) with T = tanh (bounded) or 1
-    (unbounded); thin film: 1 + sqrt(delta) theta k^4.  Always >= 1.
-    """
-    spec = model_spec(params)
-    if spec.thin_film:
-        label = "1 + sqrt(delta) theta k^4"
-    else:
-        label = "1 + theta |k|^3" + (" tanh|k|" if spec.finite_depth else "")
-    return MultiplierSymbol(spec.base, label)
+
+def apply_quasilinear(h, U, params):
+    """L_h U = base U + perturbation(h, U); the base operator alone when
+    the quadratic terms are off (sigma = 0, thin film eps = 0) or h = 0."""
+    check_same_grid(h, U)
+    tab = _table(h.n_modes, params)
+    out = tab.base * U.coeffs
+    if tab.force_active:
+        out = out + tab.pert_scale * _perturb_raw(tab, tab.phys(h.coeffs),
+                                                  U.coeffs)
+    out[0] = 0.0
+    return SpectralField(out, copy=False)
 
 
 def invert_base(F, params):
-    """Solve (1 - theta*G*dxx) U = F mode by mode (small-slope base operator)."""
-    tab = _tab(F, params)
-    out = F.coeffs / tab.ell0
+    """Solve base U = F mode by mode (symbol ``model_spec(params).base``)."""
+    tab = _table(F.n_modes, params)
+    out = F.coeffs / tab.base
     out[0] = 0.0
     return SpectralField(out, copy=False)
 
@@ -440,7 +424,7 @@ def invert_base(F, params):
 def commutator(h, V, params):
     """I(h,V) = G(h * G dxx V) + dx(h * dxxx V), dealiased and mean-projected."""
     check_same_grid(h, V)
-    tab = _tab(h, params)
+    tab = _table(h.n_modes, params)
     out = _commutator_raw(tab, tab.phys(h.coeffs), V.coeffs)
     return SpectralField(out, copy=False)
 
@@ -460,7 +444,7 @@ def commutator_sign_split(h, V, params):
     unbounded depth symbol I_B is identically zero.
     """
     check_same_grid(h, V)
-    tab = _tab(h, params)
+    tab = _table(h.n_modes, params)
     hphys = tab.phys(h.coeffs)
     rows = tab.phys_stack(tab.split_stack * V.coeffs)
     pr = tab.prods(hphys, rows)
@@ -471,80 +455,21 @@ def commutator_sign_split(h, V, params):
     return SpectralField(ia, copy=False), SpectralField(ib, copy=False)
 
 
-def apply_quasilinear_wnl(h, U, params):
-    """L_h U for the small-slope models; reduces to the base operator when
-    sigma = 0 or h = 0."""
-    check_same_grid(h, U)
-    tab = _tab(h, params)
-    out = tab.ell0 * U.coeffs
-    if params.sigma != 0.0:
-        out = out + params.sigma * params.theta * _commutator_raw(
-            tab, tab.phys(h.coeffs), U.coeffs
-        )
-    out[0] = 0.0
-    return SpectralField(out, copy=False)
-
-
-def forcing_wnl(h, params):
-    """N(h) for the small-slope models (linear + quadratic forcing)."""
-    tab = _tab(h, params)
-    return SpectralField(_forcing_wnl_raw(tab, h.coeffs), copy=False)
-
-
 def leading_velocity_wnl2(h, params):
     """mu: the base inverse applied to the linear forcing.
 
     Mode formula: mu(k) = -(chi + (lam/4) k^4) |k| T(|k|) hhat(k) / ell(k).
     """
-    tab = _tab(h, params)
-    out = _leading_velocity_raw(tab, h.coeffs)
+    tab = _table(h.n_modes, params)
+    out = tab.force_linear * h.coeffs / tab.base
     out[0] = 0.0
     return SpectralField(out, copy=False)
 
 
 def rhs_wnl2(h, params):
     """Full dh/dt for model 2: base inverse of N(h) - sigma*theta*I(h, mu)."""
-    tab = _tab(h, params)
+    tab = _table(h.n_modes, params)
     return SpectralField(_rhs_wnl2_raw(tab, h.coeffs), copy=False)
-
-
-def forcing_lub(h, params):
-    """Thin-film forcing sqrt(delta)*dx((1+eps*h)*dx(chi h + (lam/4) dx^4 h))."""
-    tab = _tab(h, params)
-    return SpectralField(_forcing_lub_raw(tab, h.coeffs), copy=False)
-
-
-def apply_quasilinear_lub(h, U, params):
-    """L_h U = U + sqrt(delta)*theta*dx((1+eps*h) dx^3 U) for the thin film."""
-    check_same_grid(h, U)
-    tab = _tab(h, params)
-    out = tab.lub_base * U.coeffs
-    if params.epsilon != 0.0:
-        out = out + _lub_perturb_raw(tab, tab.phys(h.coeffs), U.coeffs)
-    out[0] = 0.0
-    return SpectralField(out, copy=False)
-
-
-def invert_lub_base(F, params):
-    """Solve (I + sqrt(delta)*theta*dx^4) U = F mode by mode."""
-    tab = _tab(F, params)
-    out = F.coeffs / tab.lub_base
-    out[0] = 0.0
-    return SpectralField(out, copy=False)
-
-
-def apply_quasilinear(h, U, params):
-    """Model-dispatched L_h."""
-    if model_spec(params).thin_film:
-        return apply_quasilinear_lub(h, U, params)
-    return apply_quasilinear_wnl(h, U, params)
-
-
-def forcing(h, params):
-    """Model-dispatched N(h)."""
-    if model_spec(params).thin_film:
-        return forcing_lub(h, params)
-    return forcing_wnl(h, params)
 
 
 def linear_decay_rate(k, params):

@@ -116,48 +116,30 @@ class SpectralField:
         return f"SpectralField(n_modes={self.n_modes})"
 
 
-class MultiplierSymbol:
-    """Fourier multiplier k -> m(k), evaluated on k >= 0.
-
-    Realness of the operator requires m(-k) = conj(m(k)); every symbol used
-    here is either even in k (|k|-functions) or a derivative power (ik)^j,
-    both of which satisfy that identity.
-    """
-
-    __slots__ = ("fn", "label")
-
-    def __init__(self, fn, label):
-        self.fn = fn
-        self.label = label
-
-    def eval(self, k):
-        return np.asarray(self.fn(np.asarray(k, dtype=float)))
-
-    def __repr__(self):
-        return f"MultiplierSymbol({self.label})"
-
+# Fourier multipliers are callables k -> m(k) on k >= 0; realness needs
+# m(-k) = conj(m(k)), true of |k|-functions and of (ik)^j.
 
 def identity_symbol():
-    return MultiplierSymbol(lambda k: np.ones_like(k), "1")
+    return np.ones_like
 
 
 def depth_symbol(depth):
     """The flat-interface normal-derivative symbol: |k| tanh|k| for a
     bounded strip, |k| for the unbounded one."""
     if depth == "finite":
-        return MultiplierSymbol(lambda k: np.abs(k) * tanh_clamped(k), "|k| tanh|k|")
+        return lambda k: np.abs(k) * tanh_clamped(k)
     if depth == "infinite":
-        return MultiplierSymbol(lambda k: np.abs(k), "|k|")
+        return np.abs
     raise ValueError(f"unknown depth {depth!r}")
 
 
 def derivative_symbol(j):
-    return MultiplierSymbol(lambda k: (1j * k) ** j, f"(ik)^{j}")
+    return lambda k: (1j * k) ** j
 
 
 def apply_multiplier(f, symbol):
     k = np.arange(f.n_modes + 1, dtype=float)
-    return SpectralField(symbol.eval(k) * f.coeffs, copy=False)
+    return SpectralField(symbol(k) * f.coeffs, copy=False)
 
 
 def wiener_norm(f, s):

@@ -295,16 +295,19 @@ def test_verify_decay_cli_rateless_regime(tmp_path):
 def test_verify_decay_report_matches_recomputed_checks(tmp_path):
     # the CLI's report and the checks recomputed from the run directory's
     # files take the same branch: rate fit (wnl1, lambda > 0), dyadic trend
-    # (wnl1, lambda = 0) and rate fit through the thin film (lambda = 0)
+    # (wnl1, lambda = 0), rate fit through the thin film where rate(1) is a
+    # lower bound (lambda/4 >= sqrt(delta)*theta) and dyadic trend where it
+    # is not (lambda = 0)
     from muskat.diagnostics import verify_trajectory_dir
 
+    thin = {"model = wnl1": "model = lubrication",
+            "sigma = 0.1": "delta = 0.01\nepsilon = 0.1"}
     cases = {
         "rate": ({}, "exponential_decay"),
         "trend": ({"lambda = 1.0": "lambda = 0.0"}, "a0_dyadic_trend"),
-        "thin_film": ({"model = wnl1": "model = lubrication",
-                       "lambda = 1.0": "lambda = 0.0",
-                       "sigma = 0.1": "delta = 0.01\nepsilon = 0.1"},
-                      "exponential_decay"),
+        "thin_film": (thin, "exponential_decay"),
+        "thin_film_lam0": ({**thin, "lambda = 1.0": "lambda = 0.0"},
+                           "a0_dyadic_trend"),
     }
     for name, (edits, branch) in cases.items():
         text = BASE_CFG.format(t_end=0.4, out=str(tmp_path / f"{name}_sim"))
@@ -475,3 +478,38 @@ def test_from_file_round_trip_through_cli(tmp_path):
     first = load_spectrum_csv(tmp_path / "follow" / "snapshots" / "t_000000.csv")
     orig = load_spectrum_csv(snap)
     assert np.all(first.coeffs == orig.coeffs)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("verify.flux.n_x = 256", "verify.flux.n_x = 256.5", "verify.flux.n_x"),
+    ("verify.flux.n_z = 65", "verify.flux.n_z = 8", "n_z"),
+])
+def test_verify_keys_rejected_not_truncated(tmp_path, capsys, key, value,
+                                            message):
+    # a non-integer grid size and a strip too thin for the flux check stop
+    # the run with exit code 1 instead of running a truncated or clamped grid
+    text = open(os.path.join(REPO, "configs", "verify.cfg")).read()
+    assert key in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(key, value))
+    out = tmp_path / "rep"
+    assert main(["verify", "flux", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "flux_report.json").exists()
+
+
+def test_verify_decay_thin_film_without_rate_checks_trend(tmp_path):
+    # lambda = 0: the short waves of the thin film decay more slowly than
+    # mode 1, so rate(1) bounds nothing and the rateless dyadic trend is
+    # checked; the fit would find 0.026 against a bound of 0.082
+    cfg = tmp_path / "lam0.cfg"
+    cfg.write_text(
+        "model = lubrication\nchi = 1\nlambda = 0\ntheta = 1.0\n"
+        "delta = 0.01\nepsilon = 0.1\nn_modes = 32\ndt = 0.02\nt_end = 40\n"
+        "output_cadence = 10\ninitial_condition = random_decay\n"
+        "initial_condition.p = 1\ninitial_condition.seed = 1\n")
+    out = tmp_path / "rep"
+    assert main(["verify", "decay", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "decay_report.json").read_text())
+    assert set(rep) == {"monotone_energy", "a0_dyadic_trend"}
+    assert rep["a0_dyadic_trend"]["passed"]

@@ -231,3 +231,30 @@ def test_trajectory_dir_self_describing(tmp_path):
     recs = read_energy_csv(str(out / "energy.csv"))
     assert len(recs) == len(traj.records)
     assert recs[5].energy == traj.records[5].energy
+
+
+def test_thin_film_rate_owed_only_where_rate1_bounds_every_mode():
+    # ModelSpec.decay_bound decides once whether a rate is owed: for the thin
+    # film only where lam/4 >= chi*sqrt(delta)*theta, for the small-slope
+    # models only where lam > 0; decay_checks and the fit both ask it
+    from muskat.diagnostics import decay_checks
+    from muskat.models import model_spec
+
+    def thin(lam):
+        return ModelParams.lubrication(chi=1, lam=lam, theta=1.0, delta=0.01,
+                                       epsilon=0.1)
+
+    assert model_spec(wnl(lam=0.0)).decay_bound() is None
+    assert model_spec(thin(0.0)).decay_bound() is None
+    assert model_spec(thin(0.39)).decay_bound() is None  # lam/4 < 0.1
+    assert model_spec(thin(0.41)).decay_bound() is not None
+    slow = _decaying_records(0.02)
+    with pytest.raises(ValueError, match="lam"):
+        check_exponential_decay(slow, thin(0.0))
+    assert set(decay_checks(slow, thin(0.0))) == {"monotone_energy",
+                                                  "a0_dyadic_trend"}
+    # where the rate is owed, a run decaying below the bound still fails
+    rated = decay_checks(slow, thin(1.0))
+    assert set(rated) == {"monotone_energy", "exponential_decay"}
+    assert rated["monotone_energy"]["passed"]
+    assert not rated["exponential_decay"]["passed"]

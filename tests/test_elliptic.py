@@ -9,7 +9,7 @@ from muskat.elliptic import (
     dense_solve,
     solve_quasilinear,
 )
-from muskat.models import _table, apply_quasilinear, forcing_wnl
+from muskat.models import _table, apply_quasilinear, forcing
 from muskat.params import ModelParams
 from muskat.spectral import SpectralField, galerkin_project, wiener_norm
 
@@ -137,7 +137,27 @@ def test_solved_field_feeds_quasilinear_identity(rng):
     # L_h(solve(h, N(h))) == N(h): the step the integrator relies on
     p = wnl(sigma=0.5, lam=1.0)
     h = random_field(64, rng, p=3.0, amplitude=0.01)
-    F = forcing_wnl(h, p)
+    F = forcing(h, p)
     U, rep = solve_quasilinear(h, F, p)
     back = apply_quasilinear(h, U, p)
     assert a0_dist(back, F) <= 10 * rep.tol
+
+
+def test_stall_contraction_estimate_repeats_from_another_vector():
+    # a stall reports the spectral radius of the update, found by power
+    # iteration from the last increment: the same factor, to 1e-3, as a
+    # power iteration started from an unrelated random vector
+    from muskat.elliptic import _stall_ratio
+
+    n = 32
+    p = wnl(sigma=3.0, lam=1.0)
+    h = SpectralField.cosine(3, 5.0, n)
+    with pytest.raises(NotContractingError) as exc:
+        solve_quasilinear(h, forcing(h, p), p)
+    est = exc.value.contraction_estimate
+    assert est > 1.0
+    tab = _table(n, p)
+    for seed in (1, 2):
+        w = random_field(n, np.random.default_rng(seed)).coeffs
+        again = _stall_ratio(tab, tab.phys(h.coeffs), w)
+        assert abs(again - est) <= 1e-3 * est

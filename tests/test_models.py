@@ -5,17 +5,14 @@ import pytest
 
 from muskat.elliptic import solve_quasilinear
 from muskat.models import (
-    apply_quasilinear_lub,
-    apply_quasilinear_wnl,
-    base_elliptic_symbol,
+    apply_quasilinear,
     commutator,
     commutator_sign_split,
-    forcing_lub,
-    forcing_wnl,
+    forcing,
     invert_base,
-    invert_lub_base,
     leading_velocity_wnl2,
     linear_decay_rate,
+    model_spec,
     rhs_wnl2,
 )
 from muskat.params import ModelParams
@@ -46,12 +43,12 @@ def cos_field(k, amp=1.0, n=32):
 # ---------------------------------------------------------------------------
 
 def test_base_symbol_values():
-    sym = base_elliptic_symbol(wnl(theta=1.0))
-    assert sym.eval(np.array([1.0]))[0] == pytest.approx(1 + T1, rel=1e-15)
-    assert sym.eval(np.array([0.0]))[0] == 1.0
-    sym_inf = base_elliptic_symbol(wnl(theta=0.5, depth="infinite"))
-    assert sym_inf.eval(np.array([2.0]))[0] == pytest.approx(5.0, rel=1e-15)
-    assert np.all(sym.eval(np.arange(65.0)) >= 1.0)
+    sym = model_spec(wnl(theta=1.0)).base
+    assert sym(np.array([1.0]))[0] == pytest.approx(1 + T1, rel=1e-15)
+    assert sym(np.array([0.0]))[0] == 1.0
+    sym_inf = model_spec(wnl(theta=0.5, depth="infinite")).base
+    assert sym_inf(np.array([2.0]))[0] == pytest.approx(5.0, rel=1e-15)
+    assert np.all(sym(np.arange(65.0)) >= 1.0)
 
 
 def test_invert_base():
@@ -67,7 +64,7 @@ def test_invert_base_round_trip(rng):
     for _ in range(10):
         F = random_field(32, rng, p=3.0)
         U = invert_base(F, p)
-        back = apply_quasilinear_wnl(SpectralField.zeros(32), U, p)
+        back = apply_quasilinear(SpectralField.zeros(32), U, p)
         assert a0_dist(back, F) <= 1e-12 * wiener_norm(F, 0)
 
 
@@ -153,12 +150,12 @@ def test_apply_quasilinear_wnl_reductions(rng):
     U = random_field(32, rng, p=4.0)
     p = wnl(sigma=1.0, theta=0.8)
     base = invert_base(U, p)  # ell0^{-1} U just to get a second field
-    out_h0 = apply_quasilinear_wnl(SpectralField.zeros(32), U, p)
+    out_h0 = apply_quasilinear(SpectralField.zeros(32), U, p)
     k = np.arange(33.0)
     ell = 1.0 + 0.8 * k**3 * np.tanh(np.minimum(k, 20))
     assert np.abs(out_h0.coeffs - ell * U.coeffs).max() < 1e-12
     p0 = wnl(sigma=0.0, theta=0.8)
-    out_s0 = apply_quasilinear_wnl(random_field(32, rng), U, p0)
+    out_s0 = apply_quasilinear(random_field(32, rng), U, p0)
     assert np.abs(out_s0.coeffs - ell * U.coeffs).max() < 1e-12
     assert base.n_modes == 32
 
@@ -166,22 +163,22 @@ def test_apply_quasilinear_wnl_reductions(rng):
 def test_apply_quasilinear_wnl_single_mode():
     p = wnl(sigma=1.0, theta=1.0)
     h = cos_field(1)
-    out = apply_quasilinear_wnl(h, h, p)
+    out = apply_quasilinear(h, h, p)
     assert out.coeffs[1] == pytest.approx((1 + T1) * COS_MODE, rel=1e-13)
     assert out.coeffs[2] == pytest.approx((1 - T1 * T2) * COS_MODE, rel=1e-13)
 
 
 def test_forcing_wnl_linear_part():
     p = wnl(sigma=0.0, lam=0.0, chi=1)
-    out = forcing_wnl(cos_field(1), p)
+    out = forcing(cos_field(1), p)
     assert out.coeffs[1] == pytest.approx(-T1 * COS_MODE, rel=1e-14)
-    assert np.all(forcing_wnl(SpectralField.zeros(32), p).coeffs == 0)
+    assert np.all(forcing(SpectralField.zeros(32), p).coeffs == 0)
 
 
 def test_forcing_wnl_infinite_single_mode_quadratic_cancels():
     # Lam(h Lam h) + dx(h dx h) = cos2x - cos2x = 0 for h = cos x
     p = wnl(sigma=1.0, lam=0.0, chi=1, depth="infinite")
-    out = forcing_wnl(cos_field(1), p)
+    out = forcing(cos_field(1), p)
     assert out.coeffs[1] == pytest.approx(-COS_MODE, rel=1e-13)
     mask = np.ones(33, bool)
     mask[1] = False
@@ -191,7 +188,7 @@ def test_forcing_wnl_infinite_single_mode_quadratic_cancels():
 def test_forcing_wnl_lambda_term():
     # sigma=0: forcing is -(chi + lam/4 k^4) G h per mode
     p = wnl(sigma=0.0, lam=2.0, chi=1)
-    out = forcing_wnl(cos_field(2), p)
+    out = forcing(cos_field(2), p)
     expect = -(1 + 0.5 * 16) * 2 * T2 * COS_MODE
     assert out.coeffs[2] == pytest.approx(expect, rel=1e-14)
 
@@ -235,7 +232,7 @@ def test_rhs_wnl2_close_to_model1_for_small_data():
     p1 = wnl(sigma=1.0, lam=0.0, theta=1.0, model="wnl1")
     p2 = wnl(sigma=1.0, lam=0.0, theta=1.0, model="wnl2")
     h = cos_field(1, a, n)
-    F = forcing_wnl(h, p1)
+    F = forcing(h, p1)
     U1, _ = solve_quasilinear(h, F, p1, tol=1e-16)
     U2 = rhs_wnl2(h, p2)
     rel = a0_dist(U1, U2) / wiener_norm(U1, 0)
@@ -250,7 +247,7 @@ def test_model_agreement_quadratic_order():
     for a in (1e-2, 1e-3, 1e-4):
         h = SpectralField.cosine(1, a, 32)
         h.coeffs[2] = 0.5 * a * COS_MODE
-        F = forcing_wnl(h, p1)
+        F = forcing(h, p1)
         U1, _ = solve_quasilinear(h, F, p1, tol=1e-15)
         U2 = rhs_wnl2(h, p2)
         a1 = wiener_norm(h, 1)
@@ -269,14 +266,14 @@ def lub(eps=0.0, delta=1.0, lam=0.0, theta=1.0, chi=1):
 
 
 def test_forcing_lub_linear():
-    out = forcing_lub(cos_field(1), lub(eps=0.0, delta=1.0, lam=0.0))
+    out = forcing(cos_field(1), lub(eps=0.0, delta=1.0, lam=0.0))
     assert out.coeffs[1] == pytest.approx(-COS_MODE, rel=1e-14)
-    assert np.all(forcing_lub(SpectralField.zeros(32), lub()).coeffs == 0)
+    assert np.all(forcing(SpectralField.zeros(32), lub()).coeffs == 0)
 
 
 def test_forcing_lub_quadratic_transport():
     a = 0.1
-    out = forcing_lub(cos_field(1, a), lub(eps=1.0, delta=1.0, lam=0.0))
+    out = forcing(cos_field(1, a), lub(eps=1.0, delta=1.0, lam=0.0))
     # quadratic part: dx(a cos * dx(a cos)) = -a^2 cos 2x
     assert out.coeffs[2] == pytest.approx(-(a**2) * COS_MODE, rel=1e-12)
     assert out.coeffs[1] == pytest.approx(-a * COS_MODE, rel=1e-12)
@@ -285,25 +282,25 @@ def test_forcing_lub_quadratic_transport():
 def test_apply_quasilinear_lub():
     p = lub(eps=1.0, delta=1.0, theta=1.0)
     h = cos_field(1)
-    out = apply_quasilinear_lub(h, h, p)
+    out = apply_quasilinear(h, h, p)
     assert out.coeffs[1] == pytest.approx(2 * COS_MODE, rel=1e-13)
     assert out.coeffs[2] == pytest.approx(COS_MODE, rel=1e-13)
     p0 = lub(eps=0.0, delta=0.25, theta=2.0)
     U = cos_field(2)
-    out0 = apply_quasilinear_lub(SpectralField.zeros(32), U, p0)
+    out0 = apply_quasilinear(SpectralField.zeros(32), U, p0)
     assert out0.coeffs[2] == pytest.approx((1 + 0.5 * 2.0 * 16) * COS_MODE, rel=1e-13)
-    assert np.all(apply_quasilinear_lub(h, SpectralField.zeros(32), p).coeffs == 0)
+    assert np.all(apply_quasilinear(h, SpectralField.zeros(32), p).coeffs == 0)
 
 
 def test_invert_lub_base_round_trip(rng):
     p = lub(eps=0.0, delta=1.0, theta=1.0)
     F = cos_field(1)
-    U = invert_lub_base(F, p)
+    U = invert_base(F, p)
     assert U.coeffs[1] == pytest.approx(0.5 * COS_MODE, rel=1e-14)
     for _ in range(5):
         F = random_field(32, rng, p=3.0)
-        back = apply_quasilinear_lub(
-            SpectralField.zeros(32), invert_lub_base(F, p), p
+        back = apply_quasilinear(
+            SpectralField.zeros(32), invert_base(F, p), p
         )
         assert a0_dist(back, F) <= 1e-12 * wiener_norm(F, 0)
 
@@ -311,7 +308,7 @@ def test_invert_lub_base_round_trip(rng):
 def test_lub_linear_rates(rng):
     p = lub(eps=0.0, delta=0.01, lam=1.0, theta=1.0)
     h = random_field(32, rng, p=3.0)
-    F = forcing_lub(h, p)
+    F = forcing(h, p)
     U, _ = solve_quasilinear(h, F, p)
     k = np.arange(1, 33)
     rates = -U.coeffs[1:] / h.coeffs[1:]
@@ -322,7 +319,7 @@ def test_wnl_linear_rates_solved(rng):
     for depth in ("finite", "infinite"):
         p = wnl(sigma=0.0, lam=0.5, theta=2.0, depth=depth)
         h = random_field(32, rng, p=3.0)
-        U, _ = solve_quasilinear(h, forcing_wnl(h, p), p)
+        U, _ = solve_quasilinear(h, forcing(h, p), p)
         k = np.arange(1, 33)
         rates = -U.coeffs[1:] / h.coeffs[1:]
         assert np.abs(rates - linear_decay_rate(k, p)).max() < 1e-12
@@ -382,7 +379,7 @@ def test_batched_pipeline_matches_naive_composition(rng):
         for _ in range(10):
             h = random_field(48, rng, p=3.0, amplitude=0.3)
             v = random_field(48, rng, p=4.0)
-            fast = forcing_wnl(h, p)
+            fast = forcing(h, p)
             naive = _naive_forcing_wnl(h, p)
             scale = max(wiener_norm(naive, 0), 1e-30)
             assert a0_dist(fast, naive) <= 1e-12 * scale
@@ -409,7 +406,7 @@ def test_lub_forcing_matches_naive_composition(rng):
                              + p.epsilon * pointwise_product(h, w).coeffs)
         naive = project_mean_zero(SpectralField(
             _math.sqrt(p.delta) * apply_multiplier(flux, dx).coeffs))
-        fast = forcing_lub(h, p)
+        fast = forcing(h, p)
         scale = max(wiener_norm(naive, 0), 1e-30)
         assert a0_dist(fast, naive) <= 1e-12 * scale
 
@@ -425,13 +422,13 @@ def test_all_operations_preserve_mean_zero_and_finiteness(rng):
         h = random_field(24, rng, p=rng.uniform(2, 4), amplitude=0.1)
         v = random_field(24, rng, p=4.0)
         outs = [
-            forcing_wnl(h, p),
+            forcing(h, p),
             commutator(h, v, p),
-            apply_quasilinear_wnl(h, v, p),
+            apply_quasilinear(h, v, p),
             rhs_wnl2(h, p),
             leading_velocity_wnl2(h, p),
-            forcing_lub(h, pl),
-            apply_quasilinear_lub(h, v, pl),
+            forcing(h, pl),
+            apply_quasilinear(h, v, pl),
         ]
         for out in outs:
             assert out.coeffs[0] == 0.0

@@ -18,7 +18,11 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
 * the preconditioned CG strip solve equals a sparse LU solve of the same
   assembled system;
 * ``strip._simpson`` is bitwise equal to ``scipy.integrate.simpson``, which
-  the package itself no longer imports.
+  the package itself no longer imports;
+* for all three models: ``apply_quasilinear`` is linear in U,
+  ``invert_base`` inverts it at h = 0, every public operator returns a
+  mean-zero field even from inputs with a mean, and the fixed point
+  ``elliptic._solve_raw`` agrees with ``elliptic.dense_solve``.
 """
 
 import math
@@ -28,7 +32,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muskat import _kernels, integrate, models, strip
+from muskat import _kernels, elliptic, integrate, models, strip
 from muskat.elliptic import solve_quasilinear
 from muskat.models import _table
 from muskat.params import ModelParams
@@ -109,7 +113,7 @@ def four_product_forcing(h, p, product):
 def test_folded_forcing_matches_four_products(n, seed, depth, chi, sigma, lam):
     p = ModelParams(chi=chi, lam=lam, theta=1.0, sigma=sigma, depth=depth)
     h = field(n, seed)
-    folded = models.forcing_wnl(h, p)
+    folded = models.forcing(h, p)
     for product in (pointwise_product, direct_product):
         ref = four_product_forcing(h, p, product)
         assert a0_dist(folded, ref) <= 1e-12 * max(wiener_norm(ref, 0), 1e-30)
@@ -130,7 +134,7 @@ def test_folded_update_matches_perturbation(n, seed, depth, sigma, theta, lub):
         tab, tab.phys(h.coeffs), V.coeffs)
     folded[0] = 0.0
     if lub:
-        pert = models.apply_quasilinear_lub(h, V, p).coeffs - tab.lub_base * V.coeffs
+        pert = models.apply_quasilinear(h, V, p).coeffs - tab.base * V.coeffs
     else:
         pert = sigma * theta * models.commutator(h, V, p).coeffs
     ref = (F.coeffs - pert) / tab.base
@@ -154,7 +158,7 @@ def test_rhs_raw_matches_public_route(n, seed, depth, sigma, amplitude, model):
     got, _ = integrate._rhs_raw(_table(n, p), h.coeffs, None, 200)
     if model == "wnl2":
         mu = models.leading_velocity_wnl2(h, p)
-        f = models.forcing_wnl(h, p).coeffs
+        f = models.forcing(h, p).coeffs
         f = f - p.sigma * p.theta * models.commutator(h, mu, p).coeffs
         ref = models.invert_base(SpectralField(f), p)
     else:
@@ -217,3 +221,77 @@ def test_simpson_bitwise_equals_scipy(n_z, rows, seed, dx):
                               simpson(y, dx=dx, axis=1))
         assert np.array_equal(strip._simpson(y, 1.0 / (n - 1)),
                               simpson(y, dx=1.0 / (n - 1), axis=1))
+
+
+models3 = st.sampled_from(["wnl1", "wnl2", "lubrication"])
+
+
+def model_params(model, depth, sigma, theta=1.0):
+    if model == "lubrication":
+        return ModelParams.lubrication(lam=1.0, theta=theta, epsilon=sigma,
+                                       delta=0.5)
+    return ModelParams(lam=1.0, theta=theta, sigma=sigma, depth=depth,
+                       model=model)
+
+
+@PROPS
+@given(n=n_modes, seed=seeds, depth=depths, model=models3, sigma=unit,
+       theta=st.floats(0.1, 3.0), a=st.floats(-2.0, 2.0),
+       b=st.floats(-2.0, 2.0))
+def test_apply_quasilinear_linear_in_u(n, seed, depth, model, sigma, theta,
+                                       a, b):
+    p = model_params(model, depth, sigma, theta)
+    h, U, W = (field(n, seed + j) for j in range(3))
+    LU, LW = (models.apply_quasilinear(h, f, p) for f in (U, W))
+    got = models.apply_quasilinear(
+        h, SpectralField(a * U.coeffs + b * W.coeffs), p)
+    ref = SpectralField(a * LU.coeffs + b * LW.coeffs)
+    scale = abs(a) * wiener_norm(LU, 0) + abs(b) * wiener_norm(LW, 0)
+    assert a0_dist(got, ref) <= 1e-12 * max(scale, 1e-30)
+
+
+@PROPS
+@given(n=n_modes, seed=seeds, depth=depths, model=models3, sigma=unit,
+       theta=st.floats(0.1, 3.0))
+def test_invert_base_inverts_quasilinear_at_zero(n, seed, depth, model,
+                                                 sigma, theta):
+    p = model_params(model, depth, sigma, theta)
+    F = field(n, seed)
+    back = models.apply_quasilinear(SpectralField.zeros(n),
+                                    models.invert_base(F, p), p)
+    assert a0_dist(back, F) <= 1e-14 * wiener_norm(F, 0)
+
+
+@PROPS
+@given(n=n_modes, seed=seeds, depth=depths, model=models3, sigma=unit,
+       mean=st.floats(-1.0, 1.0).filter(lambda x: x != 0.0))
+def test_public_operators_mean_zero(n, seed, depth, model, sigma, mean):
+    p = model_params(model, depth, sigma)
+    h, V = (field(n, seed + j, 0.1) for j in range(2))
+    h.coeffs[0] = mean
+    V.coeffs[0] = -2.0 * mean
+    outs = [
+        models.forcing(h, p),
+        models.apply_quasilinear(h, V, p),
+        models.invert_base(V, p),
+        models.commutator(h, V, p),
+        *models.commutator_sign_split(h, V, p),
+        models.leading_velocity_wnl2(h, p),
+        models.rhs_wnl2(h, p),
+    ]
+    for out in outs:
+        assert out.coeffs[0] == 0.0
+
+
+@PROPS
+@given(n=st.integers(2, 12), seed=seeds, depth=depths, model=models3,
+       sigma=st.floats(0.0, 0.5), amplitude=st.floats(1e-3, 5e-2))
+def test_solve_raw_matches_dense_solve(n, seed, depth, model, sigma,
+                                       amplitude):
+    p = model_params(model, depth, sigma)
+    tab = _table(n, p)
+    h, F = field(n, seed, amplitude), field(n, seed + 1)
+    tol = 1e-14 * elliptic._norm_raw(tab, F.coeffs)
+    U, _, _ = elliptic._solve_raw(tab, F.coeffs, tab.phys(h.coeffs), tol, 200)
+    ref = elliptic.dense_solve(h, F, p)
+    assert a0_dist(SpectralField(U), ref) <= 1e-11 * wiener_norm(ref, 0)

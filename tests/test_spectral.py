@@ -159,7 +159,7 @@ def test_product_algebra_bound(rng):
 
 def test_tanh_saturation_exact_one():
     sym = depth_symbol("finite")
-    vals = sym.eval(np.array([21.0, 100.0, 1000.0]))
+    vals = sym(np.array([21.0, 100.0, 1000.0]))
     assert np.all(vals == np.array([21.0, 100.0, 1000.0]))
 
 
