@@ -9,10 +9,10 @@ nested formats here.  See README for the full schema.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import _kernels
-from .params import ModelParams
+from .params import KEY_NAMES, ModelParams, keyed_dict
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -49,7 +49,10 @@ def _as_float(key, v):
 
 
 def _as_int(key, v):
-    f = _as_float(key, v)
+    try:
+        return int(str(v))  # exact, also past 2**53 where floats are not
+    except ValueError:
+        f = _as_float(key, v)
     if f != int(f):
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
     return int(f)
@@ -61,11 +64,57 @@ def _as_float_list(key, v):
     return [_as_float(key, part) for part in str(v).split(",") if part.strip()]
 
 
-_KNOWN_TOP = {
-    "model", "depth", "chi", "lambda", "theta", "sigma", "delta", "epsilon",
-    "n_modes", "dt", "t_end", "output_cadence", "snapshot_cadence", "scheme",
-    "tol", "max_iter", "rng_seed", "output_dir", "initial_condition",
+def _as_str(key, v):
+    return "" if v is None else str(v)
+
+
+# the parser of each scalar SolverConfig field, by its annotated type
+_PARSERS = {int: _as_int, float: _as_float, float | None: _as_float, str: _as_str}
+
+# initial_condition kinds -> their keys and defaults (None: no default;
+# seed is optional, from_file's path required)
+_IC_KINDS = {
+    "single_mode": {"k": 1, "amplitude": 1e-3},
+    "random_decay": {"p": 3, "amplitude": 1e-3, "seed": None},
+    "from_file": {"path": None},
 }
+_IC_PARSERS = {"k": _as_int, "amplitude": _as_float, "p": _as_float,
+               "seed": _as_int, "path": _as_str}
+
+# verify.<suite>.<key> -> the default `muskat verify` reads; None where it
+# derives the value (n_modes from n_x; flux without h_mode runs on a flat
+# interface).  Any other verify key is rejected.
+VERIFY_DEFAULTS = {
+    "bounds": {"samples": 500, "n_modes": 64},
+    "dtn": {"n_x": 512, "n_z": 256, "sigmas": "0.2,0.1,0.05", "n_modes": None,
+            "h_mode": 1, "h_amplitude": 1.0, "psi_mode": 2,
+            "psi_amplitude": 1.0},
+    "flux": {"n_x": 256, "n_z": 65, "deltas": "0.04,0.02,0.01",
+             "n_modes": None, "f_mode": 1, "f_amplitude": 1.0, "h_mode": None,
+             "h_amplitude": 1.0},
+}
+_VERIFY_KEYS = {f"{suite}.{key}" for suite, keys in VERIFY_DEFAULTS.items()
+                for key in keys}
+
+
+def _initial_condition(ic):
+    """The initial_condition section {key: value} -> its normalized dict:
+    the kind, and each key of that kind parsed or defaulted."""
+    unknown = set(ic) - {"kind", *_IC_PARSERS}
+    if unknown:
+        raise ConfigError(f"unknown initial_condition keys: {sorted(unknown)}")
+    kind = ic.get("kind", "single_mode")
+    if kind not in _IC_KINDS:
+        raise ConfigError(f"unknown initial_condition {kind!r}")
+    out = {"kind": kind}
+    for key, default in _IC_KINDS[kind].items():
+        if key in ic or default is not None:
+            out[key] = _IC_PARSERS[key](f"initial_condition.{key}",
+                                        ic.get(key, default))
+    if kind == "from_file" and "path" not in out:
+        raise ConfigError("initial_condition = from_file requires "
+                          "initial_condition.path")
+    return out
 
 
 @dataclass
@@ -90,8 +139,7 @@ class SolverConfig:
     max_iter: int = 200
     rng_seed: int = 0
     output_dir: str = ""
-    ic: dict = field(default_factory=lambda: {"kind": "single_mode",
-                                              "k": 1, "amplitude": 1e-3})
+    ic: dict = field(default_factory=lambda: _initial_condition({}))
     verify: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -109,29 +157,12 @@ class SolverConfig:
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
 
-    def as_dict(self):
-        return {
-            "model": self.model,
-            "depth": self.depth,
-            "chi": self.chi,
-            "lambda": self.lam,
-            "theta": self.theta,
-            "sigma": self.sigma,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "n_modes": self.n_modes,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "output_cadence": self.output_cadence,
-            "snapshot_cadence": self.snapshot_cadence,
-            "scheme": self.scheme,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "rng_seed": self.rng_seed,
-            "output_dir": self.output_dir,
-            "initial_condition": dict(self.ic),
-            "verify": {k: v for k, v in sorted(self.verify.items())},
-        }
+    as_dict = keyed_dict
+
+
+# verify is a section, never a top-level value
+_KNOWN_TOP = {KEY_NAMES.get(f.name, f.name) for f in fields(SolverConfig)} \
+    - {"verify"}
 
 
 def load_config(source):
@@ -149,95 +180,40 @@ def load_config(source):
 
     # meta.json style: nested initial_condition / verify dicts
     ic = raw.pop("initial_condition", None)
-    nested_verify = raw.pop("verify", None) if isinstance(raw.get("verify"), dict) \
-        else None
-
-    flat_ic = {}
-    verify = dict(nested_verify) if nested_verify else {}
+    if not isinstance(ic, dict):
+        ic = {} if ic is None else {"kind": str(ic)}
+    ic = dict(ic)
+    verify = dict(raw.pop("verify")) if isinstance(raw.get("verify"), dict) else {}
     for key in list(raw):
         if key.startswith("initial_condition."):
-            flat_ic[key.split(".", 1)[1]] = raw.pop(key)
+            ic[key.split(".", 1)[1]] = raw.pop(key)
         elif key.startswith("verify."):
             verify[key.split(".", 1)[1]] = raw.pop(key)
 
     unknown = set(raw) - _KNOWN_TOP
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    unknown = set(verify) - _VERIFY_KEYS
+    if unknown:
+        raise ConfigError("unknown verify keys: "
+                          f"{sorted('verify.' + k for k in unknown)}")
 
-    ic_dict = {"kind": "single_mode", "k": 1, "amplitude": 1e-3}
-    if isinstance(ic, dict):
-        ic_dict = dict(ic)
-    elif ic is not None:
-        ic_dict = {"kind": str(ic)}
-    for k, v in flat_ic.items():
-        ic_dict[k] = v
-    kind = ic_dict.get("kind", "single_mode")
-    if kind not in ("single_mode", "random_decay", "from_file"):
-        raise ConfigError(f"unknown initial_condition {kind!r}")
-    ic_norm = {"kind": kind}
-    if kind == "single_mode":
-        ic_norm["k"] = _as_int("initial_condition.k", ic_dict.get("k", 1))
-        ic_norm["amplitude"] = _as_float(
-            "initial_condition.amplitude", ic_dict.get("amplitude", 1e-3))
-    elif kind == "random_decay":
-        ic_norm["p"] = _as_float("initial_condition.p", ic_dict.get("p", 3))
-        ic_norm["amplitude"] = _as_float(
-            "initial_condition.amplitude", ic_dict.get("amplitude", 1e-3))
-        if "seed" in ic_dict:
-            ic_norm["seed"] = _as_int("initial_condition.seed", ic_dict["seed"])
-    else:
-        if "path" not in ic_dict:
-            raise ConfigError("initial_condition = from_file requires "
-                              "initial_condition.path")
-        ic_norm["path"] = str(ic_dict["path"])
-
-    model = str(raw.get("model", "wnl1"))
-    epsilon = _as_float("epsilon", raw.get("epsilon", 0.0))
-    delta = _as_float("delta", raw.get("delta", 1.0))
-    if "sigma" in raw and raw["sigma"] is not None and raw["sigma"] != "":
-        sigma = _as_float("sigma", raw["sigma"])
-    elif model == "lubrication":
-        sigma = epsilon * math.sqrt(delta)
-    else:
-        sigma = 0.0
-
-    tol_raw = raw.get("tol")
-    tol = None if tol_raw in (None, "", "auto") else _as_float("tol", tol_raw)
-
-    cfg = SolverConfig(
-        model=model,
-        depth=str(raw.get("depth", "finite")),
-        chi=_as_int("chi", raw.get("chi", 1)),
-        lam=_as_float("lambda", raw.get("lambda", 0.0)),
-        theta=_as_float("theta", raw.get("theta", 1.0)),
-        sigma=sigma,
-        delta=delta,
-        epsilon=epsilon,
-        n_modes=_as_int("n_modes", raw.get("n_modes", 64)),
-        dt=_as_float("dt", raw.get("dt", 1e-3)),
-        t_end=_as_float("t_end", raw.get("t_end", 1.0)),
-        output_cadence=_as_int("output_cadence", raw.get("output_cadence", 10)),
-        snapshot_cadence=_as_int("snapshot_cadence",
-                                 raw.get("snapshot_cadence", 10)),
-        scheme=str(raw.get("scheme", "rk4")),
-        tol=tol,
-        max_iter=_as_int("max_iter", raw.get("max_iter", 200)),
-        rng_seed=_as_int("rng_seed", raw.get("rng_seed", 0)),
-        output_dir=str(raw.get("output_dir", "") or ""),
-        ic=ic_norm,
-        verify=verify,
-    )
+    # an empty sigma is derived below, an empty or "auto" tol is the default
+    if raw.get("sigma") in (None, ""):
+        raw.pop("sigma", None)
+    if raw.get("tol") in (None, "", "auto"):
+        raw.pop("tol", None)
+    scalars = {}
+    for f in fields(SolverConfig):
+        key = KEY_NAMES.get(f.name, f.name)
+        if key in raw and f.type in _PARSERS:
+            scalars[f.name] = _PARSERS[f.type](key, raw[key])
+    cfg = SolverConfig(**scalars, ic=_initial_condition(ic), verify=verify)
+    if "sigma" not in raw and cfg.model == "lubrication":
+        cfg.sigma = cfg.epsilon * math.sqrt(cfg.delta)
     try:
-        params = ModelParams(
-            chi=cfg.chi,
-            lam=cfg.lam,
-            theta=cfg.theta,
-            sigma=cfg.sigma,
-            delta=cfg.delta,
-            epsilon=cfg.epsilon,
-            depth=cfg.depth,
-            model=cfg.model,
-        )
+        params = ModelParams(**{f.name: getattr(cfg, f.name)
+                                for f in fields(ModelParams)})
     except ValueError as exc:
         raise ConfigError(str(exc))
     return cfg, params
@@ -282,7 +258,9 @@ def write_meta(path, config, params, extra=None):
     meta = {
         "version": PACKAGE_VERSION,
         "kernel_lane": _kernels.KERNEL_LANE,
-        "config": config.as_dict(),
+        # the params the run used, also where a library caller left those
+        # config fields at their defaults: the directory re-verifies as run
+        "config": {**config.as_dict(), **params.as_dict()},
         "params": params.as_dict(),
     }
     if extra:

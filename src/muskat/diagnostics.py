@@ -16,6 +16,7 @@ on seeded random ensembles.
 """
 
 import json
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,18 +35,16 @@ MIN_FIT_RECORDS = 20
 _CSV_ROW = ",".join(["%.17g"] * 10 + ["%d"])
 
 
+@dataclass(slots=True)
 class EnergyRecord:
     """One sampled instant of a trajectory."""
 
-    __slots__ = ("t", "norms", "energy", "dth_a0", "dth_high", "iters")
-
-    def __init__(self, t, norms, energy, dth_a0, dth_high, iters):
-        self.t = t
-        self.norms = tuple(norms)  # A^0..A^5 of h
-        self.energy = energy
-        self.dth_a0 = dth_a0
-        self.dth_high = dth_high  # A^3 (small slope) or A^4 (thin film) of dh/dt
-        self.iters = iters
+    t: float
+    norms: list  # A^0..A^5 of h
+    energy: float
+    dth_a0: float
+    dth_high: float  # A^3 (small slope) or A^4 (thin film) of dh/dt
+    iters: int
 
     def csv_row(self):
         return _CSV_ROW % (self.t, *self.norms, self.energy, self.dth_a0,
@@ -57,14 +56,7 @@ class EnergyRecord:
         if len(parts) != 11:
             raise ValueError(f"expected 11 columns, got {len(parts)}")
         vals = [float(p) for p in parts[:10]]
-        return cls(
-            t=vals[0],
-            norms=vals[1:7],
-            energy=vals[7],
-            dth_a0=vals[8],
-            dth_high=vals[9],
-            iters=int(parts[10]),
-        )
+        return cls(vals[0], vals[1:7], *vals[7:], int(parts[10]))
 
 
 def energy(h, params):
@@ -98,14 +90,12 @@ def make_record(t, h, dth, iters, params):
 # trajectory checks
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class DecayVerdict:
-    __slots__ = ("passed", "first_violation", "max_uptick", "n_records")
-
-    def __init__(self, passed, first_violation, max_uptick, n_records):
-        self.passed = passed
-        self.first_violation = first_violation  # (index, t) or None
-        self.max_uptick = max_uptick
-        self.n_records = n_records
+    passed: bool
+    first_violation: tuple | None  # (index, t)
+    max_uptick: float
+    n_records: int
 
     def as_dict(self):
         return {
@@ -136,24 +126,15 @@ def check_monotone_decay(records):
     return DecayVerdict(passed, first, max_uptick, len(records))
 
 
+@dataclass(slots=True)
 class RateReport:
-    __slots__ = ("fitted_rate", "rate_bound", "passed", "half_rates", "degenerate")
+    fitted_rate: float
+    rate_bound: float
+    passed: bool
+    half_rates: list | None
+    degenerate: bool
 
-    def __init__(self, fitted_rate, rate_bound, passed, half_rates, degenerate):
-        self.fitted_rate = fitted_rate
-        self.rate_bound = rate_bound
-        self.passed = passed
-        self.half_rates = half_rates
-        self.degenerate = degenerate
-
-    def as_dict(self):
-        return {
-            "fitted_rate": self.fitted_rate,
-            "rate_bound": self.rate_bound,
-            "passed": self.passed,
-            "half_rates": list(self.half_rates) if self.half_rates else None,
-            "degenerate": self.degenerate,
-        }
+    as_dict = asdict
 
 
 def check_exponential_decay(records, params):

@@ -19,6 +19,7 @@ it.
 """
 
 import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +30,10 @@ from .spectral import SpectralField, check_same_grid, wiener_norm
 
 DEFAULT_MAX_ITER = 200
 _STALL_LIMIT = 3
-_POWER_STEPS = 50  # power-iteration budget of a stall's contraction factor
+# power iteration of a stall's contraction factor: step budget, and the
+# lag and relative tolerance of its stop rule
+_POWER_STEPS = 200
+_POWER_LAG = 10
 _POWER_RTOL = 1e-3
 
 
@@ -60,39 +64,19 @@ class MaxIterationsError(SolverError):
         self.iterations = iterations
 
 
+@dataclass(slots=True)
 class FixedPointReport:
     """Iteration diagnostics of one quasilinear solve."""
 
-    __slots__ = (
-        "iterations",
-        "final_residual",
-        "contraction_estimate",
-        "converged",
-        "increments",
-        "norm_order",
-        "tol",
-    )
+    iterations: int
+    final_residual: float
+    contraction_estimate: float
+    converged: bool
+    increments: tuple
+    norm_order: int
+    tol: float
 
-    def __init__(self, iterations, final_residual, contraction_estimate,
-                 converged, increments, norm_order, tol):
-        self.iterations = iterations
-        self.final_residual = final_residual
-        self.contraction_estimate = contraction_estimate
-        self.converged = converged
-        self.increments = tuple(increments)
-        self.norm_order = norm_order
-        self.tol = tol
-
-    def as_dict(self):
-        return {
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "contraction_estimate": self.contraction_estimate,
-            "converged": self.converged,
-            "increments": list(self.increments),
-            "norm_order": self.norm_order,
-            "tol": self.tol,
-        }
+    as_dict = asdict
 
 
 def default_tolerance(F):
@@ -164,19 +148,24 @@ def _stall_ratio(tab, hphys, d):
     The estimate is the two-step gain sqrt(||S^2 d|| / ||d||): a
     single-mode h couples mode k to k +- m only, so the dominant
     eigenvalues of S come as a pair +-lam and one-step gains alternate
-    around |lam|.  Stops when two estimates agree to _POWER_RTOL relative,
-    or after _POWER_STEPS steps.
+    around |lam|.  Stops when an estimate agrees to _POWER_RTOL relative
+    with the one _POWER_LAG steps earlier, or after _POWER_STEPS steps:
+    where the next eigenvalue lies close (the thin film), successive
+    estimates agree to that tolerance long before they converge.
     """
-    gain = prev = None
+    ests = []
+    gain = None
     for _ in range(_POWER_STEPS):
         d, g = _gain(tab, hphys, d)
         if not 0.0 < g < math.inf:
             return g
         d /= _norm_raw(tab, d)
         est = g if gain is None else math.sqrt(gain * g)
-        if prev is not None and abs(est - prev) <= _POWER_RTOL * est:
+        if (len(ests) >= _POWER_LAG
+                and abs(est - ests[-_POWER_LAG]) <= _POWER_RTOL * est):
             break
-        gain, prev = g, est
+        ests.append(est)
+        gain = g
     return est
 
 
@@ -204,7 +193,7 @@ def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
         final_residual=residual,
         contraction_estimate=_contraction_estimate(increments),
         converged=True,
-        increments=increments,
+        increments=tuple(increments),
         norm_order=tab.spec.norm_order,
         tol=tol,
     )
@@ -245,22 +234,14 @@ def dense_solve(h, F, params):
     return SpectralField(from_vec(sol), copy=False)
 
 
+@dataclass(slots=True)
 class SmallnessReport:
-    __slots__ = ("h_a1", "contraction_factor", "probe_ratios", "passed")
+    h_a1: float
+    contraction_factor: float
+    probe_ratios: tuple
+    passed: bool
 
-    def __init__(self, h_a1, contraction_factor, probe_ratios, passed):
-        self.h_a1 = h_a1
-        self.contraction_factor = contraction_factor
-        self.probe_ratios = tuple(probe_ratios)
-        self.passed = passed
-
-    def as_dict(self):
-        return {
-            "h_a1": self.h_a1,
-            "contraction_factor": self.contraction_factor,
-            "probe_ratios": list(self.probe_ratios),
-            "passed": self.passed,
-        }
+    as_dict = asdict
 
 
 def certify_smallness(h, params, n_probes=5, seed=0):
@@ -280,6 +261,6 @@ def certify_smallness(h, params, n_probes=5, seed=0):
     return SmallnessReport(
         h_a1=wiener_norm(h, 1),
         contraction_factor=factor,
-        probe_ratios=ratios,
+        probe_ratios=tuple(ratios),
         passed=factor < 1.0,
     )

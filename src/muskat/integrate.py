@@ -15,6 +15,7 @@ accepted step.
 """
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,34 +45,26 @@ class StepSizeUnderflowError(SolverError):
         self.rejected_steps = rejected_steps  # trajectory total, this one included
 
 
+@dataclass(slots=True)
 class IntegratorState:
     """Time, current field, step size and bookkeeping for one trajectory."""
 
-    __slots__ = (
-        "t",
-        "h",
-        "dt",
-        "dt_max",
-        "scheme",
-        "step_count",
-        "rejected_steps",
-        "accepted_streak",
-    )
+    h: SpectralField
+    dt: float
+    scheme: str = "rk4"
+    t: float = 0.0
+    dt_max: float | None = None  # None: dt
+    step_count: int = 0
+    rejected_steps: int = 0
+    accepted_streak: int = 0
 
-    def __init__(self, h, dt, scheme="rk4", t=0.0, dt_max=None,
-                 step_count=0, rejected_steps=0, accepted_streak=0):
-        if dt <= 0:
+    def __post_init__(self):
+        if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if scheme not in ("euler", "rk4"):
+        if self.scheme not in ("euler", "rk4"):
             raise ValueError("scheme must be 'euler' or 'rk4'")
-        self.t = t
-        self.h = h
-        self.dt = dt
-        self.dt_max = dt if dt_max is None else dt_max
-        self.scheme = scheme
-        self.step_count = step_count
-        self.rejected_steps = rejected_steps
-        self.accepted_streak = accepted_streak
+        if self.dt_max is None:
+            self.dt_max = self.dt
 
 
 def _rhs_raw(tab, c, tol, max_iter):
@@ -163,17 +156,13 @@ def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
     return new, SpectralField._checked(k1), n1 + iters
 
 
+@dataclass(slots=True)
 class Trajectory:
-    """In-memory record list plus (optionally) the on-disk layout."""
+    """The records, final field and rejected steps of one run."""
 
-    def __init__(self, records, params, config_dict, final_h,
-                 out_dir=None, rejected_steps=0):
-        self.records = records
-        self.params = params
-        self.config = config_dict
-        self.final_h = final_h
-        self.out_dir = out_dir
-        self.rejected_steps = rejected_steps
+    records: list
+    final_h: SpectralField
+    rejected_steps: int
 
 
 def run(h0, params, config):
@@ -188,10 +177,9 @@ def run(h0, params, config):
     """
     from .config import trajectory_paths, write_meta
 
-    out_dir = config.output_dir
     paths = None
-    if out_dir:
-        paths = trajectory_paths(out_dir)
+    if config.output_dir:
+        paths = trajectory_paths(config.output_dir)
         os.makedirs(paths["snapshots"], exist_ok=True)
     tab = _table(h0.n_modes, params)
 
@@ -255,14 +243,6 @@ def run(h0, params, config):
     except Exception as exc:
         failure = exc  # any other error: keep what was computed, re-raise
 
-    traj = Trajectory(
-        records,
-        params,
-        config.as_dict(),
-        final_h=state.h,
-        out_dir=out_dir,
-        rejected_steps=state.rejected_steps,
-    )
     if paths:
         with open(paths["energy"], "w") as fh:
             fh.write(diagnostics.ENERGY_HEADER + "\n")
@@ -279,4 +259,4 @@ def run(h0, params, config):
         write_meta(paths["meta"], config, params, extra=extra)
     if failure is not None:
         raise failure
-    return traj
+    return Trajectory(records, state.h, state.rejected_steps)

@@ -1,12 +1,21 @@
 """Dimensionless model parameters and the nondimensionalization map."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 MODELS = ("wnl1", "wnl2", "lubrication")
 DEPTHS = ("finite", "infinite")
 
 THETA_REQUIREMENT = "theta must be > 0 (every well-posedness regime assumes it)"
+
+# attribute -> key in config files and meta.json, where the two differ
+KEY_NAMES = {"lam": "lambda", "ic": "initial_condition"}
+
+
+def keyed_dict(record):
+    """``dataclasses.asdict`` of a parameter or config record, keyed as in
+    config files and meta.json."""
+    return {KEY_NAMES.get(k, k): v for k, v in asdict(record).items()}
 
 
 @dataclass(frozen=True)
@@ -58,28 +67,11 @@ class ModelParams:
 
     @classmethod
     def lubrication(cls, chi=1, lam=0.0, theta=1.0, delta=1.0, epsilon=0.0):
-        return cls(
-            chi=chi,
-            lam=lam,
-            theta=theta,
-            sigma=epsilon * math.sqrt(delta),
-            delta=delta,
-            epsilon=epsilon,
-            depth="finite",
-            model="lubrication",
-        )
+        return cls(chi=chi, lam=lam, theta=theta,
+                   sigma=epsilon * math.sqrt(delta), delta=delta,
+                   epsilon=epsilon, model="lubrication")
 
-    def as_dict(self):
-        return {
-            "chi": self.chi,
-            "lambda": self.lam,
-            "theta": self.theta,
-            "sigma": self.sigma,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "depth": self.depth,
-            "model": self.model,
-        }
+    as_dict = keyed_dict
 
 
 def nondimensionalize(
@@ -108,14 +100,6 @@ def nondimensionalize(
     lam = gamma / (2.0 * rho * G * L**4)
     theta = tau * kappa / (mu * L**3)
     time_scale = mu * L / (rho * kappa * G)
-    params = ModelParams(
-        chi=chi,
-        lam=lam,
-        theta=theta,
-        sigma=sigma,
-        delta=delta,
-        epsilon=epsilon,
-        depth=depth,
-        model=model,
-    )
+    params = ModelParams(chi=chi, lam=lam, theta=theta, sigma=sigma,
+                         delta=delta, epsilon=epsilon, depth=depth, model=model)
     return params, time_scale

@@ -103,12 +103,6 @@ class SpectralField:
         buf[: n + 1] = self.coeffs
         return _fft.irfft(buf, n=n_points) * (n_points / SQRT_2PI)
 
-    def coeff(self, k):
-        """Signed-wavenumber accessor; negative k via Hermitian symmetry."""
-        if abs(k) > self.n_modes:
-            return 0.0 + 0.0j
-        return self.coeffs[k] if k >= 0 else np.conj(self.coeffs[-k])
-
     def copy(self):
         return SpectralField(self.coeffs, copy=True)
 

@@ -32,7 +32,7 @@ coupled back through the time derivative.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as _fft
@@ -84,19 +84,13 @@ class StripGrid:
         return self.dx * np.arange(self.n_x)
 
 
+@dataclass(slots=True)
 class StripSolution:
     """Discrete pullback potential with its solve diagnostics."""
 
-    __slots__ = ("phi", "residual_norm", "iterations", "grid", "delta",
-                 "epsilon")
-
-    def __init__(self, phi, residual_norm, iterations, grid, delta, epsilon):
-        self.phi = phi
-        self.residual_norm = residual_norm
-        self.iterations = iterations
-        self.grid = grid
-        self.delta = delta
-        self.epsilon = epsilon
+    phi: np.ndarray
+    residual_norm: float
+    iterations: int
 
 
 def _field_values(field, n_x):
@@ -311,9 +305,7 @@ def solve_strip(h, psi, grid, params):
     phi = np.empty((nx, nz))
     phi[:, : nz - 1] = phi_u.reshape(nx, nz - 1)
     phi[:, nz - 1] = psi_vals
-    return StripSolution(
-        phi, residual, iterations, grid, params.delta, params.epsilon
-    )
+    return StripSolution(phi, residual, iterations)
 
 
 def surface_normal_velocity(sol, h, grid, params, sigma):
@@ -355,29 +347,36 @@ def flat_dtn_symbol(delta):
 # order-verification reports
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class OrderReport:
     """Remainder-vs-parameter fit: log-log slope and correlation."""
 
-    def __init__(self, parameter, values, remainders, expected_slope,
-                 floor=None, grid_limited=False, extra=None):
-        self.parameter = parameter
-        self.values = list(values)
-        self.remainders = [float(r) for r in remainders]
+    parameter: str
+    values: list
+    remainders: list
+    expected_slope: float
+    floor: float | None = None
+    grid_limited: bool = False
+    extra: dict = field(default_factory=dict)
+    slope: float = field(init=False)
+    correlation: float = field(init=False)
+
+    def __post_init__(self):
+        # vanishing remainders carry no order information, nor do flat ones
+        # in the correlation
+        self.slope = self.correlation = float("nan")
         if all(r > 0.0 for r in self.remainders) and len(self.remainders) >= 2:
             lv = np.log(self.values)
             lr = np.log(self.remainders)
             self.slope = float(np.polyfit(lv, lr, 1)[0])
             if np.ptp(lr) > 1e-12:
                 self.correlation = float(np.corrcoef(lv, lr)[0, 1])
-            else:  # flat remainders: no order information in the fit
-                self.correlation = float("nan")
-        else:  # vanishing remainders carry no order information
-            self.slope = float("nan")
-            self.correlation = float("nan")
-        self.expected_slope = expected_slope
-        self.floor = floor
-        self.grid_limited = grid_limited
-        self.extra = extra or {}
+
+    @property
+    def passed(self):
+        """The fitted slope lies within 0.2 of the expected order."""
+        return (self.expected_slope - 0.2 <= self.slope
+                <= self.expected_slope + 0.2)
 
     def as_dict(self):
         return {

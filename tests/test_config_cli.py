@@ -4,15 +4,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muskat.cli import main
 from muskat.config import (
+    VERIFY_DEFAULTS,
     ConfigError,
+    SolverConfig,
     load_config,
     make_initial_condition,
     parse_config_text,
 )
-from muskat.params import nondimensionalize
+from muskat.params import ModelParams, nondimensionalize
 from muskat.spectral import load_spectrum_csv, save_spectrum_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -513,3 +517,180 @@ def test_verify_decay_thin_film_without_rate_checks_trend(tmp_path):
     rep = json.loads((out / "decay_report.json").read_text())
     assert set(rep) == {"monotone_energy", "a0_dyadic_trend"}
     assert rep["a0_dyadic_trend"]["passed"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("verify.flux.n_x = 256", "verify.flux.nx = 64", "verify.flux.nx"),
+    ("initial_condition.amplitude = 1e-3", "initial_condition.amplitud = 1e-3",
+     "amplitud"),
+])
+def test_misspelled_section_keys_exit_1(tmp_path, capsys, key, value,
+                                        message):
+    # a misspelled verify.* or initial_condition.* key stops the run, as a
+    # misspelled top-level key does, instead of running at the default
+    text = open(os.path.join(REPO, "configs", "verify.cfg")).read()
+    assert key in text
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text.replace(key, value))
+    with pytest.raises(ConfigError, match="unknown"):
+        load_config(str(cfg))
+    out = tmp_path / "rep"
+    assert main(["verify", "flux", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "flux_report.json").exists()
+
+
+def test_shipped_configs_and_meta_round_trip_load(tmp_path):
+    # every shipped config loads, and so does its run's meta.json "config"
+    for name in ("decay", "lubrication", "verify"):
+        cfg, params = load_config(os.path.join(REPO, "configs", f"{name}.cfg"))
+        assert load_config(json.loads(json.dumps(cfg.as_dict()))) == (cfg,
+                                                                     params)
+
+
+def test_library_run_reverifies_with_the_params_it_used(tmp_path):
+    # README's library example (at N = 32): the config leaves lambda and
+    # sigma at their defaults, the params set them; the run directory must
+    # re-verify with the params the run used
+    from muskat import ModelParams, SolverConfig, SpectralField, run
+    from muskat.diagnostics import decay_checks, verify_trajectory_dir
+
+    p = ModelParams(chi=1, lam=1.0, theta=1.0, sigma=0.1, model="wnl1")
+    h0 = SpectralField.cosine(1, 1e-3, 32)
+    cfg = SolverConfig(n_modes=32, dt=2e-3, t_end=0.1, output_cadence=1,
+                       output_dir=str(tmp_path / "decay"))
+    traj = run(h0, p, cfg)
+    meta = json.loads((tmp_path / "decay" / "meta.json").read_text())
+    assert {k: meta["config"][k] for k in meta["params"]} == meta["params"]
+    expected = decay_checks(traj.records, p)
+    recomputed = verify_trajectory_dir(str(tmp_path / "decay"))
+    assert recomputed.pop("energy_consistency")["passed"]
+    assert sorted(recomputed) == sorted(expected) == ["exponential_decay",
+                                                      "monotone_energy"]
+    assert all(recomputed[name]["passed"] == expected[name]["passed"]
+               for name in expected)
+
+
+def test_output_key_sets(tmp_path):
+    # the keys of meta.json and of the four reports, as the files carry them
+    meta_top = {"checks", "config", "final_solve", "kernel_lane", "params",
+                "records", "rejected_steps", "snapshots", "version"}
+    params_keys = {"chi", "delta", "depth", "epsilon", "lambda", "model",
+                   "sigma", "theta"}
+    config_keys = params_keys | {
+        "dt", "initial_condition", "max_iter", "n_modes", "output_cadence",
+        "output_dir", "rng_seed", "scheme", "snapshot_cadence", "t_end", "tol",
+        "verify"}
+    solve_keys = {"contraction_estimate", "converged", "final_residual",
+                  "increments", "iterations", "norm_order", "tol"}
+    order_keys = {"correlation", "discretization_floor", "expected_slope",
+                  "grid_limited", "parameter", "remainders", "slope", "values"}
+    verdict_keys = {"first_violation", "max_relative_uptick", "passed",
+                    "records"}
+    rate_keys = {"degenerate", "fitted_rate", "half_rates", "passed",
+                 "rate_bound"}
+
+    path, _ = write_cfg(tmp_path, t_end=0.4, extra=(
+        "verify.bounds.samples = 10\nverify.bounds.n_modes = 32\n"
+        "verify.dtn.n_x = 64\nverify.dtn.n_z = 20\nverify.dtn.n_modes = 16\n"
+        "verify.flux.n_x = 32\nverify.flux.n_z = 17\n"
+        "verify.flux.n_modes = 8\n"))
+    out = tmp_path / "rep"
+    for kind in ("bounds", "dtn", "flux", "decay"):
+        main(["verify", kind, "--config", path, "--out", str(out)])
+
+    def keys(name):
+        return json.loads((out / name).read_text())
+
+    meta = keys("trajectory/meta.json")
+    assert set(meta) == meta_top
+    assert set(meta["config"]) == config_keys
+    assert set(meta["config"]["initial_condition"]) == {"amplitude", "k",
+                                                         "kind"}
+    assert set(meta["params"]) == params_keys
+    assert set(meta["final_solve"]) == solve_keys
+    bounds = keys("bounds_report.json")
+    assert set(bounds) == {"checks", "passed"}
+    assert set(bounds["checks"]) == {"base_symbol_inverse", "commutator_ratio",
+                                     "damped_high_mode",
+                                     "sign_part_factor_two"}
+    assert set(keys("dtn_report.json")) == order_keys | {"first_order_errors"}
+    flux = keys("flux_report.json")
+    assert set(flux) == {"flux", "phi"}
+    assert set(flux["flux"]) == set(flux["phi"]) == order_keys
+    decay = keys("decay_report.json")
+    assert set(decay) == {"exponential_decay", "monotone_energy"}
+    assert set(decay["monotone_energy"]) == verdict_keys
+    assert set(decay["exponential_decay"]) == rate_keys
+    assert meta["checks"] == decay
+
+
+# ---------------------------------------------------------------------------
+# round trips of random valid configs
+# ---------------------------------------------------------------------------
+
+_positive = st.floats(1e-6, 1e3)
+_nonnegative = st.floats(0.0, 1e3)
+_words = st.text("abc_-./0123456789", max_size=12)
+
+
+@st.composite
+def solver_configs(draw):
+    model = draw(st.sampled_from(["wnl1", "wnl2", "lubrication"]))
+    delta, epsilon = draw(_positive), draw(_nonnegative)
+    sigma = (epsilon * math.sqrt(delta) if model == "lubrication"
+             else draw(_nonnegative))
+    n_modes = 2 ** draw(st.integers(5, 10))
+    kind = draw(st.sampled_from(["single_mode", "random_decay", "from_file"]))
+    if kind == "single_mode":
+        ic = {"kind": kind, "k": draw(st.integers(1, n_modes)),
+              "amplitude": draw(st.floats(-1.0, 1.0))}
+    elif kind == "random_decay":
+        ic = {"kind": kind, "p": draw(_nonnegative),
+              "amplitude": draw(_nonnegative)}
+        if draw(st.booleans()):
+            ic["seed"] = draw(st.integers(0, 2**64))
+    else:
+        ic = {"kind": kind, "path": draw(_words)}
+    verify_keys = sorted(f"{suite}.{key}" for suite, keys
+                         in VERIFY_DEFAULTS.items() for key in keys)
+    return SolverConfig(
+        model=model, depth=draw(st.sampled_from(["finite", "infinite"])),
+        chi=draw(st.sampled_from([1, -1])), lam=draw(_nonnegative),
+        theta=draw(_positive), sigma=sigma, delta=delta, epsilon=epsilon,
+        n_modes=n_modes, dt=draw(_positive), t_end=draw(_nonnegative),
+        output_cadence=draw(st.integers(1, 1000)),
+        snapshot_cadence=draw(st.integers(0, 1000)),
+        scheme=draw(st.sampled_from(["rk4", "euler"])),
+        tol=draw(st.none() | _positive), max_iter=draw(st.integers(1, 10**4)),
+        rng_seed=draw(st.integers(0, 2**64)), output_dir=draw(_words), ic=ic,
+        verify=draw(st.dictionaries(st.sampled_from(verify_keys),
+                                    st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+                                    max_size=4)),
+    )
+
+
+def _config_text(cfg):
+    """cfg in the `key = value` format, every key written out."""
+    d = cfg.as_dict()
+    ic, verify = d.pop("initial_condition"), d.pop("verify")
+    lines = [f"{k} = {'auto' if v is None else v}" for k, v in d.items()]
+    lines.append(f"initial_condition = {ic.pop('kind')}")
+    lines += [f"initial_condition.{k} = {v}" for k, v in ic.items()]
+    lines += [f"verify.{k} = {v}" for k, v in verify.items()]
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(solver_configs())
+@example(SolverConfig(rng_seed=2**60 + 1))
+def test_config_round_trips(cfg):
+    # through meta.json's "config" dict and through the config file format,
+    # every field comes back equal, the params built from them included
+    # (integers exactly, also past 2**53)
+    params = ModelParams(chi=cfg.chi, lam=cfg.lam, theta=cfg.theta,
+                         sigma=cfg.sigma, delta=cfg.delta, epsilon=cfg.epsilon,
+                         depth=cfg.depth, model=cfg.model)
+    assert load_config(json.loads(json.dumps(cfg.as_dict()))) == (cfg, params)
+    text = _config_text(cfg)
+    assert load_config(parse_config_text(text)) == (cfg, params), text

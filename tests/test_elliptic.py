@@ -161,3 +161,18 @@ def test_stall_contraction_estimate_repeats_from_another_vector():
         w = random_field(n, np.random.default_rng(seed)).coeffs
         again = _stall_ratio(tab, tab.phys(h.coeffs), w)
         assert abs(again - est) <= 1e-3 * est
+
+
+@pytest.mark.parametrize("p, radius, rtol", [
+    # thin film: the next eigenvalue of the update lies close, successive
+    # estimates agree to 1e-3 while still 4% high; 14.362 is where 800
+    # power steps from the same vector settle
+    (lub(eps=3.0, delta=0.01, lam=1.0), 14.362, 5e-3),
+    # small slope: the pair +-lam dominates by far
+    (wnl(sigma=3.0, lam=1.0), 13.5715, 1e-4),
+])
+def test_stall_reports_converged_spectral_radius(p, radius, rtol):
+    h = SpectralField.cosine(3, 5.0, 32)
+    with pytest.raises(NotContractingError) as exc:
+        solve_quasilinear(h, forcing(h, p), p)
+    assert exc.value.contraction_estimate == pytest.approx(radius, rel=rtol)

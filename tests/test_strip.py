@@ -214,6 +214,9 @@ def test_lub_flux_second_order_flat_mobility():
     )
     assert 1.8 <= flux_rep.slope <= 2.2
     assert 1.8 <= phi_rep.slope <= 2.2
+    # the verdict of `verify flux`, kept out of the report's bytes
+    assert flux_rep.passed and phi_rep.passed
+    assert "passed" not in flux_rep.as_dict()
 
 
 def test_lub_flux_second_order_with_profile():
