@@ -9,7 +9,6 @@ on (exit code 2).
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,6 +27,7 @@ from .config import (
     load_config,
     make_initial_condition,
     parse_config_text,
+    write_json,
 )
 from .elliptic import SolverError
 from .spectral import SpectralField, load_spectrum_csv
@@ -133,23 +133,16 @@ def cmd_simulate(args):
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
-def _verify_out_dir(args, config):
-    out = args.out or config.output_dir or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_report(out_dir, name, payload):
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
     return path
 
 
 def cmd_verify(args):
     config, params = load_config(args.config)
-    out_dir = _verify_out_dir(args, config)
+    out_dir = args.out or config.output_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
     v = config.verify
 
     def vget(key, parse=_as_float, derived=None):  # ConfigError if bad

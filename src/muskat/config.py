@@ -43,9 +43,12 @@ def parse_config_text(text):
 
 def _as_float(key, v):
     try:
-        return float(v)
+        f = float(v)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {v!r}")
+    if not math.isfinite(f):
+        raise ConfigError(f"{key}: expected a finite number, got {v!r}")
+    return f
 
 
 def _as_int(key, v):
@@ -60,7 +63,7 @@ def _as_int(key, v):
 
 def _as_float_list(key, v):
     if isinstance(v, (list, tuple)):
-        return [float(x) for x in v]
+        return [_as_float(key, x) for x in v]
     return [_as_float(key, part) for part in str(v).split(",") if part.strip()]
 
 
@@ -99,13 +102,15 @@ _VERIFY_KEYS = {f"{suite}.{key}" for suite, keys in VERIFY_DEFAULTS.items()
 
 def _initial_condition(ic):
     """The initial_condition section {key: value} -> its normalized dict:
-    the kind, and each key of that kind parsed or defaulted."""
-    unknown = set(ic) - {"kind", *_IC_PARSERS}
-    if unknown:
-        raise ConfigError(f"unknown initial_condition keys: {sorted(unknown)}")
+    the kind, and each key of that kind parsed or defaulted.  A key of
+    another kind is rejected like a misspelled one."""
     kind = ic.get("kind", "single_mode")
     if kind not in _IC_KINDS:
         raise ConfigError(f"unknown initial_condition {kind!r}")
+    unknown = set(ic) - {"kind", *_IC_KINDS[kind]}
+    if unknown:
+        raise ConfigError(f"unknown initial_condition keys for {kind}: "
+                          f"{sorted(unknown)}")
     out = {"kind": kind}
     for key, default in _IC_KINDS[kind].items():
         if key in ic or default is not None:
@@ -146,10 +151,11 @@ class SolverConfig:
         n = self.n_modes
         if n < 32 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_modes must be a power of two >= 32, got {n}")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
+        # a nan dt halves forever on rejection; an infinite t_end never ends
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be positive and finite")
+        if not 0 <= self.t_end < math.inf:
+            raise ConfigError("t_end must be nonnegative and finite")
         if self.output_cadence < 1 or self.snapshot_cadence < 0:
             raise ConfigError("cadences must be positive")
         if self.scheme not in ("euler", "rk4"):
@@ -265,6 +271,12 @@ def write_meta(path, config, params, extra=None):
     }
     if extra:
         meta.update(extra)
+    write_json(path, meta)
+
+
+def write_json(path, payload):
+    """The one JSON layout of run directories and reports: sorted keys,
+    two-space indent, a closing newline."""
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -16,13 +16,15 @@ on seeded random ensembles.
 """
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import models
-from .spectral import SpectralField, wiener_norm
+from .config import load_config, write_json
+from .spectral import SpectralField, load_spectrum_csv, wiener_norm
 
 ENERGY_HEADER = "t,a0,a1,a2,a3,a4,a5,energy,dth_a0,dth_high,iters"
 
@@ -329,11 +331,6 @@ def verify_trajectory_dir(out_dir):
     Returns the checks dict; also validates that energies recomputed from
     snapshot spectra agree with the logged column to 1e-12 relative.
     """
-    import os
-
-    from .config import load_config
-    from .spectral import load_spectrum_csv
-
     meta_path = os.path.join(out_dir, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
@@ -356,12 +353,8 @@ def verify_trajectory_dir(out_dir):
 
 
 def append_checks_to_meta(out_dir, checks):
-    import os
-
     meta_path = os.path.join(out_dir, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
     meta["checks"] = checks
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, meta)

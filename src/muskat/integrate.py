@@ -14,6 +14,7 @@ to the configured value.  The mean mode is pinned to zero after every
 accepted step.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ class IntegratorState:
     accepted_streak: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.scheme not in ("euler", "rk4"):
             raise ValueError("scheme must be 'euler' or 'rk4'")
         if self.dt_max is None:
@@ -168,9 +169,10 @@ class Trajectory:
 def run(h0, params, config):
     """Integrate to config.t_end, emitting records and snapshot files.
 
-    Records are taken every output_cadence-th step (the step's starting
-    point, whose stage-1 solve provides the logged dh/dt at no extra cost)
-    plus the final state.  Deterministic: identical config and initial data
+    A step that would pass t_end is shortened to land on it.  Records are
+    taken every output_cadence-th step (the step's starting point, whose
+    stage-1 solve provides the logged dh/dt at no extra cost) plus the
+    final state.  Deterministic: identical config and initial data
     produce identical bytes on disk.  If the run fails, whatever the error,
     the records so far, energy.csv and meta.json (with "failed") are
     written before the exception propagates.
@@ -184,7 +186,9 @@ def run(h0, params, config):
     tab = _table(h0.n_modes, params)
 
     state = IntegratorState(h=h0, dt=config.dt, scheme=config.scheme)
-    n_steps = int(round(config.t_end / config.dt)) if config.t_end > 0 else 0
+    # roundoff in t stays orders below slack, so a run whose t_end/dt is a
+    # whole number keeps its last step whole
+    slack = 1e-9 * max(1.0, config.t_end)
 
     records = []
     snap_indices = []
@@ -198,48 +202,33 @@ def run(h0, params, config):
         if paths:
             save_spectrum_csv(h, os.path.join(paths["snapshots"], f"t_{idx:06d}.csv"))
 
-    final_report = None
-
-    def final_eval(h):
-        # the closing rhs evaluation doubles as the logged solve report
-        nonlocal final_report
-        if tab.spec.explicit:
-            return _rhs_raw(tab, h.coeffs, config.tol, config.max_iter)
-        U, rep = solve_quasilinear(h, models.forcing(h, params), params,
-                                   config.tol, config.max_iter)
-        final_report = rep.as_dict()
-        return U.coeffs, rep.iterations
-
-    def advance_once():
-        nonlocal state
-        due = state.step_count % config.output_cadence == 0
-        t_pre, h_pre = state.t, state.h
-        state, k1, iters = step(state, params, config.tol, config.max_iter)
-        if due:
-            record(t_pre, h_pre, k1, iters)
-            idx = len(records) - 1
-            if config.snapshot_cadence and idx % config.snapshot_cadence == 0:
-                snapshot(h_pre)
-
-    failure = None
+    final_report = failure = None
     try:
-        while state.step_count < n_steps:
-            advance_once()
-        # rejections shrink dt mid-run; top up the remaining time
-        # (no-op for clean runs, whose residue is pure roundoff,
-        # orders below this threshold)
-        while n_steps and config.t_end - state.t > 1e-9 * max(1.0, config.t_end):
-            if state.t + state.dt > config.t_end:
-                state.dt = config.t_end - state.t
-            advance_once()
-        kf, itf = final_eval(state.h)
-        record(state.t, state.h, SpectralField(kf, copy=False), itf)
-        snapshot(state.h)
+        while config.t_end - state.t > slack:
+            if state.t + state.dt - config.t_end > slack:
+                state.dt = config.t_end - state.t  # land on t_end
+            due = state.step_count % config.output_cadence == 0
+            t_pre, h_pre = state.t, state.h
+            state, k1, iters = step(state, params, config.tol, config.max_iter)
+            if due:
+                record(t_pre, h_pre, k1, iters)
+                idx = len(records) - 1
+                if config.snapshot_cadence and idx % config.snapshot_cadence == 0:
+                    snapshot(h_pre)
+        # the closing rhs evaluation doubles as the logged solve report
+        h = state.h
+        if tab.spec.explicit:
+            kf, itf = _rhs_raw(tab, h.coeffs, config.tol, config.max_iter)
+        else:
+            U, rep = solve_quasilinear(h, models.forcing(h, params), params,
+                                       config.tol, config.max_iter)
+            final_report = rep.as_dict()
+            kf, itf = U.coeffs, rep.iterations
+        record(state.t, h, SpectralField(kf, copy=False), itf)
+        snapshot(h)
     except StepSizeUnderflowError as exc:
         failure = exc  # flush partial output below, then re-raise
         state.rejected_steps = exc.rejected_steps
-    except (NotContractingError, MaxIterationsError) as exc:
-        failure = exc  # a first-stage or closing solve: no step size to halve
     except Exception as exc:
         failure = exc  # any other error: keep what was computed, re-raise
 

@@ -43,10 +43,9 @@ scipy.fft both wrap, loaded already by ``spectral``'s ``import scipy.fft``.
 A batch of 2-3 rows of 4N = 1024 points is mostly per-call overhead, and
 the Python wrappers of ``numpy.fft.irfft``/``rfft`` add about 5-7 us per
 call on top of the C++ work (``benchmarks/bench_kernels.py``).  The inverse
-input is zero-padded from N+1 to 2N+1 modes, and the forward input is the
-product of the factor rows and h, both in scratch buffers (below).
-The results are bitwise equal to ``numpy.fft.irfft(., n=4N)`` and
-``numpy.fft.rfft``, which
+input is zero-padded from N+1 to 2N+1 modes in a fresh array, and the
+forward input is the product of the factor rows and h.  The results are
+bitwise equal to ``numpy.fft.irfft(., n=4N)`` and ``numpy.fft.rfft``, which
 ``tests/test_properties.py::test_transform_binding_bitwise_equals_numpy_fft``
 checks at random N and row counts, so a change of the private binding
 fails the tests instead of changing the outputs.
@@ -65,13 +64,10 @@ so the old per-model names stay bound as aliases until the program counts
 its own layers (ROADMAP item 1).
 
 Memory and threads.  The module keeps an immutable per-(n_modes, params)
-table of symbol arrays, shared by every caller.  The scratch buffers of the
-transform batches (the 2N+1-mode pads and the 4N-point product rows)
-belong to the calling thread, never to the table: ``_scratch`` keeps one
-of each shape per thread and reuses it on every call, which spares an
-allocation per batch.  No buffer outlives the call that fills it and no
-input array is written, so all operations are safe to use from multiple
-threads.
+table of symbol arrays, shared by every caller.  Each transform batch
+allocates its own pad and product arrays (reused per-thread buffers saved
+no measurable time) and no input array is written, so all operations are
+safe to use from multiple threads.
 
 Imports.  ``import muskat`` loads numpy, ``scipy.fft`` (which brings in
 ``scipy.special``) and ``scipy.sparse``, and no other scipy subpackage:
@@ -80,7 +76,6 @@ would be paid by every CLI call and sweep worker.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -277,43 +272,18 @@ class _OpTable:
     # grows to about 2 MB over the first 1e5 calls.
 
     def phys(self, c):
-        pad = _scratch(("pad", self.n), 2 * self.n + 1, complex)
+        # its own pad, not phys_stack: the tracer counts each batch once
+        pad = np.zeros(2 * self.n + 1, complex)
         np.multiply(c, self.h_scale, out=pad[: self.n + 1])
         return _c2r(pad, (0,), self.m, False, 2)
 
     def phys_stack(self, rows):
-        r = rows.shape[0]
-        pad = _scratch(("pad", self.n, r), (r, 2 * self.n + 1), complex)
+        pad = np.zeros((rows.shape[0], 2 * self.n + 1), complex)
         pad[:, : self.n + 1] = rows
         return _c2r(pad, (1,), self.m, False, 2)
 
     def prods(self, hphys, rows_phys):
-        prod = _scratch(rows_phys.shape, rows_phys.shape, float)
-        np.multiply(rows_phys, hphys, prod)
-        return _r2c(prod, (1,), True, 0)[:, : self.n + 1]
-
-
-class _ThreadScratch(threading.local):
-    def __init__(self):
-        self.bufs = {}
-
-
-_thread_scratch = _ThreadScratch()
-
-
-def _scratch(key, shape, dtype):
-    """This thread's reusable array for ``key``, zero when first made.
-
-    The pads are written only in their first n+1 columns, so their
-    zero-padding survives reuse; the product buffer is overwritten whole.
-    Each is consumed by the transform it feeds before the next call, and
-    no caller keeps a reference, so one buffer per thread suffices.
-    """
-    bufs = _thread_scratch.bufs
-    buf = bufs.get(key)
-    if buf is None:
-        buf = bufs[key] = np.zeros(shape, dtype)
-    return buf
+        return _r2c(rows_phys * hphys, (1,), True, 0)[:, : self.n + 1]
 
 
 @lru_cache(maxsize=64)

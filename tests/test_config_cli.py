@@ -12,6 +12,7 @@ from muskat.config import (
     VERIFY_DEFAULTS,
     ConfigError,
     SolverConfig,
+    _as_float_list,
     load_config,
     make_initial_condition,
     parse_config_text,
@@ -181,6 +182,31 @@ def test_simulate_theta_zero_exit_1(tmp_path, capsys):
     p.write_text("theta = 0\noutput_dir = x\n")
     assert main(["simulate", "--config", str(p)]) == 1
     assert "theta must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["n_modes = inf", "dt = nan"])
+def test_simulate_non_finite_number_exit_1(tmp_path, capsys, line):
+    # a config error, not a traceback or a run that fails in the integrator
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"{line}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(p)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0.2,inf", [0.2, float("nan")]])
+def test_float_list_rejects_non_finite(value):
+    with pytest.raises(ConfigError, match="finite"):
+        _as_float_list("verify.dtn.sigmas", value)
+
+
+@pytest.mark.parametrize("key", ["seed = 5", "p = 2", "path = x.csv"])
+def test_initial_condition_key_of_another_kind_rejected(tmp_path, key):
+    # a key that only another kind reads is rejected, not ignored
+    p = tmp_path / "ic.cfg"
+    p.write_text(f"initial_condition = single_mode\ninitial_condition.{key}\n")
+    with pytest.raises(ConfigError, match="single_mode"):
+        load_config(str(p))
 
 
 def test_simulate_reproducible_bytes(tmp_path):

@@ -65,6 +65,33 @@ def test_t_end_zero_single_record():
     assert traj.records[0].t == 0.0
 
 
+@pytest.mark.parametrize("dt, t_end, steps, t_last", [
+    (0.35, 1.0, 3, 1.0),  # the third step is shortened from 0.35 to 0.3
+    (0.1, 0.04, 1, 0.04),  # t_end below dt/2: one shortened step
+    (0.3, 1.0, 4, 1.0),  # three whole steps, then 0.1
+])
+def test_last_step_lands_on_t_end(dt, t_end, steps, t_last):
+    p = wnl(lam=1.0)
+    traj = run(SpectralField.cosine(1, 1.0, 32), p,
+               config(dt=dt, t_end=t_end, output_cadence=1))
+    assert len(traj.records) == steps + 1
+    assert traj.records[-1].t == t_last
+    m1 = linear_decay_rate(1, p)
+    got = abs(traj.final_h.coeffs[1])
+    assert got == pytest.approx(COS_MODE * math.exp(-m1 * t_end), rel=1e-2)
+
+
+@pytest.mark.parametrize("kw", [{"dt": math.nan}, {"dt": math.inf},
+                                {"t_end": math.nan}, {"t_end": math.inf}])
+def test_non_finite_time_grid_rejected(kw):
+    # a nan dt would halve forever on rejection, an infinite t_end never ends
+    with pytest.raises(ValueError, match="finite"):
+        config(**kw)
+    if "dt" in kw:
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorState(h=SpectralField.zeros(32), dt=kw["dt"])
+
+
 def test_mean_conserved_every_record():
     p = wnl(sigma=0.3, lam=1.0)
     h0 = SpectralField.cosine(1, 1e-2, 32)
@@ -177,7 +204,7 @@ def test_dt_recovery_after_rejection():
 
 def test_rejected_step_still_reaches_t_end(monkeypatch):
     # one injected stage failure halves dt; the run must still integrate
-    # the full time interval (topping up after the counted steps)
+    # the full time interval
     import muskat.integrate as integ
 
     orig = integ._try_advance
@@ -331,9 +358,9 @@ def test_rk4_stages_in_place_match_textbook_and_keep_inputs():
 
 
 def test_concurrent_runs_write_sequential_bytes(tmp_path):
-    # the transform scratch buffers are per thread: runs on one shared op
-    # table, in more threads than cores with a tiny switch interval so that
-    # their transform calls interleave, write the bytes of a run made alone
+    # runs on one shared op table, in more threads than cores with a tiny
+    # switch interval so that their transform calls interleave, write the
+    # bytes of a run made alone
     import os
     import sys
     import threading

@@ -22,10 +22,14 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
 * for all three models: ``apply_quasilinear`` is linear in U,
   ``invert_base`` inverts it at h = 0, every public operator returns a
   mean-zero field even from inputs with a mean, and the fixed point
-  ``elliptic._solve_raw`` agrees with ``elliptic.dense_solve``.
+  ``elliptic._solve_raw`` agrees with ``elliptic.dense_solve``;
+* ``load_spectrum_csv`` reads back what ``save_spectrum_csv`` wrote, bit
+  for bit.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -42,7 +46,9 @@ from muskat.spectral import (
     apply_multiplier,
     depth_symbol,
     derivative_symbol,
+    load_spectrum_csv,
     pointwise_product,
+    save_spectrum_csv,
     tanh_clamped,
     wiener_norm,
 )
@@ -295,3 +301,18 @@ def test_solve_raw_matches_dense_solve(n, seed, depth, model, sigma,
     U, _, _ = elliptic._solve_raw(tab, F.coeffs, tab.phys(h.coeffs), tol, 200)
     ref = elliptic.dense_solve(h, F, p)
     assert a0_dist(SpectralField(U), ref) <= 1e-11 * wiener_norm(ref, 0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPS
+@given(parts=st.lists(st.tuples(finite, finite), min_size=2, max_size=130))
+def test_spectrum_csv_round_trip_bitwise(parts):
+    # any finite coefficients, signed zeros and subnormals included
+    f = SpectralField([complex(re, im) for re, im in parts])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spectrum.csv")
+        save_spectrum_csv(f, path)
+        back = load_spectrum_csv(path)
+    assert back.coeffs.tobytes() == f.coeffs.tobytes()

@@ -52,3 +52,7 @@ def test_traced_run_counts_forcing_per_stage(tmp_path):
     assert stats["integrate.step"]["accepted"] == steps
     assert stats["models.forcing"]["calls"] in (4 * steps, 4 * steps + 1)
     assert stats["elliptic.solve"]["calls"] > 0
+    # every batch counted once: phys, phys_stack and prods never call each
+    # other, so no traced call nests inside another
+    assert stats["models.transform"]["calls"] == 130
+    assert stats["models.transform"]["rows"] == 279
