@@ -10,7 +10,6 @@ from .diagnostics import (
     check_monotone_decay,
     check_operator_bounds,
     energy,
-    random_decay_field,
 )
 from .elliptic import (
     FixedPointReport,
@@ -43,6 +42,7 @@ from .spectral import (
     load_spectrum_csv,
     pointwise_product,
     project_mean_zero,
+    random_decay_field,
     save_spectrum_csv,
     wiener_norm,
 )

@@ -9,6 +9,7 @@ on (exit code 2).
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -27,9 +28,9 @@ from .config import (
     load_config,
     make_initial_condition,
     parse_config_text,
-    write_json,
 )
 from .elliptic import SolverError
+from .plots import svg_line_chart
 from .spectral import SpectralField, load_spectrum_csv
 from .strip import LinearSolveError, StripGrid
 
@@ -50,8 +51,11 @@ def _workers(n_jobs):
     return max(1, min(n_jobs, cap))
 
 
-def _parse_sweep(specs):
-    keys = []
+def _sweep_cells(specs):
+    """--sweep KEY=V1,V2,... specs -> [(overrides, directory name)]: the
+    cross product of at most two keys, named k1=a__k2=b; no specs give one
+    unnamed cell."""
+    axes = []
     for spec in specs or []:
         if "=" not in spec:
             raise ConfigError(f"--sweep expects KEY=V1,V2,..., got {spec!r}")
@@ -59,26 +63,11 @@ def _parse_sweep(specs):
         values = [v.strip() for v in vals.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"--sweep {key}: no values")
-        keys.append((key.strip(), values))
-    if len(keys) > 2:
+        axes.append([(key.strip(), v) for v in values])
+    if len(axes) > 2:
         raise ConfigError("--sweep supports at most 2 keys")
-    return keys
-
-
-def _sweep_cells(sweep):
-    if not sweep:
-        return [({}, "")]
-    cells = []
-    if len(sweep) == 1:
-        key, vals = sweep[0]
-        for v in vals:
-            cells.append(({key: v}, f"{key}={v}"))
-    else:
-        (k1, v1s), (k2, v2s) = sweep
-        for a in v1s:
-            for b in v2s:
-                cells.append(({k1: a, k2: b}, f"{k1}={a}__{k2}={b}"))
-    return cells
+    return [(dict(cell), "__".join(f"{k}={v}" for k, v in cell))
+            for cell in itertools.product(*axes)]
 
 
 def _prepare_cell(cell_raw, out_dir, seed):
@@ -113,13 +102,12 @@ def cmd_simulate(args):
     base_out = args.out or config.output_dir
     if not base_out:
         raise ConfigError("no output directory (set output_dir or pass --out)")
-    sweep = _parse_sweep(args.sweep)
     # every cell is validated and set up before the first one starts
     jobs = [
         _prepare_cell({**raw, **overrides},
                       os.path.join(base_out, name) if name else base_out,
                       args.seed)
-        for overrides, name in _sweep_cells(sweep)
+        for overrides, name in _sweep_cells(args.sweep)
     ]
     workers = _workers(len(jobs))
     if workers == 1 or len(jobs) == 1:
@@ -135,7 +123,7 @@ def cmd_simulate(args):
 
 def _write_report(out_dir, name, payload):
     path = os.path.join(out_dir, name)
-    write_json(path, payload)
+    diagnostics.write_json(path, payload)
     return path
 
 
@@ -218,14 +206,13 @@ def cmd_verify(args):
 
 def cmd_plot(args):
     out_dir = args.trajectory
-    energy_path = os.path.join(out_dir, "energy.csv")
-    meta_path = os.path.join(out_dir, "meta.json")
+    energy_path = os.path.join(out_dir, diagnostics.ENERGY_FILE)
     if not os.path.isfile(energy_path):
         raise ConfigError(f"missing {energy_path}")
     try:
         records = diagnostics.read_energy_csv(energy_path)
     except ValueError as exc:
-        raise ConfigError(f"corrupt energy.csv: {exc}")
+        raise ConfigError(f"corrupt {diagnostics.ENERGY_FILE}: {exc}")
     if not records:
         raise ConfigError(f"{energy_path}: no records")
     t = [r.t for r in records]
@@ -243,15 +230,13 @@ def cmd_plot(args):
             annotations.append(f"fitted A0 decay rate: {rate:.4f}")
         if not series:
             raise ConfigError("log scale requested but no positive series")
-    from .plots import svg_line_chart
-
     norms_path = os.path.join(out_dir, "norms.svg")
     svg_line_chart(series, norms_path, title="Wiener norms and energy",
                    xlabel="t", ylabel="norm", logy=args.log,
                    annotations=annotations)
     written = [norms_path]
 
-    snap_dir = os.path.join(out_dir, "snapshots")
+    snap_dir = os.path.join(out_dir, diagnostics.SNAPSHOT_DIR)
     snaps = sorted(os.listdir(snap_dir)) if os.path.isdir(snap_dir) else []
     if snaps:
         profiles = []

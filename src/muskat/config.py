@@ -6,13 +6,14 @@ diffs cleanly across sweep matrices, which is why it is preferred over
 nested formats here.  See README for the full schema.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
 
-from . import _kernels
+import numpy as np
+
 from .params import KEY_NAMES, ModelParams, keyed_dict
+from .spectral import SpectralField, load_spectrum_csv, random_decay_field
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -227,11 +228,6 @@ def load_config(source):
 
 def make_initial_condition(config):
     """Build the configured mean-zero initial interface."""
-    from .diagnostics import random_decay_field
-    from .spectral import SpectralField, load_spectrum_csv
-
-    import numpy as np
-
     ic = config.ic
     if ic["kind"] == "single_mode":
         if not 1 <= ic["k"] <= config.n_modes:
@@ -250,33 +246,3 @@ def make_initial_condition(config):
     h.coeffs[0] = 0.0
     return h
 
-
-def trajectory_paths(out_dir):
-    return {
-        "meta": os.path.join(out_dir, "meta.json"),
-        "energy": os.path.join(out_dir, "energy.csv"),
-        "snapshots": os.path.join(out_dir, "snapshots"),
-    }
-
-
-def write_meta(path, config, params, extra=None):
-    """Self-describing, timestamp-free run metadata (kept reproducible)."""
-    meta = {
-        "version": PACKAGE_VERSION,
-        "kernel_lane": _kernels.KERNEL_LANE,
-        # the params the run used, also where a library caller left those
-        # config fields at their defaults: the directory re-verifies as run
-        "config": {**config.as_dict(), **params.as_dict()},
-        "params": params.as_dict(),
-    }
-    if extra:
-        meta.update(extra)
-    write_json(path, meta)
-
-
-def write_json(path, payload):
-    """The one JSON layout of run directories and reports: sorted keys,
-    two-space indent, a closing newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

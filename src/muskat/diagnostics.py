@@ -13,6 +13,9 @@ are nonincreasing along trajectories, and for lam > 0 the A0 norm decays at
 least at rate tanh(1)/2 (bounded strip).  The checkers below verify those
 statements on recorded trajectories and the pointwise operator inequalities
 on seeded random ensembles.
+
+This module alone knows the layout of a run directory: its file names, its
+writer and the readers that re-verify a run from its files alone.
 """
 
 import json
@@ -23,8 +26,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import models
-from .config import load_config, write_json
-from .spectral import SpectralField, load_spectrum_csv, wiener_norm
+from ._kernels import KERNEL_LANE
+from .config import PACKAGE_VERSION, load_config
+from .spectral import SpectralField, load_spectrum_csv, random_decay_field
+from .spectral import wiener_norm
 
 ENERGY_HEADER = "t,a0,a1,a2,a3,a4,a5,energy,dth_a0,dth_high,iters"
 
@@ -108,24 +113,25 @@ class DecayVerdict:
         }
 
 
+def _first_rise(pairs):
+    """Over (earlier, later) pairs: the index of the first rise beyond
+    MONOTONE_SLACK (None if none) and the largest relative rise (>= 0)."""
+    first = None
+    worst = 0.0
+    for i, (earlier, later) in enumerate(pairs):
+        if earlier > 0:
+            worst = max(worst, later / earlier - 1.0)
+        if first is None and later > earlier * (1.0 + MONOTONE_SLACK):
+            first = i
+    return first, worst
+
+
 def check_monotone_decay(records):
     """E(t_{i+1}) <= E(t_i) * (1 + 1e-9) across consecutive records."""
-    passed = True
-    first = None
-    max_uptick = 0.0
-    for i in range(len(records) - 1):
-        e0, e1 = records[i].energy, records[i + 1].energy
-        if e0 == 0.0:
-            if e1 > 0.0:
-                passed = False
-                first = first or (i + 1, records[i + 1].t)
-            continue
-        uptick = e1 / e0 - 1.0
-        max_uptick = max(max_uptick, uptick)
-        if e1 > e0 * (1.0 + MONOTONE_SLACK) and passed:
-            passed = False
-            first = (i + 1, records[i + 1].t)
-    return DecayVerdict(passed, first, max_uptick, len(records))
+    e = [r.energy for r in records]
+    i, worst = _first_rise(zip(e, e[1:]))
+    first = None if i is None else (i + 1, records[i + 1].t)
+    return DecayVerdict(i is None, first, worst, len(records))
 
 
 @dataclass(slots=True)
@@ -193,16 +199,9 @@ def check_a0_dyadic_trend(records):
         if lo <= records[1].t:
             break
         j += 1
-    passed = True
-    first = None
-    worst = 0.0
-    for j, (later, earlier) in enumerate(zip(sups, sups[1:])):
-        if earlier > 0:
-            worst = max(worst, later / earlier - 1.0)
-        if later > earlier * (1.0 + MONOTONE_SLACK) and passed:
-            passed = False
-            first = (j, None)
-    return DecayVerdict(passed, first, worst, len(records))
+    j, worst = _first_rise(zip(sups[1:], sups))
+    first = None if j is None else (j, None)
+    return DecayVerdict(j is None, first, worst, len(records))
 
 
 def decay_checks(records, params):
@@ -228,17 +227,6 @@ def decay_checks(records, params):
 # ---------------------------------------------------------------------------
 # random ensembles and operator bound checks
 # ---------------------------------------------------------------------------
-
-def random_decay_field(n_modes, p, rng, amplitude=1.0):
-    """Mean-zero field with |hhat(k)| = amplitude * |k|^{-p} * U(1/2, 1) and
-    uniform random phases."""
-    k = np.arange(1, n_modes + 1, dtype=float)
-    mag = amplitude * k ** (-float(p)) * rng.uniform(0.5, 1.0, size=n_modes)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
-    c = np.zeros(n_modes + 1, dtype=complex)
-    c[1:] = mag * np.exp(1j * phase)
-    return SpectralField(c, copy=False)
-
 
 class BoundReport:
     def __init__(self):
@@ -309,8 +297,57 @@ def check_operator_bounds(sample_count, params, rng_seed, n_modes=64):
 
 
 # ---------------------------------------------------------------------------
-# self-describing trajectory directories
+# self-describing run directories
 # ---------------------------------------------------------------------------
+
+META_FILE = "meta.json"
+ENERGY_FILE = "energy.csv"
+SNAPSHOT_DIR = "snapshots"
+
+
+def snapshot_path(out_dir, idx):
+    """The spectrum file of record idx in run directory out_dir."""
+    return os.path.join(out_dir, SNAPSHOT_DIR, f"t_{idx:06d}.csv")
+
+
+def write_json(path, payload):
+    """The one JSON layout of run directories and reports: sorted keys,
+    two-space indent, a closing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_run(out_dir, config, params, records, snapshots, rejected_steps,
+              final_solve, failure=None):
+    """energy.csv and meta.json of a run: the records, and self-describing,
+    timestamp-free metadata (kept reproducible).  A failed run records its
+    error under "failed"."""
+    with open(os.path.join(out_dir, ENERGY_FILE), "w") as fh:
+        fh.write(ENERGY_HEADER + "\n")
+        for r in records:
+            fh.write(r.csv_row() + "\n")
+    meta = {
+        "version": PACKAGE_VERSION,
+        "kernel_lane": KERNEL_LANE,
+        # the params the run used, also where a library caller left those
+        # config fields at their defaults: the directory re-verifies as run
+        "config": {**config.as_dict(), **params.as_dict()},
+        "params": params.as_dict(),
+        "records": len(records),
+        "snapshots": snapshots,
+        "rejected_steps": rejected_steps,
+        "final_solve": final_solve,
+    }
+    if failure is not None:
+        meta["failed"] = str(failure)
+    write_json(os.path.join(out_dir, META_FILE), meta)
+
+
+def read_meta(out_dir):
+    with open(os.path.join(out_dir, META_FILE)) as fh:
+        return json.load(fh)
+
 
 def read_energy_csv(path):
     records = []
@@ -331,17 +368,13 @@ def verify_trajectory_dir(out_dir):
     Returns the checks dict; also validates that energies recomputed from
     snapshot spectra agree with the logged column to 1e-12 relative.
     """
-    meta_path = os.path.join(out_dir, "meta.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    config, params = load_config(meta["config"])
-    records = read_energy_csv(os.path.join(out_dir, "energy.csv"))
+    meta = read_meta(out_dir)
+    _, params = load_config(meta["config"])
+    records = read_energy_csv(os.path.join(out_dir, ENERGY_FILE))
     checks = decay_checks(records, params)
     worst = 0.0
     for idx in meta.get("snapshots", []):
-        snap = os.path.join(out_dir, "snapshots", f"t_{idx:06d}.csv")
-        h = load_spectrum_csv(snap)
-        e = energy(h, params)
+        e = energy(load_spectrum_csv(snapshot_path(out_dir, idx)), params)
         logged = records[idx].energy
         err = abs(e - logged) / max(1.0, abs(logged))
         worst = max(worst, err)
@@ -353,8 +386,6 @@ def verify_trajectory_dir(out_dir):
 
 
 def append_checks_to_meta(out_dir, checks):
-    meta_path = os.path.join(out_dir, "meta.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta = read_meta(out_dir)
     meta["checks"] = checks
-    write_json(meta_path, meta)
+    write_json(os.path.join(out_dir, META_FILE), meta)

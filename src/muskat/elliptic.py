@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import models
-from .diagnostics import random_decay_field
 from .models import _table
-from .spectral import SpectralField, check_same_grid, wiener_norm
+from .spectral import SpectralField, check_same_grid, random_decay_field
+from .spectral import wiener_norm
 
 DEFAULT_MAX_ITER = 200
 _STALL_LIMIT = 3
@@ -101,11 +101,12 @@ def _solve_raw(tab, cF, hphys, tol, max_iter):
     one 2-row (thin film: 1-row) inverse batch, one forward batch and one
     weighted sum, the base inverse being folded into the table's rows.
     With h = 0 the update is exactly zero, so the first increment is 0.0
-    and the solve returns V0 after one iteration.
+    and the solve returns V0 after one iteration.  With the quadratic
+    terms off it returns V0 at once, and hphys is not read.
     """
     V0 = cF / tab.base
     V0[0] = 0.0
-    if not tab.solve_active:
+    if not tab.force_active:
         return V0, 1, [0.0]
     V = V0
     increments = []

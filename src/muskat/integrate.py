@@ -174,15 +174,12 @@ def run(h0, params, config):
     stage-1 solve provides the logged dh/dt at no extra cost) plus the
     final state.  Deterministic: identical config and initial data
     produce identical bytes on disk.  If the run fails, whatever the error,
-    the records so far, energy.csv and meta.json (with "failed") are
-    written before the exception propagates.
+    the records so far are written (``diagnostics.write_run``, with
+    "failed") before the exception propagates.
     """
-    from .config import trajectory_paths, write_meta
-
-    paths = None
-    if config.output_dir:
-        paths = trajectory_paths(config.output_dir)
-        os.makedirs(paths["snapshots"], exist_ok=True)
+    out_dir = config.output_dir
+    if out_dir:
+        os.makedirs(os.path.join(out_dir, diagnostics.SNAPSHOT_DIR), exist_ok=True)
     tab = _table(h0.n_modes, params)
 
     state = IntegratorState(h=h0, dt=config.dt, scheme=config.scheme)
@@ -199,8 +196,8 @@ def run(h0, params, config):
     def snapshot(h):
         idx = len(records) - 1
         snap_indices.append(idx)
-        if paths:
-            save_spectrum_csv(h, os.path.join(paths["snapshots"], f"t_{idx:06d}.csv"))
+        if out_dir:
+            save_spectrum_csv(h, diagnostics.snapshot_path(out_dir, idx))
 
     final_report = failure = None
     try:
@@ -232,20 +229,9 @@ def run(h0, params, config):
     except Exception as exc:
         failure = exc  # any other error: keep what was computed, re-raise
 
-    if paths:
-        with open(paths["energy"], "w") as fh:
-            fh.write(diagnostics.ENERGY_HEADER + "\n")
-            for r in records:
-                fh.write(r.csv_row() + "\n")
-        extra = {
-            "records": len(records),
-            "snapshots": snap_indices,
-            "rejected_steps": state.rejected_steps,
-            "final_solve": final_report,
-        }
-        if failure is not None:
-            extra["failed"] = str(failure)
-        write_meta(paths["meta"], config, params, extra=extra)
+    if out_dir:
+        diagnostics.write_run(out_dir, config, params, records, snap_indices,
+                              state.rejected_steps, final_report, failure)
     if failure is not None:
         raise failure
     return Trajectory(records, state.h, state.rejected_steps)

@@ -262,7 +262,6 @@ class _OpTable:
         # perturbation's sign and scale and the base inverse are folded
         # into the output rows
         self.solve_out = -(self.pert_scale * self.pert_out) / self.base
-        self.solve_active = bool(np.any(self.solve_out))
         self.norm_k = k**spec.norm_order
 
     # -- transforms: pocketfft's c2r/r2c on the 4N grid (module docstring).
@@ -318,15 +317,16 @@ def _forcing_with_h(tab, c):
     both the product factors and the physical h the solve needs (3 + 2 rows
     small slope, 2 + 1 thin film).  The product rows are summed first and
     the linear part is added last: that order fixes the rounding of every
-    output file.
+    output file.  With the quadratic terms off, N(h) is linear, no solve
+    reads h and no transform runs: the physical h is None.
     """
+    hphys = None
     if tab.force_active:
         ph = tab.phys_stack(tab.force_stack * c)
         hphys = ph[0]
         out = _weighted_sum(tab.force_out, tab.prods(hphys, ph[1:]))
         out += tab.force_linear * c
     else:
-        hphys = tab.phys(c)
         out = tab.force_linear * c
     out[0] = 0.0
     return out, hphys
@@ -355,7 +355,7 @@ def _rhs_wnl2_raw(tab, c):
     # the model-1 fixed-point map applied once, to mu instead of U
     f, hphys = _forcing_with_h(tab, c)
     out = f / tab.base
-    if tab.solve_active:
+    if tab.force_active:
         out += _solve_update(tab, hphys, tab.force_linear * c / tab.base)
     return out
 

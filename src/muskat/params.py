@@ -53,6 +53,10 @@ class ModelParams:
             raise ValueError("delta must be positive")
         if self.epsilon < 0 or self.sigma < 0:
             raise ValueError("epsilon and sigma must be nonnegative")
+        # every comparison above is false for nan, and none bounds inf
+        for name in ("lam", "theta", "sigma", "delta", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.depth not in DEPTHS:
             raise ValueError(f"depth must be one of {DEPTHS}")
         if self.model not in MODELS:

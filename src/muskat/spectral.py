@@ -110,6 +110,17 @@ class SpectralField:
         return f"SpectralField(n_modes={self.n_modes})"
 
 
+def random_decay_field(n_modes, p, rng, amplitude=1.0):
+    """Mean-zero field with |hhat(k)| = amplitude * |k|^{-p} * U(1/2, 1) and
+    uniform random phases, drawn from the numpy Generator rng."""
+    k = np.arange(1, n_modes + 1, dtype=float)
+    mag = amplitude * k ** (-float(p)) * rng.uniform(0.5, 1.0, size=n_modes)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
+    c = np.zeros(n_modes + 1, dtype=complex)
+    c[1:] = mag * np.exp(1j * phase)
+    return SpectralField(c, copy=False)
+
+
 # Fourier multipliers are callables k -> m(k) on k >= 0; realness needs
 # m(-k) = conj(m(k)), true of |k|-functions and of (ik)^j.
 

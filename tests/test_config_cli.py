@@ -139,6 +139,15 @@ def test_nondimensionalize():
                           d=1, L=1, H=1)
 
 
+@pytest.mark.parametrize("kw", [{"theta": math.nan}, {"lam": math.nan},
+                                {"delta": math.nan}, {"sigma": math.inf},
+                                {"epsilon": math.inf}])
+def test_model_params_reject_non_finite(kw):
+    # nan fails every sign check silently (each comparison is false)
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(**kw)
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
@@ -246,7 +255,8 @@ def test_simulate_sweep_cells(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("sweep", ["sigma=0.1,abc,0.2",
-                                   "initial_condition.k=1,64,2"])
+                                   "initial_condition.k=1,64,2",
+                                   "sigma", "sigma=", "sigma=,"])
 def test_sweep_bad_value_runs_no_cell(tmp_path, monkeypatch, threads, sweep):
     # every cell is validated, initial condition included, before the first
     # cell starts

@@ -12,14 +12,13 @@ from muskat.diagnostics import (
     check_operator_bounds,
     energy,
     make_record,
-    random_decay_field,
     read_energy_csv,
     verify_trajectory_dir,
 )
 from muskat.integrate import run
 from muskat.models import linear_decay_rate
 from muskat.params import ModelParams
-from muskat.spectral import SpectralField
+from muskat.spectral import SpectralField, random_decay_field
 
 SQ2PI = math.sqrt(2 * math.pi)
 

@@ -33,7 +33,7 @@ def test_zero_profile_exact_in_one_iteration(rng):
         U, rep = solve_quasilinear(SpectralField.zeros(32), F, p)
         V0 = F.coeffs / _table(32, p).base
         V0[0] = 0.0
-        assert _table(32, p).solve_active
+        assert _table(32, p).force_active
         assert np.array_equal(U.coeffs, V0)
         assert rep.iterations == 1
         assert rep.converged
