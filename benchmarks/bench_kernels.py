@@ -1,10 +1,11 @@
 """Benchmark the direct-sum oracles, the FFT pipeline and the ground-truth
 solvers.
 
-Times the direct-summation kernels (truncated convolution, commutator
-sign/tanh split) with the FFT product pipeline shown for scale, then one
-transform batch of the op table (``_OpTable.phys_stack``
-with 3 rows, ``prods`` with 2 rows) next to the same ``numpy.fft`` call, and
+Times the direct-summation kernels (truncated convolution from
+``tests/oracles.py``, commutator sign/tanh split) with the FFT product
+oracle shown for scale, then one transform batch of the op table
+(``_OpTable.phys_stack`` with 3 rows, ``prods`` with 2 rows) next to the
+same ``numpy.fft`` call, and
 one right-hand-side evaluation (``integrate._rhs_raw``: forcing plus
 fixed-point solve) per model, and one RK4 ``integrate.step`` (wnl1 at
 criterion 2's dt), all at N = 64 and 256, then the strip solve
@@ -32,7 +33,11 @@ from muskat.diagnostics import check_operator_bounds
 from muskat.integrate import IntegratorState, _rhs_raw, step
 from muskat.models import _table, linear_decay_rate
 from muskat.params import ModelParams
-from muskat.spectral import SpectralField, pointwise_product, tanh_clamped
+from muskat.spectral import SpectralField, tanh_clamped
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from oracles import convolve_truncated, full_spectrum, pointwise_product  # noqa: E402
 
 
 def _timeit(fn, *args, repeat=20):
@@ -205,18 +210,18 @@ def main():
     print(header)
     print("-" * len(header))
     for n in (64, 128, 256, 512):
-        a = _kernels.full_spectrum(_random_field(n, rng))
-        b = _kernels.full_spectrum(_random_field(n, rng))
+        a = full_spectrum(_random_field(n, rng))
+        b = full_spectrum(_random_field(n, rng))
         tanha = tanh_clamped(np.arange(n + 1))
         rows = (
-            ("convolution", _timeit(_kernels.convolve_truncated, a, b)),
+            ("convolution", _timeit(convolve_truncated, a, b)),
             ("sign_split", _timeit(_kernels.sign_split_direct, a, b, tanha)),
         )
         for name, t in rows:
             print(f"{n:>6} {name:<12} {t * 1e3:>12.3f}")
-        # FFT product pipeline, for scale
-        f = SpectralField(_random_field(n, rng))
-        g = SpectralField(_random_field(n, rng))
+        # FFT product, for scale
+        f = _random_field(n, rng)
+        g = _random_field(n, rng)
         t_fft = _timeit(pointwise_product, f, g, repeat=200)
         print(f"{n:>6} {'fft product':<12} {t_fft * 1e3:>12.3f}")
     transform_rows(rng)

@@ -1,7 +1,6 @@
 """Pseudo-spectral simulation and verification suite for elastic
 porous-media interface models on the periodic line."""
 
-from ._kernels import KERNEL_LANE
 from .config import PACKAGE_VERSION as __version__
 from .config import ConfigError, SolverConfig, load_config, make_initial_condition
 from .diagnostics import (
@@ -15,6 +14,7 @@ from .elliptic import (
     FixedPointReport,
     MaxIterationsError,
     NotContractingError,
+    RoundoffStallError,
     SolverError,
     certify_smallness,
     dense_solve,
@@ -38,10 +38,7 @@ from .spectral import (
     apply_multiplier,
     depth_symbol,
     derivative_symbol,
-    galerkin_project,
     load_spectrum_csv,
-    pointwise_product,
-    project_mean_zero,
     random_decay_field,
     save_spectrum_csv,
     wiener_norm,
@@ -50,7 +47,6 @@ from .strip import (
     DegenerateLiftError,
     StripGrid,
     StripSolution,
-    assemble_P_delta,
     dtn_apply,
     solve_strip,
     verify_dtn_expansion,

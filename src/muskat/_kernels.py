@@ -1,55 +1,20 @@
-"""Direct-summation test oracles.
+"""Direct-summation test oracle of the commutator's sign/tanh split.
 
-The kernels here are the slow-but-transparent route for quadratic mode
-interactions: they evaluate truncated convolutions and the sign/tanh
-commutator split literally, term by term, in O(N^2).  No production path
-calls them; they serve only as the independent oracle the tests hold the
-FFT pipeline of :mod:`muskat.models` against (``check_operator_bounds``
-uses ``models.commutator_sign_split``).  The module stays importable under
-these names because the benchmark harness in ``perfbench/`` wraps
-``sign_split_direct`` and reads ``KERNEL_LANE``, which every run also
-records in its ``meta.json``.
+``sign_split_direct`` evaluates the split literally, term by term, in
+O(N^2).  No production path calls it; it serves only as the independent
+oracle the tests hold ``models.commutator_sign_split`` against (the other
+direct sums live in ``tests/oracles.py``).  It stays in the package, with
+``KERNEL_LANE``, because the benchmark harness in ``perfbench/`` wraps
+``sign_split_direct`` and reads ``KERNEL_LANE`` under these names.
 
-All kernels work on full spectra ``f[m + N]`` for ``m in [-N, N]``.
-Helpers convert from the half-spectrum storage used elsewhere.
+Spectra are full: ``f[m + N]`` for ``m in [-N, N]``.
 """
 
 import numpy as np
 
-__all__ = [
-    "KERNEL_LANE",
-    "convolve_truncated",
-    "sign_split_direct",
-    "full_spectrum",
-    "half_spectrum",
-]
+__all__ = ["KERNEL_LANE", "sign_split_direct"]
 
 KERNEL_LANE = "numpy"
-
-
-def full_spectrum(half):
-    """Half spectrum c[k], k=0..N (real field) -> full spectrum f[m+N], m=-N..N."""
-    half = np.asarray(half, dtype=complex)
-    neg = np.conj(half[1:][::-1])
-    return np.concatenate([neg, half])
-
-
-def half_spectrum(full):
-    """Full spectrum f[m+N] -> half spectrum c[k], k=0..N."""
-    n = (len(full) - 1) // 2
-    return np.asarray(full[n:], dtype=complex).copy()
-
-
-def convolve_truncated(af, bf):
-    """Truncated convolution sum_m a(m) b(k-m) for |k|,|m|,|k-m| <= N.
-
-    Unnormalized: the sqrt(2*pi) product convention is applied by callers.
-    """
-    af = np.ascontiguousarray(af, dtype=complex)
-    bf = np.ascontiguousarray(bf, dtype=complex)
-    # np.convolve gives modes -2N..2N at positions k+2N; keep |k| <= N
-    n = (len(af) - 1) // 2
-    return np.convolve(af, bf)[n : 3 * n + 1]
 
 
 def sign_split_direct(hf, vf, tanha):

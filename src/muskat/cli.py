@@ -236,15 +236,16 @@ def cmd_plot(args):
                    annotations=annotations)
     written = [norms_path]
 
-    snap_dir = os.path.join(out_dir, diagnostics.SNAPSHOT_DIR)
-    snaps = sorted(os.listdir(snap_dir)) if os.path.isdir(snap_dir) else []
+    snaps = diagnostics.read_meta(out_dir)["snapshots"]
     if snaps:
         profiles = []
-        for name in (snaps[0], snaps[-1]) if len(snaps) > 1 else (snaps[0],):
-            h = load_spectrum_csv(os.path.join(snap_dir, name))
+        for idx in (snaps[0], snaps[-1]) if len(snaps) > 1 else snaps:
+            path = diagnostics.snapshot_path(out_dir, idx)
+            h = load_spectrum_csv(path)
             vals = h.values(max(4 * h.n_modes, 64))
             x = np.linspace(0.0, 2.0 * math.pi, len(vals), endpoint=False)
-            profiles.append((name.replace(".csv", ""), list(x), list(vals)))
+            label = os.path.basename(path).removesuffix(".csv")
+            profiles.append((label, list(x), list(vals)))
         prof_path = os.path.join(out_dir, "profiles.svg")
         svg_line_chart(profiles, prof_path, title="Interface profiles",
                        xlabel="x", ylabel="h")

@@ -17,6 +17,9 @@ from .spectral import SpectralField, load_spectrum_csv, random_decay_field
 
 PACKAGE_VERSION = "0.1.0"
 
+# the time-stepping schemes of ``integrate``, whose state checks this too
+SCHEMES = ("euler", "rk4")
+
 
 class ConfigError(ValueError):
     pass
@@ -159,8 +162,8 @@ class SolverConfig:
             raise ConfigError("t_end must be nonnegative and finite")
         if self.output_cadence < 1 or self.snapshot_cadence < 0:
             raise ConfigError("cadences must be positive")
-        if self.scheme not in ("euler", "rk4"):
-            raise ConfigError("scheme must be euler or rk4")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be {' or '.join(SCHEMES)}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
 

@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import models
-from ._kernels import KERNEL_LANE
 from .config import PACKAGE_VERSION, load_config
 from .spectral import SpectralField, load_spectrum_csv, random_decay_field
 from .spectral import wiener_norm
@@ -322,14 +321,20 @@ def write_run(out_dir, config, params, records, snapshots, rejected_steps,
               final_solve, failure=None):
     """energy.csv and meta.json of a run: the records, and self-describing,
     timestamp-free metadata (kept reproducible).  A failed run records its
-    error under "failed"."""
+    error under "failed".  The t_*.csv files of snapshots/ that no index in
+    snapshots names, an earlier run's, are deleted."""
+    snap_dir = os.path.join(out_dir, SNAPSHOT_DIR)
+    keep = {snapshot_path(out_dir, idx) for idx in snapshots}
+    for name in os.listdir(snap_dir):
+        path = os.path.join(snap_dir, name)
+        if name.startswith("t_") and name.endswith(".csv") and path not in keep:
+            os.remove(path)
     with open(os.path.join(out_dir, ENERGY_FILE), "w") as fh:
         fh.write(ENERGY_HEADER + "\n")
         for r in records:
             fh.write(r.csv_row() + "\n")
     meta = {
         "version": PACKAGE_VERSION,
-        "kernel_lane": KERNEL_LANE,
         # the params the run used, also where a library caller left those
         # config fields at their defaults: the directory re-verifies as run
         "config": {**config.as_dict(), **params.as_dict()},
@@ -366,14 +371,18 @@ def verify_trajectory_dir(out_dir):
     """Recompute all verdicts of a run directory from its files alone.
 
     Returns the checks dict; also validates that energies recomputed from
-    snapshot spectra agree with the logged column to 1e-12 relative.
+    snapshot spectra agree with the logged column to 1e-12 relative, and
+    (``run_complete``) that the run did not fail and that energy.csv holds
+    as many rows as meta.json counts records.
     """
     meta = read_meta(out_dir)
     _, params = load_config(meta["config"])
     records = read_energy_csv(os.path.join(out_dir, ENERGY_FILE))
     checks = decay_checks(records, params)
     worst = 0.0
-    for idx in meta.get("snapshots", []):
+    for idx in meta["snapshots"]:
+        if idx >= len(records):
+            continue  # no row to compare: run_complete fails on the count
         e = energy(load_spectrum_csv(snapshot_path(out_dir, idx)), params)
         logged = records[idx].energy
         err = abs(e - logged) / max(1.0, abs(logged))
@@ -381,6 +390,12 @@ def verify_trajectory_dir(out_dir):
     checks["energy_consistency"] = {
         "passed": worst <= 1e-12,
         "max_relative_error": worst,
+    }
+    checks["run_complete"] = {
+        "passed": "failed" not in meta and meta["records"] == len(records),
+        "failed": meta.get("failed"),
+        "records": meta["records"],
+        "energy_rows": len(records),
     }
     return checks
 

@@ -55,6 +55,22 @@ class NotContractingError(SolverError):
         self.iterations = iterations
 
 
+class RoundoffStallError(NotContractingError):
+    """The increments stopped falling although the map contracts (estimate
+    below 1): tol lies below the roundoff floor of the increments."""
+
+    def __init__(self, contraction_estimate, iterations, increment, tol):
+        SolverError.__init__(
+            self,
+            f"fixed-point increments stalled at {increment:.3g} above tol "
+            f"{tol:.3g} after {iterations} iterations; the map contracts "
+            f"(ratio {contraction_estimate:.3g} < 1), so tol lies below the "
+            "roundoff floor of the increments"
+        )
+        self.contraction_estimate = contraction_estimate
+        self.iterations = iterations
+
+
 class MaxIterationsError(SolverError):
     def __init__(self, iterations, increment, tol):
         super().__init__(
@@ -79,13 +95,12 @@ class FixedPointReport:
     as_dict = asdict
 
 
-def default_tolerance(F):
-    """1e-11 max(1, ||F||_{A0}) for a field or a mean-zero coefficient array.
+def default_tolerance(c):
+    """1e-11 max(1, ||F||_{A0}) for the mean-zero coefficient array c of F.
 
-    The sum runs over k >= 1, as in ``wiener_norm(F, 0)``, so both routes
-    give the same bits.
+    The sum runs over k >= 1, as in ``wiener_norm(F, 0)``, so the two give
+    the same bits.
     """
-    c = F.coeffs if isinstance(F, SpectralField) else F
     return 1e-11 * max(1.0, 2.0 * float(np.abs(c[1:]).sum()))
 
 
@@ -126,7 +141,10 @@ def _solve_raw(tab, cF, hphys, tol, max_iter):
         if prev is not None and prev > 0.0:
             stall = stall + 1 if inc >= prev else 0
             if stall >= _STALL_LIMIT:
-                raise NotContractingError(_stall_ratio(tab, hphys, d), it)
+                ratio = _stall_ratio(tab, hphys, d)
+                if ratio < 1.0:
+                    raise RoundoffStallError(ratio, it, inc, tol)
+                raise NotContractingError(ratio, it)
         prev = inc
     raise MaxIterationsError(max_iter, increments[-1], tol)
 
@@ -173,13 +191,14 @@ def _stall_ratio(tab, hphys, d):
 def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
     """Solve L_h U = F.  Returns (U, FixedPointReport).
 
-    Raises NotContractingError outside the smallness regime and
-    MaxIterationsError if the tolerance is not reached.
+    Raises NotContractingError outside the smallness regime, its subclass
+    RoundoffStallError when the increments stall above a tol below their
+    roundoff floor, and MaxIterationsError if the tolerance is not reached.
     """
     check_same_grid(h, F)
     tab = _table(h.n_modes, params)
     if tol is None:
-        tol = default_tolerance(F)
+        tol = default_tolerance(F.coeffs)
     hphys = tab.phys(h.coeffs)
     U_raw, iters, increments = _solve_raw(tab, F.coeffs, hphys, tol, max_iter)
     U = SpectralField(U_raw, copy=False)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, models
+from .config import SCHEMES
 from .elliptic import (
     DEFAULT_MAX_ITER,
     MaxIterationsError,
@@ -62,8 +63,8 @@ class IntegratorState:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        if self.scheme not in ("euler", "rk4"):
-            raise ValueError("scheme must be 'euler' or 'rk4'")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be {' or '.join(SCHEMES)}")
         if self.dt_max is None:
             self.dt_max = self.dt
 
@@ -175,7 +176,9 @@ def run(h0, params, config):
     final state.  Deterministic: identical config and initial data
     produce identical bytes on disk.  If the run fails, whatever the error,
     the records so far are written (``diagnostics.write_run``, with
-    "failed") before the exception propagates.
+    "failed") before the exception propagates.  ``write_run`` also deletes
+    the snapshot files an earlier run left in the directory that this run
+    did not rewrite, so snapshots/ holds exactly meta.json's list.
     """
     out_dir = config.output_dir
     if out_dir:

@@ -8,9 +8,10 @@ under the symmetric convention
 
 so a unit cosine mode ``cos(kx)`` has ``|fhat(+-k)| = sqrt(pi/2)``.  Negative
 modes are implied by Hermitian symmetry and never stored; realness is
-therefore structural.  Quadratic products are evaluated on a 4N zero-padded
-grid, which keeps every retained mode |k| <= N free of aliasing (the padded
-grid exceeds the 3N+1 points needed for an exact truncated convolution).
+therefore structural.  Quadratic products (``models``) are evaluated on a 4N
+zero-padded grid, which keeps every retained mode |k| <= N free of aliasing
+(the padded grid exceeds the 3N+1 points needed for an exact truncated
+convolution).
 
 Everything here is value-semantic: no operation mutates its inputs, so all
 operations are safe to call concurrently.
@@ -23,7 +24,6 @@ import scipy.fft as _fft
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 COS_MODE = math.sqrt(math.pi / 2.0)  # |fhat(+-k)| of a unit cosine
-TANH_SATURATION = 20  # tanh(|k|) is 1.0 to double precision beyond this
 
 
 class GridMismatchError(ValueError):
@@ -31,10 +31,8 @@ class GridMismatchError(ValueError):
 
 
 def tanh_clamped(k):
-    """tanh(|k|), evaluated directly and clamped to 1 for |k| > 20."""
-    k = np.abs(np.asarray(k, dtype=float))
-    return np.where(k > TANH_SATURATION, 1.0,
-                    np.tanh(np.minimum(k, float(TANH_SATURATION))))
+    """tanh(|k|); exactly 1.0 to double precision for |k| > 20."""
+    return np.tanh(np.abs(k))
 
 
 class SpectralField:
@@ -79,11 +77,6 @@ class SpectralField:
         return cls(c, copy=False)
 
     @classmethod
-    def from_function(cls, fn, n_modes):
-        x = grid_points(4 * n_modes)
-        return cls.from_values(fn(x), n_modes)
-
-    @classmethod
     def cosine(cls, k, amplitude, n_modes):
         """amplitude * cos(k x)."""
         if not 1 <= k <= n_modes:
@@ -124,10 +117,6 @@ def random_decay_field(n_modes, p, rng, amplitude=1.0):
 # Fourier multipliers are callables k -> m(k) on k >= 0; realness needs
 # m(-k) = conj(m(k)), true of |k|-functions and of (ik)^j.
 
-def identity_symbol():
-    return np.ones_like
-
-
 def depth_symbol(depth):
     """The flat-interface normal-derivative symbol: |k| tanh|k| for a
     bounded strip, |k| for the unbounded one."""
@@ -155,44 +144,9 @@ def wiener_norm(f, s):
     return 2.0 * float(np.sum(k**s * np.abs(f.coeffs[1:])))
 
 
-def project_mean_zero(f):
-    c = f.coeffs.copy()
-    c[0] = 0.0
-    return SpectralField(c, copy=False)
-
-
-def galerkin_project(f, m):
-    """Zero all modes with k > m.  Idempotent; identity when m >= n_modes."""
-    if m <= 0:
-        raise ValueError("projection cutoff must be positive")
-    c = f.coeffs.copy()
-    c[m + 1 :] = 0.0
-    return SpectralField(c, copy=False)
-
-
 def check_same_grid(f, g):
     if f.n_modes != g.n_modes:
         raise GridMismatchError(f"n_modes mismatch: {f.n_modes} vs {g.n_modes}")
-
-
-def pointwise_product(f, g):
-    """Dealiased spectral product of two fields on the same grid.
-
-    Computed on the 4N padded grid, so the retained coefficients equal the
-    exact truncated convolution; the mean mode is kept (callers project it
-    when an operator requires mean-zero input).
-    """
-    check_same_grid(f, g)
-    n = f.n_modes
-    m = 4 * n
-    fv = f.values(m)
-    gv = g.values(m)
-    c = _fft.rfft(fv * gv)[: n + 1] * (SQRT_2PI / m)
-    return SpectralField(c, copy=False)
-
-
-def grid_points(n_points):
-    return 2.0 * np.pi * np.arange(n_points) / n_points
 
 
 # ---------------------------------------------------------------------------

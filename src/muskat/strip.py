@@ -32,7 +32,7 @@ coupled back through the time derivative.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as _fft
@@ -79,10 +79,6 @@ class StripGrid:
     def z(self):
         return -1.0 + self.dz * np.arange(self.n_z)
 
-    @property
-    def x(self):
-        return self.dx * np.arange(self.n_x)
-
 
 @dataclass(slots=True)
 class StripSolution:
@@ -128,20 +124,6 @@ def _check_degeneracy(h_vals, epsilon):
         raise DegenerateLiftError(
             f"min(1 + eps*h) = {m:.4g} <= {DEGENERACY_FLOOR}; lifting degenerate"
         )
-
-
-def assemble_P_delta(h, grid, params):
-    """Node-sampled coefficient matrix field, shape (n_x, n_z, 2, 2)."""
-    hv = _field_values(h, grid.n_x)
-    _check_degeneracy(hv, params.epsilon)
-    hx = _dx_values(hv)
-    a, b, c = coefficient_fields(hv, hx, grid.z, params.delta, params.epsilon)
-    out = np.empty((grid.n_x, grid.n_z, 2, 2))
-    out[..., 0, 0] = a
-    out[..., 0, 1] = b
-    out[..., 1, 0] = b
-    out[..., 1, 1] = c
-    return out
 
 
 # Local bilinear-element matrices on a dx-by-dz cell, node order
@@ -407,8 +389,6 @@ def verify_dtn_expansion(h, psi, sigmas, grid, params):
     """
     if abs(params.delta - 1.0) > 1e-12:
         raise ValueError("the steepness expansion check runs at delta = 1")
-    from dataclasses import replace
-
     nx = grid.n_x
     hv = _field_values(h, nx)
     psiv = _field_values(psi, nx)
@@ -485,8 +465,6 @@ def verify_lub_flux(h, f, deltas, grid, params):
     flat-mobility forms dx f + (delta/3) dxxx f and -z(z+2)/2 dxx f when
     h = 0, and both remainders are second order in delta.
     """
-    from dataclasses import replace
-
     nx, nz = grid.n_x, grid.n_z
     eps = params.epsilon
     hv = _field_values(h, nx)

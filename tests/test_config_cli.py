@@ -360,6 +360,7 @@ def test_verify_decay_report_matches_recomputed_checks(tmp_path):
         rep = json.loads((out / "decay_report.json").read_text())
         recomputed = verify_trajectory_dir(str(out / "trajectory"))
         assert recomputed.pop("energy_consistency")["passed"]
+        assert recomputed.pop("run_complete")["passed"]
         assert rep == json.loads(json.dumps(recomputed)), name
         assert branch in rep, name
         assert code == (0 if all(c["passed"] for c in rep.values()) else 2)
@@ -373,6 +374,33 @@ def test_plot_outputs(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
     assert os.path.isfile(os.path.join(out, "profiles.svg"))
     assert main(["plot", out, "--log"]) == 0
+
+
+def test_rerun_into_one_directory_leaves_no_stale_snapshots(tmp_path):
+    # the second run deletes the first run's snapshot files it does not
+    # rewrite, and nothing else; plot draws the profiles meta.json lists
+    path, out = write_cfg(tmp_path, t_end=0.04)
+    text = open(path).read().replace("snapshot_cadence = 2",
+                                     "snapshot_cadence = 5")
+    snap_dir = tmp_path / "traj" / "snapshots"
+
+    def simulate(cadence):
+        with open(path, "w") as fh:
+            fh.write(text.replace("output_cadence = 5",
+                                  f"output_cadence = {cadence}"))
+        assert main(["simulate", "--config", path]) == 0
+
+    simulate(1)
+    assert len(os.listdir(snap_dir)) == 5
+    (snap_dir / "notes.txt").write_text("not a snapshot\n")
+    simulate(4)
+    meta = json.loads((tmp_path / "traj" / "meta.json").read_text())
+    assert meta["snapshots"] == [0, 5]
+    assert sorted(os.listdir(snap_dir)) == ["notes.txt", "t_000000.csv",
+                                            "t_000005.csv"]
+    assert main(["plot", out]) == 0
+    svg = (tmp_path / "traj" / "profiles.svg").read_text()
+    assert "t_000005" in svg and "t_000020" not in svg
 
 
 def test_plot_log_chart_annotates_fitted_rate(tmp_path):
@@ -601,6 +629,7 @@ def test_library_run_reverifies_with_the_params_it_used(tmp_path):
     expected = decay_checks(traj.records, p)
     recomputed = verify_trajectory_dir(str(tmp_path / "decay"))
     assert recomputed.pop("energy_consistency")["passed"]
+    assert recomputed.pop("run_complete")["passed"]
     assert sorted(recomputed) == sorted(expected) == ["exponential_decay",
                                                       "monotone_energy"]
     assert all(recomputed[name]["passed"] == expected[name]["passed"]
@@ -609,8 +638,8 @@ def test_library_run_reverifies_with_the_params_it_used(tmp_path):
 
 def test_output_key_sets(tmp_path):
     # the keys of meta.json and of the four reports, as the files carry them
-    meta_top = {"checks", "config", "final_solve", "kernel_lane", "params",
-                "records", "rejected_steps", "snapshots", "version"}
+    meta_top = {"checks", "config", "final_solve", "params", "records",
+                "rejected_steps", "snapshots", "version"}
     params_keys = {"chi", "delta", "depth", "epsilon", "lambda", "model",
                    "sigma", "theta"}
     config_keys = params_keys | {

@@ -15,6 +15,7 @@ from muskat.diagnostics import (
     read_energy_csv,
     verify_trajectory_dir,
 )
+from muskat.elliptic import NotContractingError
 from muskat.integrate import run
 from muskat.models import linear_decay_rate
 from muskat.params import ModelParams
@@ -109,14 +110,15 @@ def test_sign_part_two_mode_pair_frozen_values():
     # |k||k-m|^3 = 2 and bracket -2, so I_A = -sqrt(2 pi) cos(2x)
     from muskat import _kernels
     from muskat.spectral import COS_MODE, tanh_clamped
+    from oracles import full_spectrum, half_spectrum
 
     h = SpectralField.cosine(3, 1.0, 8)
     v = SpectralField.cosine(1, 1.0, 8)
     tanha = tanh_clamped(np.arange(9))
     ia_f, _ib = _kernels.sign_split_direct(
-        _kernels.full_spectrum(h.coeffs), _kernels.full_spectrum(v.coeffs), tanha
+        full_spectrum(h.coeffs), full_spectrum(v.coeffs), tanha
     )
-    ia = _kernels.half_spectrum(ia_f) / SQ2PI
+    ia = half_spectrum(ia_f) / SQ2PI
     # hand value: 2 * 1^3 * (-2) * COS_MODE^2 / sqrt(2 pi) at k = 2
     expect = 2 * (-2) * COS_MODE**2 / SQ2PI
     assert ia[2] == pytest.approx(expect, rel=1e-14)
@@ -227,9 +229,35 @@ def test_trajectory_dir_self_describing(tmp_path):
     # file-recomputed verdicts match the in-memory ones
     in_mem = check_monotone_decay(traj.records)
     assert checks["monotone_energy"]["passed"] == in_mem.passed
+    assert checks["run_complete"]["passed"]
     recs = read_energy_csv(str(out / "energy.csv"))
     assert len(recs) == len(traj.records)
     assert recs[5].energy == traj.records[5].energy
+
+
+def test_failed_or_truncated_run_fails_reverification(tmp_path):
+    # the run fails at its first solve, leaving 0 records and "failed"
+    out = tmp_path / "failed"
+    cfg = SolverConfig(model="wnl1", sigma=1.0, n_modes=32, dt=1e-3,
+                       t_end=0.1, output_dir=str(out))
+    with pytest.raises(NotContractingError):
+        run(SpectralField.cosine(3, 5.0, 32), wnl(sigma=1.0), cfg)
+    verdict = verify_trajectory_dir(str(out))["run_complete"]
+    assert not verdict["passed"]
+    assert "not contracting" in verdict["failed"]
+    assert verdict["records"] == verdict["energy_rows"] == 0
+    # a finished run whose energy.csv lost its last two rows
+    out = tmp_path / "truncated"
+    cfg = SolverConfig(model="wnl1", lam=1.0, sigma=0.1, n_modes=32,
+                       dt=0.005, t_end=0.1, output_cadence=2,
+                       snapshot_cadence=5, output_dir=str(out))
+    run(SpectralField.cosine(1, 1e-3, 32), wnl(sigma=0.1, lam=1.0), cfg)
+    energy_csv = out / "energy.csv"
+    energy_csv.write_text(
+        "".join(energy_csv.read_text().splitlines(True)[:-2]))
+    verdict = verify_trajectory_dir(str(out))["run_complete"]
+    assert not verdict["passed"] and verdict["failed"] is None
+    assert (verdict["records"], verdict["energy_rows"]) == (11, 9)
 
 
 def test_thin_film_rate_owed_only_where_rate1_bounds_every_mode():

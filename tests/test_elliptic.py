@@ -4,6 +4,7 @@ import pytest
 from muskat.elliptic import (
     NotContractingError,
     MaxIterationsError,
+    RoundoffStallError,
     certify_smallness,
     default_tolerance,
     dense_solve,
@@ -11,7 +12,7 @@ from muskat.elliptic import (
 )
 from muskat.models import _table, apply_quasilinear, forcing
 from muskat.params import ModelParams
-from muskat.spectral import SpectralField, galerkin_project, wiener_norm
+from muskat.spectral import COS_MODE, SpectralField, wiener_norm
 
 from conftest import a0_dist, random_field
 
@@ -62,8 +63,8 @@ def test_matches_dense_solve_small_perturbation():
     F = SpectralField.cosine(1, 1.0, n)
     U, rep = solve_quasilinear(h, F, p, tol=1e-13)
     assert rep.converged and rep.contraction_estimate < 1.0
-    h16 = galerkin_project(SpectralField(h.coeffs[:17]), 16)
-    F16 = galerkin_project(SpectralField(F.coeffs[:17]), 16)
+    h16 = SpectralField(h.coeffs[:17])
+    F16 = SpectralField(F.coeffs[:17])
     Ud = dense_solve(h16, F16, p)
     tail = 2 * float(np.abs(U.coeffs[17:]).sum())
     assert tail < 1e-12
@@ -91,7 +92,7 @@ def test_geometric_increments_and_residual(rng):
     for p in (wnl(sigma=1.0), lub(eps=0.8)):
         h = random_field(32, rng, p=3.0, amplitude=0.05)
         F = random_field(32, rng, p=2.5)
-        tol = default_tolerance(F)
+        tol = default_tolerance(F.coeffs)
         U, rep = solve_quasilinear(h, F, p)
         q = rep.contraction_estimate
         assert 0.0 < q < 1.0
@@ -106,6 +107,20 @@ def test_not_contracting_raised_for_large_profile():
     F = SpectralField.cosine(1, 1.0, 32)
     with pytest.raises(NotContractingError):
         solve_quasilinear(h, F, p)
+
+
+def test_roundoff_stall_is_not_reported_as_non_contraction():
+    # tol lies below the roundoff floor of the increments, so they stall
+    # although the map contracts: the error names that case, with the last
+    # increment and tol, and every NotContractingError handler catches it
+    p = wnl(sigma=0.2, lam=1.0, theta=1.0)
+    h = SpectralField.cosine(1, 1.0, 32)
+    h.coeffs[2] = 0.5 * COS_MODE
+    with pytest.raises(RoundoffStallError) as exc:
+        solve_quasilinear(h, forcing(h, p), p, tol=1e-14)
+    assert isinstance(exc.value, NotContractingError)
+    assert exc.value.contraction_estimate < 1.0
+    assert "stalled at" in str(exc.value) and "tol 1e-14" in str(exc.value)
 
 
 def test_max_iterations_raised():

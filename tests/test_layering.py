@@ -1,7 +1,7 @@
 """The package's import graph, read from the source with ``ast``.
 
-Every package import sits at module level, so importing a module loads
-all it needs at once, and the modules import one another without a cycle.
+Every import sits at module level, so importing a module loads all it
+needs at once, and the modules import one another without a cycle.
 """
 
 import ast
@@ -33,7 +33,7 @@ def _package_imports(node):
 
 def _scan(module):
     """(imported package modules, [(line, function) of function-level
-    package imports]) of one module."""
+    imports]) of one module."""
     with open(os.path.join(PKG_DIR, module + ".py")) as fh:
         tree = ast.parse(fh.read())
     deps = set()
@@ -41,9 +41,8 @@ def _scan(module):
 
     def visit(node, func):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            targets = _package_imports(node)
-            deps.update(targets)
-            if targets and func is not None:
+            deps.update(_package_imports(node))
+            if func is not None:
                 nested.append((node.lineno, func))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
@@ -55,7 +54,7 @@ def _scan(module):
     return deps, nested
 
 
-def test_no_package_import_inside_a_function():
+def test_no_import_inside_a_function():
     nested = [f"{m}.py:{line} in {func}()" for m in MODULES
               for line, func in _scan(m)[1]]
     assert nested == []

@@ -20,10 +20,14 @@ from muskat.spectral import (
     COS_MODE,
     GridMismatchError,
     SpectralField,
+    apply_multiplier,
+    depth_symbol,
+    derivative_symbol,
     wiener_norm,
 )
 
 from conftest import a0_dist, random_field
+from oracles import pointwise_product
 
 T1 = math.tanh(1.0)
 T2 = math.tanh(2.0)
@@ -329,46 +333,44 @@ def test_wnl_linear_rates_solved(rng):
 # batched pipelines vs naive composition from public primitives
 # ---------------------------------------------------------------------------
 
-def _naive_forcing_wnl(h, p):
-    from muskat.spectral import (apply_multiplier, depth_symbol,
-                                 derivative_symbol, pointwise_product,
-                                 project_mean_zero)
+def _prod(f, g):
+    return SpectralField(pointwise_product(f.coeffs, g.coeffs))
 
+
+def _mean_zero(c):
+    c = c.copy()
+    c[0] = 0.0
+    return SpectralField(c)
+
+
+def _naive_forcing_wnl(h, p):
     G = depth_symbol(p.depth)
 
     def mul(sym, f):
         return apply_multiplier(f, sym)
 
-    def prod(f, g):
-        return pointwise_product(f, g)
-
     lin = SpectralField(-p.chi * mul(G, h).coeffs
                         - (p.lam / 4) * mul(G, mul(derivative_symbol(4), h)).coeffs)
-    q1 = mul(G, prod(h, mul(G, h)))
-    q2 = mul(derivative_symbol(1), prod(h, mul(derivative_symbol(1), h)))
-    q3 = mul(G, prod(h, mul(G, mul(derivative_symbol(4), h))))
-    q4 = mul(derivative_symbol(1), prod(h, mul(derivative_symbol(5), h)))
-    out = SpectralField(
+    q1 = mul(G, _prod(h, mul(G, h)))
+    q2 = mul(derivative_symbol(1), _prod(h, mul(derivative_symbol(1), h)))
+    q3 = mul(G, _prod(h, mul(G, mul(derivative_symbol(4), h))))
+    q4 = mul(derivative_symbol(1), _prod(h, mul(derivative_symbol(5), h)))
+    return _mean_zero(
         lin.coeffs
         + p.sigma * p.chi * (q1.coeffs + q2.coeffs)
         + p.sigma * p.lam / 4 * (q3.coeffs + q4.coeffs)
     )
-    return project_mean_zero(out)
 
 
 def _naive_commutator(h, v, p):
-    from muskat.spectral import (apply_multiplier, depth_symbol,
-                                 derivative_symbol, pointwise_product,
-                                 project_mean_zero)
-
     G = depth_symbol(p.depth)
     t1 = apply_multiplier(
-        pointwise_product(h, apply_multiplier(
+        _prod(h, apply_multiplier(
             apply_multiplier(v, derivative_symbol(2)), G)), G)
     t2 = apply_multiplier(
-        pointwise_product(h, apply_multiplier(v, derivative_symbol(3))),
+        _prod(h, apply_multiplier(v, derivative_symbol(3))),
         derivative_symbol(1))
-    return project_mean_zero(SpectralField(t1.coeffs + t2.coeffs))
+    return _mean_zero(t1.coeffs + t2.coeffs)
 
 
 def test_batched_pipeline_matches_naive_composition(rng):
@@ -390,8 +392,6 @@ def test_batched_pipeline_matches_naive_composition(rng):
 
 
 def test_lub_forcing_matches_naive_composition(rng):
-    from muskat.spectral import (apply_multiplier, derivative_symbol,
-                                 pointwise_product, project_mean_zero)
     import math as _math
 
     p = lub(eps=0.4, delta=0.3, lam=0.8, theta=1.0)
@@ -402,10 +402,9 @@ def test_lub_forcing_matches_naive_composition(rng):
                           + p.lam / 4 * apply_multiplier(
                               h, derivative_symbol(4)).coeffs)
         w = apply_multiplier(g, dx)
-        flux = SpectralField(w.coeffs
-                             + p.epsilon * pointwise_product(h, w).coeffs)
-        naive = project_mean_zero(SpectralField(
-            _math.sqrt(p.delta) * apply_multiplier(flux, dx).coeffs))
+        flux = SpectralField(w.coeffs + p.epsilon * _prod(h, w).coeffs)
+        naive = _mean_zero(
+            _math.sqrt(p.delta) * apply_multiplier(flux, dx).coeffs)
         fast = forcing(h, p)
         scale = max(wiener_norm(naive, 0), 1e-30)
         assert a0_dist(fast, naive) <= 1e-12 * scale

@@ -7,8 +7,8 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
   private binding, are bitwise equal to ``numpy.fft.irfft``/``rfft``, so a
   change of that binding fails here instead of drifting the outputs;
 * the folded forcing equals the four-product formula, evaluated once with
-  the FFT product of ``spectral.pointwise_product`` and once with the
-  direct double sum of ``_kernels.convolve_truncated``;
+  the FFT product of ``oracles.pointwise_product`` and once with the
+  direct double sum of ``oracles.convolve_truncated``;
 * one folded fixed-point update equals (F - perturbation(h, V)) / base
   composed from the public operators;
 * ``integrate._rhs_raw`` agrees with the public forcing + solve route;
@@ -47,13 +47,14 @@ from muskat.spectral import (
     depth_symbol,
     derivative_symbol,
     load_spectrum_csv,
-    pointwise_product,
     save_spectrum_csv,
     tanh_clamped,
     wiener_norm,
 )
 
 from conftest import a0_dist, random_field
+from oracles import (convolve_truncated, full_spectrum, half_spectrum,
+                     pointwise_product)
 
 PROPS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -86,10 +87,9 @@ def test_transform_binding_bitwise_equals_numpy_fft(n, rows, seed):
                           np.fft.rfft(phys * hphys, axis=1)[:, : n + 1])
 
 
-def direct_product(f, g):
-    full = _kernels.convolve_truncated(_kernels.full_spectrum(f.coeffs),
-                                       _kernels.full_spectrum(g.coeffs))
-    return SpectralField(_kernels.half_spectrum(full) / SQRT_2PI)
+def direct_product(a, b):
+    full = convolve_truncated(full_spectrum(a), full_spectrum(b))
+    return half_spectrum(full) / SQRT_2PI
 
 
 def four_product_forcing(h, p, product):
@@ -101,10 +101,9 @@ def four_product_forcing(h, p, product):
 
     def pair(f):
         # G(h * G f) + dx(h * dx f)
-        gf = SpectralField(mul(G, f))
-        df = SpectralField(mul(derivative_symbol(1), f))
-        return (mul(G, product(h, gf))
-                + mul(derivative_symbol(1), product(h, df)))
+        hgf = SpectralField(product(h.coeffs, mul(G, f)))
+        hdf = SpectralField(product(h.coeffs, mul(derivative_symbol(1), f)))
+        return mul(G, hgf) + mul(derivative_symbol(1), hdf)
 
     d4h = SpectralField(mul(derivative_symbol(4), h))
     out = (-p.chi * mul(G, h) - p.lam / 4 * mul(G, d4h)
@@ -180,9 +179,9 @@ def test_sign_split_matches_direct_sum(n, seed, depth):
     p = ModelParams(lam=1.0, theta=1.0, sigma=0.1, depth=depth)
     h, v = field(n, seed), field(n, seed + 1)
     tanha = tanh_clamped(np.arange(n + 1)) if depth == "finite" else np.ones(n + 1)
-    direct = _kernels.sign_split_direct(_kernels.full_spectrum(h.coeffs),
-                                        _kernels.full_spectrum(v.coeffs), tanha)
-    refs = [SpectralField(_kernels.half_spectrum(d) / SQRT_2PI) for d in direct]
+    direct = _kernels.sign_split_direct(full_spectrum(h.coeffs),
+                                        full_spectrum(v.coeffs), tanha)
+    refs = [SpectralField(half_spectrum(d) / SQRT_2PI) for d in direct]
     got = models.commutator_sign_split(h, v, p)
     err = sum(a0_dist(g, r) for g, r in zip(got, refs))
     assert err <= 1e-12 * sum(wiener_norm(r, 0) for r in refs)

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from muskat.params import ModelParams
-from muskat.spectral import COS_MODE, SpectralField, wiener_norm
+from muskat.spectral import (
+    COS_MODE,
+    SpectralField,
+    apply_multiplier,
+    derivative_symbol,
+    wiener_norm,
+)
 from muskat.strip import (
     DegenerateLiftError,
     LinearSolveError,
     StripGrid,
-    assemble_P_delta,
     assemble_system,
+    coefficient_fields,
     dtn_apply,
     solve_strip,
     surface_normal_velocity,
@@ -33,44 +39,52 @@ def test_grid_validation():
     assert g.dz == pytest.approx(1 / 32)
 
 
+def p_delta(h, grid, delta, eps):
+    """The entries (a, b, c) of P = [[a, b], [b, c]] at the grid nodes."""
+    hv = h.values(grid.n_x)
+    hx = apply_multiplier(h, derivative_symbol(1)).values(grid.n_x)
+    return coefficient_fields(hv, hx, grid.z, delta, eps)
+
+
 def test_p_delta_flat_interface():
     g = StripGrid(32, 17)
-    P = assemble_P_delta(SpectralField.zeros(8), g, p_of(delta=0.5))
-    assert np.allclose(P[..., 0, 0], 0.5)
-    assert np.allclose(P[..., 1, 1], 1.0)
-    assert np.all(P[..., 0, 1] == 0)
+    a, b, c = p_delta(SpectralField.zeros(8), g, 0.5, 0.0)
+    assert np.allclose(a, 0.5)
+    assert np.allclose(c, 1.0)
+    assert np.all(b == 0)
 
 
 def test_p_delta_bottom_row_diagonal():
     # at z = -1 the lifting factor (1+z) kills the off-diagonal entries
     g = StripGrid(64, 17)
     h = SpectralField.cosine(1, 0.5, 8)
-    p = p_of(delta=0.7, eps=0.3)
-    P = assemble_P_delta(h, g, p)
-    assert np.abs(P[:, 0, 0, 1]).max() == 0.0
+    a, b, c = p_delta(h, g, 0.7, 0.3)
+    assert np.abs(b[:, 0]).max() == 0.0
     hv = h.values(64)
-    assert np.allclose(P[:, 0, 0, 0], 0.7 * (1 + 0.3 * hv))
-    assert np.allclose(P[:, 0, 1, 1], 1.0 / (1 + 0.3 * hv))
+    assert np.allclose(a[:, 0], 0.7 * (1 + 0.3 * hv))
+    assert np.allclose(c[:, 0], 1.0 / (1 + 0.3 * hv))
 
 
 def test_p_delta_symmetric_positive_definite(rng):
+    # P is positive definite at every node, and the stiffness matrix
+    # assembled from it is symmetric
     g = StripGrid(64, 17)
     for _ in range(10):
-        c = np.zeros(9, complex)
-        c[1:4] = 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        h = SpectralField(c)
-        P = assemble_P_delta(h, g, p_of(delta=0.5, eps=0.4))
-        assert np.all(P[..., 0, 1] == P[..., 1, 0])
-        det = P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] ** 2
-        assert np.all(det > 0)
-        assert np.all(P[..., 0, 0] > 0)
+        hc = np.zeros(9, complex)
+        hc[1:4] = 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        h = SpectralField(hc)
+        a, b, c = p_delta(h, g, 0.5, 0.4)
+        assert np.all(a * c - b**2 > 0)
+        assert np.all(a > 0)
+        A = assemble_system(h, g, p_of(delta=0.5, eps=0.4))
+        assert abs(A - A.T).max() == 0.0
 
 
 def test_degenerate_lift_rejected():
     g = StripGrid(64, 17)
     h = SpectralField.cosine(1, 1.0, 8)
     with pytest.raises(DegenerateLiftError):
-        assemble_P_delta(h, g, p_of(eps=0.96))
+        assemble_system(h, g, p_of(eps=0.96))
     with pytest.raises(DegenerateLiftError):
         solve_strip(h, h, g, p_of(eps=0.96))
 
@@ -125,7 +139,8 @@ def test_flat_strip_closed_form_second_order():
         g = StripGrid(nx, nz)
         psi = SpectralField.cosine(1, 1.0, 8)
         sol = solve_strip(SpectralField.zeros(8), psi, g, p_of())
-        exact = np.cos(g.x)[:, None] * np.cosh(1 + g.z)[None, :] / math.cosh(1)
+        x = g.dx * np.arange(nx)
+        exact = np.cos(x)[:, None] * np.cosh(1 + g.z)[None, :] / math.cosh(1)
         errs.append(np.abs(sol.phi - exact).max())
         assert sol.residual_norm <= 1e-10 * wiener_norm(psi, 0)
         # Dirichlet row equals the datum exactly
@@ -249,5 +264,6 @@ def test_phi1_profile_shape():
     sol = solve_strip(SpectralField.zeros(16), f,
                       g, replace(p, delta=d, sigma=0.0))
     phi1_num = (sol.phi - f.values(128)[:, None]) / d
-    phi1 = 0.5 * g.z[None, :] * (g.z[None, :] + 2.0) * np.cos(g.x)[:, None]
+    x = g.dx * np.arange(g.n_x)
+    phi1 = 0.5 * g.z[None, :] * (g.z[None, :] + 2.0) * np.cos(x)[:, None]
     assert np.abs(phi1_num - phi1).max() <= 0.01
