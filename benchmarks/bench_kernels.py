@@ -9,10 +9,12 @@ same ``numpy.fft`` call, and
 one right-hand-side evaluation (``integrate._rhs_raw``: forcing plus
 fixed-point solve) per model, and one RK4 ``integrate.step`` (wnl1 at
 criterion 2's dt), all at N = 64 and 256, then the strip solve
-(``strip.solve_strip``, preconditioned CG) next to a sparse LU of the same
-system, ``diagnostics.check_operator_bounds`` at 500 samples, N = 64, and
-last the wall time and peak RSS of ``import muskat.cli`` in a fresh
-interpreter, the fixed cost every CLI call and sweep worker pays.
+(``strip.solve_strip``: stencil build plus preconditioned CG) next to the
+sparse LU of the oracle's CSR matrix (``tests/oracles.py``),
+``diagnostics.check_operator_bounds`` at 500 samples, N = 64, and last
+the wall time, peak RSS and loaded scipy modules of ``import muskat.cli``
+in a fresh interpreter, the fixed cost every CLI call and sweep worker
+pays.
 Run:
 
     python benchmarks/bench_kernels.py
@@ -25,7 +27,6 @@ import sys
 import time
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 import muskat
 from muskat import _kernels, strip
@@ -37,7 +38,12 @@ from muskat.spectral import SpectralField, tanh_clamped
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
-from oracles import convolve_truncated, full_spectrum, pointwise_product  # noqa: E402
+from oracles import (  # noqa: E402
+    convolve_truncated,
+    full_spectrum,
+    lu_strip_solve,
+    pointwise_product,
+)
 
 
 def _timeit(fn, *args, repeat=20):
@@ -135,13 +141,14 @@ with open("/proc/self/status") as fh:
     hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM"))
 print(json.dumps({"wall_s": wall, "n_modules": len(sys.modules),
                   "peak_rss_mb": hwm / 1024.0,
-                  "scipy.integrate": "scipy.integrate" in sys.modules}))
+                  "scipy_modules": sum(m.split(".")[0] == "scipy"
+                                       for m in sys.modules)}))
 """
 
 
 def import_row(rounds=5):
     """``import muskat.cli`` in fresh interpreters: median wall time, peak
-    RSS and module count, and whether scipy.integrate was loaded."""
+    RSS, module count and how many of the modules are scipy's."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(muskat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     runs = [json.loads(subprocess.run(
@@ -152,17 +159,7 @@ def import_row(rounds=5):
     print(f"\nimport muskat.cli (fresh process, median of {rounds}): "
           f"{wall:.3f} s, peak RSS {rss:.1f} MB, "
           f"{runs[0]['n_modules']} modules, "
-          f"scipy.integrate loaded: {runs[0]['scipy.integrate']}")
-
-
-def _lu_strip_solve(h, psi, grid, params):
-    """The oracle: assemble the same system and solve it by sparse LU."""
-    nx, nz = grid.n_x, grid.n_z
-    A = strip.assemble_system(h, grid, params)
-    idx = np.arange(nx * nz).reshape(nx, nz)
-    u_ids, d_ids = idx[:, :-1].ravel(), idx[:, -1]
-    rhs = -(A[u_ids][:, d_ids] @ psi.values(nx))
-    return spla.splu(A[u_ids][:, u_ids].tocsc()).solve(rhs)
+          f"{runs[0]['scipy_modules']} of them scipy's")
 
 
 def _median_time(fn, *args, rounds=3):
@@ -175,13 +172,14 @@ def _median_time(fn, *args, rounds=3):
 
 
 def strip_rows():
-    """solve_strip (assembly + CG) against assembly + LU, median of 3.
+    """solve_strip (stencil build + CG) against the oracle's CSR scatter +
+    sparse LU, median of 3.
 
     256x65 flat is the size of `muskat verify flux`; 512x256 at sigma =
     0.05 and 0.2 are two of the solves of `muskat verify dtn`.
     """
     print(f"\n{'grid':>8} {'sigma':>6} {'cg [s]':>9} {'iters':>6} "
-          f"{'residual':>10} {'splu [s]':>9} {'max |cg - lu|':>14}")
+          f"{'residual':>10} {'csr+lu [s]':>10} {'max |cg - lu|':>14}")
     cases = ((256, 65, 0.0), (512, 256, 0.05), (512, 256, 0.2))
     for nx, nz, sigma in cases:
         grid = strip.StripGrid(nx, nz)
@@ -190,10 +188,10 @@ def strip_rows():
              else SpectralField.zeros(64))
         psi = SpectralField.cosine(2, 1.0, 64)
         t_cg, sol = _median_time(strip.solve_strip, h, psi, grid, p)
-        t_lu, phi_lu = _median_time(_lu_strip_solve, h, psi, grid, p)
-        diff = np.abs(sol.phi[:, :-1].ravel() - phi_lu).max()
+        t_lu, phi_lu = _median_time(lu_strip_solve, h, psi, grid, p)
+        diff = np.abs(sol.phi[:, :-1] - phi_lu).max()
         print(f"{nx:>4}x{nz:<3} {sigma:>6.2f} {t_cg:>9.3f} "
-              f"{sol.iterations:>6} {sol.residual_norm:>10.2e} {t_lu:>9.3f} "
+              f"{sol.iterations:>6} {sol.residual_norm:>10.2e} {t_lu:>10.3f} "
               f"{diff:>14.2e}")
 
 

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import numpy.random  # np.random: loaded here, not at its first use
 
 from .params import KEY_NAMES, ModelParams, keyed_dict
 from .spectral import SpectralField, load_spectrum_csv, random_decay_field

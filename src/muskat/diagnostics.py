@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.random  # np.random: loaded here, not at its first use
 
 from . import models
 from .config import PACKAGE_VERSION, load_config

@@ -22,6 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import numpy.random  # np.random: loaded here, not at its first use
 
 from . import models
 from .models import _table

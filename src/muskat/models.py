@@ -38,17 +38,17 @@ so a small-slope right-hand side converging in one iteration transforms 9
 rows of 4N points (thin film: 2 + 1 for the forcing, 1 + 1 per iteration).
 
 Transform binding.  The batches call pocketfft's C++ ``c2r``/``r2c``
-through ``scipy.fft._pocketfft.pypocketfft``, the code that numpy.fft and
-scipy.fft both wrap, loaded already by ``spectral``'s ``import scipy.fft``.
+through ``spectral.irfft``/``rfft``, the binding that numpy.fft and
+scipy.fft both wrap, loaded from its file without scipy's package init.
 A batch of 2-3 rows of 4N = 1024 points is mostly per-call overhead, and
-the Python wrappers of ``numpy.fft.irfft``/``rfft`` add about 5-7 us per
-call on top of the C++ work (``benchmarks/bench_kernels.py``).  The inverse
-input is zero-padded from N+1 to 2N+1 modes in a fresh array, and the
-forward input is the product of the factor rows and h.  The results are
-bitwise equal to ``numpy.fft.irfft(., n=4N)`` and ``numpy.fft.rfft``, which
+``numpy.fft.irfft``/``rfft`` add about 5-12 us per call on top of the
+C++ work (``benchmarks/bench_kernels.py``).  The inverse input is
+zero-padded from N+1 to 2N+1 modes in a fresh array, and the forward
+input is the product of the factor rows and h.  The results are bitwise
+equal to ``numpy.fft.irfft(., n=4N)`` and ``numpy.fft.rfft``, which
 ``tests/test_properties.py::test_transform_binding_bitwise_equals_numpy_fft``
-checks at random N and row counts, so a change of the private binding
-fails the tests instead of changing the outputs.
+checks at random N and row counts, so a change of the binding fails the
+tests instead of changing the outputs.
 
 One description per model.  ``model_spec(params)`` is the one place the
 model and depth names are read: it decides the thin film against the
@@ -69,10 +69,11 @@ allocates its own pad and product arrays (reused per-thread buffers saved
 no measurable time) and no input array is written, so all operations are
 safe to use from multiple threads.
 
-Imports.  ``import muskat`` loads numpy, ``scipy.fft`` (which brings in
-``scipy.special``) and ``scipy.sparse``, and no other scipy subpackage:
-their start-up, about 240 modules for the integration routines alone,
-would be paid by every CLI call and sweep worker.
+Imports.  ``import muskat`` loads numpy (with ``numpy.random``) and the
+package, and no scipy module: the FFT binding is one extension file
+(``spectral``) and the strip solver needs no sparse matrix (``strip``).
+In a fresh interpreter ``import muskat.cli`` takes about 0.2 s, against
+0.5 s with ``scipy.fft`` and ``scipy.sparse``.
 """
 
 import math
@@ -80,13 +81,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
 from .params import ModelParams
 from .spectral import (
     SQRT_2PI,
     SpectralField,
     check_same_grid,
+    irfft,
+    rfft,
     tanh_clamped,
 )
 
@@ -264,25 +266,21 @@ class _OpTable:
         self.solve_out = -(self.pert_scale * self.pert_out) / self.base
         self.norm_k = k**spec.norm_order
 
-    # -- transforms: pocketfft's c2r/r2c on the 4N grid (module docstring).
-    # The arguments are positional, c2r(a, axes, lastsize, forward, inorm)
-    # and r2c(a, axes, forward, inorm); inorm=2 divides by 4N, 0 does not
-    # scale.  Called with keywords, the binding holds an allocation that
-    # grows to about 2 MB over the first 1e5 calls.
+    # -- transforms: pocketfft's c2r/r2c on the 4N grid (module docstring)
 
     def phys(self, c):
         # its own pad, not phys_stack: the tracer counts each batch once
         pad = np.zeros(2 * self.n + 1, complex)
         np.multiply(c, self.h_scale, out=pad[: self.n + 1])
-        return _c2r(pad, (0,), self.m, False, 2)
+        return irfft(pad, self.m, 0)
 
     def phys_stack(self, rows):
         pad = np.zeros((rows.shape[0], 2 * self.n + 1), complex)
         pad[:, : self.n + 1] = rows
-        return _c2r(pad, (1,), self.m, False, 2)
+        return irfft(pad, self.m, 1)
 
     def prods(self, hphys, rows_phys):
-        return _r2c(rows_phys * hphys, (1,), True, 0)[:, : self.n + 1]
+        return rfft(rows_phys * hphys, 1)[:, : self.n + 1]
 
 
 @lru_cache(maxsize=64)

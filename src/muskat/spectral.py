@@ -15,15 +15,72 @@ convolution).
 
 Everything here is value-semantic: no operation mutates its inputs, so all
 operations are safe to call concurrently.
+
+Transforms.  Every FFT of the package goes through one module, ``pocketfft``:
+pocketfft's pybind11 binding ``pypocketfft``, loaded from its file in
+scipy's directory.  Importing ``scipy.fft`` would also run that package's
+init, which loads ``scipy.special``, ``numpy.f2py`` and ``numpy.testing``,
+about 0.3 s that every CLI call, sweep worker and benchmark body would pay
+for two functions.  ``rfft``/``irfft`` pass the binding the arguments that
+``scipy.fft.rfft``/``irfft`` pass, so they return the same bits
+(``tests/test_spectral.py`` checks this against scipy).
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 
 import numpy as np
-import scipy.fft as _fft
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 COS_MODE = math.sqrt(math.pi / 2.0)  # |fhat(+-k)| of a unit cosine
+
+
+def _load_pocketfft():
+    """scipy's ``fft/_pocketfft/pypocketfft`` extension, loaded from its file
+    without importing any scipy package.
+
+    ``find_spec`` locates scipy without importing it.  The module takes its
+    own qualified name, so a later ``import scipy.fft`` reuses this same
+    module object; it is not entered in ``sys.modules``.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("muskat needs scipy's pocketfft binding; "
+                          "scipy is not installed")
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(scipy_spec.submodule_search_locations[0], "fft",
+                        "_pocketfft", "pypocketfft" + suffix)
+    if not os.path.isfile(path):
+        raise ImportError(f"pocketfft binding not found at {path}")
+    spec = importlib.util.spec_from_file_location(
+        "scipy.fft._pocketfft.pypocketfft", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pocketfft = _load_pocketfft()
+
+
+# The arguments are positional, r2c(a, axes, forward, inorm, out, nthreads)
+# and c2r(a, axes, lastsize, forward, inorm, out, nthreads); inorm = 2
+# divides by the transform length, 0 does not scale.  Called with keywords,
+# the binding holds an allocation that grows to about 2 MB over the first
+# 1e5 calls.
+
+def rfft(x, axis=-1):
+    """Unnormalized forward real FFT along ``axis``: the bits of
+    ``scipy.fft.rfft(x, axis=axis)`` for a float64 array x."""
+    return pocketfft.r2c(x, (axis,), True, 0, None, 1)
+
+
+def irfft(F, n, axis=-1):
+    """Inverse real FFT of length n along ``axis``, divided by n: the bits
+    of ``scipy.fft.irfft(F, n=n, axis=axis)`` for a complex128 array F
+    with n // 2 + 1 entries along ``axis``."""
+    return pocketfft.c2r(F, (axis,), n, False, 2, None, 1)
 
 
 class GridMismatchError(ValueError):
@@ -66,14 +123,20 @@ class SpectralField:
 
     @classmethod
     def from_values(cls, values, n_modes=None):
-        """Field from samples on the uniform grid x_j = 2*pi*j/m."""
+        """Field from samples on the uniform grid x_j = 2*pi*j/m.
+
+        m samples resolve n_modes only when m >= 2*n_modes + 1, the rule of
+        ``values``: at m = 2*n_modes the coefficient of mode m/2 would sum
+        the modes +-m/2.
+        """
         values = np.asarray(values, dtype=float)
         m = values.size
         if n_modes is None:
             n_modes = (m - 1) // 2
-        if n_modes > m // 2:
-            raise GridMismatchError(f"{m} samples resolve at most {m // 2} modes")
-        c = _fft.rfft(values)[: n_modes + 1] * (SQRT_2PI / m)
+        if m < 2 * n_modes + 1:
+            raise GridMismatchError(
+                f"{m} samples resolve at most {(m - 1) // 2} modes")
+        c = rfft(values)[: n_modes + 1] * (SQRT_2PI / m)
         return cls(c, copy=False)
 
     @classmethod
@@ -94,7 +157,7 @@ class SpectralField:
             raise GridMismatchError(f"{n_points} points cannot carry {n} modes")
         buf = np.zeros(n_points // 2 + 1, dtype=complex)
         buf[: n + 1] = self.coeffs
-        return _fft.irfft(buf, n=n_points) * (n_points / SQRT_2PI)
+        return irfft(buf, n_points) * (n_points / SQRT_2PI)
 
     def copy(self):
         return SpectralField(self.coeffs, copy=True)

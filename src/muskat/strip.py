@@ -13,13 +13,18 @@ Dirichlet datum at z = 0 and a no-flux bottom at z = -1 (where the
 off-diagonal vanishes, so the co-normal and vertical derivatives agree).
 
 Discretization: bilinear elements on the structured grid with P sampled at
-cell midpoints.  The assembled operator is symmetric by construction, the
-scheme is conservative and second order, and the bottom condition is the
-natural boundary condition of the quadratic form.  This route never touches
-the Fourier-side model operators; it exists to validate them.
+cell midpoints.  The stiffness matrix couples each node to its eight
+neighbours only, so it is stored as a 9-point stencil on the grid
+(periodic in x), summed from the 4x4 cell matrices; no sparse matrix is
+formed.  The operator is exactly symmetric, the scheme is conservative and
+second order, and the bottom condition is the natural boundary condition
+of the quadratic form.  This route never touches the Fourier-side model
+operators; it exists to validate them.
 
 Linear solve: conjugate gradients on the unknown (non-Dirichlet) nodes,
-preconditioned by the exact flat operator (h = 0, eps = 0),
+where the operator is the stencil applied to the unknowns with a zero
+Dirichlet row and the right-hand side the stencil applied to the datum
+alone, preconditioned by the exact flat operator (h = 0, eps = 0),
 delta*(Kx (x) Mz) + (Mx (x) Kz) with the Dirichlet row removed.  The 1-D
 x-blocks Kx, Mx are circulant, so one real FFT along x splits that
 operator into one symmetric positive definite tridiagonal system in z per
@@ -35,10 +40,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft as _fft
-import scipy.sparse as sp
 
-from .spectral import GridMismatchError, SpectralField, tanh_clamped
+from .spectral import (GridMismatchError, SpectralField, irfft, rfft,
+                       tanh_clamped)
 
 DEGENERACY_FLOOR = 0.05
 # CG stops once ||r|| <= CG_RTOL * ||rhs||, and fails after CG_MAXITER steps
@@ -100,10 +104,10 @@ def _field_values(field, n_x):
 def _dx_values(vals, order=1):
     """Spectral x-derivative of grid samples (periodic), along axis 0."""
     n = vals.shape[0]
-    F = _fft.rfft(vals, axis=0)
+    F = rfft(vals, axis=0)
     kk = (1j * np.arange(F.shape[0])) ** order
     F = F * (kk[:, None] if vals.ndim > 1 else kk)
-    return _fft.irfft(F, n=n, axis=0)
+    return irfft(F, n, axis=0)
 
 
 def coefficient_fields(h_vals, hx_vals, z, delta, epsilon):
@@ -148,8 +152,11 @@ def _local_blocks(dx, dz):
     return kxx, kzz, kxz
 
 
-def assemble_system(h, grid, params):
-    """Full symmetric stiffness matrix over all nodes (z-fastest ordering)."""
+def _cell_matrices(h, grid, params):
+    """The 4x4 bilinear-element matrix of every cell, shape (4, 4, n_x,
+    n_z - 1): cell (i, j) has the corners (i, j), (i, j+1), (i+1, j),
+    (i+1, j+1) (x periodic), local index 2*ix + iz, and each entry is one
+    contiguous (n_x, n_z - 1) array."""
     nx, nz = grid.n_x, grid.n_z
     hv = _field_values(h, nx)
     _check_degeneracy(hv, params.epsilon)
@@ -159,25 +166,60 @@ def assemble_system(h, grid, params):
     hxm = 0.5 * (hx + np.roll(hx, -1))
     zm = -1.0 + grid.dz * (np.arange(nz - 1) + 0.5)
     a, b, c = coefficient_fields(hm, hxm, zm, params.delta, params.epsilon)
-    kxx, kzz, kxz = _local_blocks(grid.dx, grid.dz)
-    kloc = (
-        a[..., None, None] * kxx
-        + c[..., None, None] * kzz
-        + b[..., None, None] * kxz
-    )
-    idx = np.arange(nx * nz).reshape(nx, nz)
-    i0 = np.arange(nx)
-    i1 = (i0 + 1) % nx
-    jj = np.arange(nz - 1)
-    corners = np.empty((nx, nz - 1, 4), dtype=np.int64)
-    corners[:, :, 0] = idx[i0][:, jj]
-    corners[:, :, 1] = idx[i0][:, jj + 1]
-    corners[:, :, 2] = idx[i1][:, jj]
-    corners[:, :, 3] = idx[i1][:, jj + 1]
-    rows = np.repeat(corners[..., :, None], 4, axis=3).ravel()
-    cols = np.repeat(corners[..., None, :], 4, axis=2).ravel()
-    n = nx * nz
-    return sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    kxx, kzz, kxz = (blk[:, :, None, None]
+                     for blk in _local_blocks(grid.dx, grid.dz))
+    return kxx * a + kzz * c + kxz * b
+
+
+def assemble_system(h, grid, params):
+    """The symmetric stiffness matrix over all nodes as a 9-point stencil.
+
+    Returns C of shape (3, 3, n_x, n_z): C[1 + dx, 1 + dz, i, j] is the
+    entry coupling node (i, j) to node ((i + dx) mod n_x, j + dz), and 0
+    where j + dz leaves [0, n_z).  Node (i, j) is corner (ax, az) of cell
+    (i - ax, j - az).  Each entry adds the cell matrices of the cells that
+    hold both nodes in ascending cell order, the order a COO-to-CSR
+    conversion sums them in (away from the x wrap); it is the same order
+    for C[d] at n as for C[-d] at n + d, so C[d](n) == C[-d](n + d) bit
+    for bit.
+    """
+    nx, nz = grid.n_x, grid.n_z
+    kloc = _cell_matrices(h, grid, params)
+    C = np.zeros((3, 3, nx, nz))
+    for ax in (1, 0):
+        for az in (1, 0):
+            nodes = slice(az, nz - 1 + az)  # node rows j = cell row + az
+            for bx in (0, 1):
+                for bz in (0, 1):
+                    entry = kloc[2 * ax + az, 2 * bx + bz]
+                    if ax:  # cell i - 1 of node i
+                        entry = np.roll(entry, 1, axis=0)
+                    C[1 + bx - ax, 1 + bz - az, :, nodes] += entry
+    return C
+
+
+def stencil_apply(C, x):
+    """y(i, j) = sum over d of C[d](i, j) x((i + dx) mod n_x, j + dz) for
+    x of shape (n_x, m) and a stencil C of shape (3, 3, n_x, m) that is 0
+    where j + dz leaves [0, m).
+
+    On the flattened z-fastest array the neighbour n + d sits at offset
+    dx*m + dz, and the offset wraps in x.  A coefficient that reaches past
+    a z boundary is 0, so the value it would read does not matter.
+    """
+    nx, m = x.shape
+    n = nx * m
+    w = m + 1
+    flat = x.ravel()
+    padded = np.concatenate((flat[n - w:], flat, flat[:w]))
+    coeffs = C.reshape(9, n)
+    y = coeffs[0] * padded[:n]
+    term = np.empty(n)
+    for d in range(1, 9):
+        start = (d // 3) * m + d % 3
+        np.multiply(coeffs[d], padded[start:start + n], out=term)
+        y += term
+    return y.reshape(nx, m)
 
 
 def flat_preconditioner(grid, delta):
@@ -219,19 +261,20 @@ def flat_preconditioner(grid, delta):
         inv_piv[i] = 1.0 / (diag[i] - lower[i - 1] * off[i - 1])
 
     def apply(r):
-        y = _fft.rfft(r.reshape(nx, nu).T, axis=1)
+        y = rfft(r.reshape(nx, nu).T, axis=1)
         for i in range(1, nu):
             y[i] -= lower[i - 1] * y[i - 1]
         y[nu - 1] *= inv_piv[nu - 1]
         for i in range(nu - 2, -1, -1):
             y[i] = (y[i] - off[i] * y[i + 1]) * inv_piv[i]
-        return _fft.irfft(y, n=nx, axis=1).T.ravel()
+        return irfft(y, nx, axis=1).T.ravel()
 
     return apply
 
 
 def _pcg(A, b, precond):
-    """Preconditioned CG for the SPD matrix A; returns (x, iterations)."""
+    """Preconditioned CG for the SPD operator A (a function of a vector);
+    returns (x, iterations)."""
     x = np.zeros_like(b)
     r = b.copy()
     rnorm = b_norm = np.linalg.norm(b)
@@ -241,7 +284,7 @@ def _pcg(A, b, precond):
     p = z
     rz = r @ z
     for it in range(1, CG_MAXITER + 1):
-        q = A @ p
+        q = A(p)
         alpha = rz / (p @ q)
         x += alpha * p
         r -= alpha * q
@@ -274,19 +317,27 @@ def solve_strip(h, psi, grid, params):
     iterations or produces non-finite values.
     """
     nx, nz = grid.n_x, grid.n_z
-    A = assemble_system(h, grid, params)
+    nu = nz - 1
+    C = assemble_system(h, grid, params)
     psi_vals = _field_values(psi, nx)
-    idx = np.arange(nx * nz).reshape(nx, nz)
-    d_ids = idx[:, nz - 1].ravel()
-    u_ids = idx[:, : nz - 1].ravel()
-    Au = A[u_ids]
-    Auu = Au[:, u_ids]
-    rhs = -(Au[:, d_ids] @ psi_vals)
+    # rhs: minus the stencil applied to [0; psi], on the unknown rows
+    datum = np.zeros((nx, nz))
+    datum[:, nu] = psi_vals
+    rhs = -stencil_apply(C, datum)[:, :nu].ravel()
+    # Auu p: the stencil applied to [p; 0], on the unknown rows.  The
+    # couplings to the Dirichlet row multiply its zeros, so they are set to
+    # 0; on the unknown block alone they would read the next x column.
+    Cuu = C[:, :, :, :nu].copy()
+    Cuu[:, 2, :, nu - 1] = 0.0
+
+    def Auu(p):
+        return stencil_apply(Cuu, p.reshape(nx, nu)).ravel()
+
     phi_u, iterations = _pcg(Auu, rhs, flat_preconditioner(grid, params.delta))
-    residual = float(np.linalg.norm(Auu @ phi_u - rhs))
+    residual = float(np.linalg.norm(Auu(phi_u) - rhs))
     phi = np.empty((nx, nz))
-    phi[:, : nz - 1] = phi_u.reshape(nx, nz - 1)
-    phi[:, nz - 1] = psi_vals
+    phi[:, :nu] = phi_u.reshape(nx, nu)
+    phi[:, nu] = psi_vals
     return StripSolution(phi, residual, iterations)
 
 
@@ -375,7 +426,7 @@ class OrderReport:
 
 
 def _a0_of_values(vals):
-    F = _fft.rfft(vals)
+    F = rfft(vals)
     return 2.0 * float(np.abs(F[1:]).sum()) / len(vals)
 
 
@@ -395,9 +446,9 @@ def verify_dtn_expansion(h, psi, sigmas, grid, params):
     g0 = flat_dtn_symbol(1.0)
 
     def g0_vals(vals):
-        F = _fft.rfft(vals)
+        F = rfft(vals)
         kk = np.arange(F.shape[0])
-        return _fft.irfft(F * g0(kk), n=nx)
+        return irfft(F * g0(kk), nx)
 
     taylor1 = -(g0_vals(hv * g0_vals(psiv)) + _dx_values(hv * _dx_values(psiv)))
     flat = replace(params, epsilon=0.0, sigma=0.0)

@@ -1,6 +1,7 @@
-"""Reference routes the tests hold the program against, numpy only.
+"""Reference routes the tests hold the program against.
 
-Each works on coefficient arrays and shares no code with ``muskat``:
+The spectral ones work on coefficient arrays, through numpy alone, and
+share no code with ``muskat``:
 
 * ``pointwise_product`` is the dealiased product of two half spectra on
   the 4N padded grid, through ``numpy.fft``;
@@ -10,11 +11,22 @@ Each works on coefficient arrays and shares no code with ``muskat``:
 
 Half spectra are ``c[k]``, k = 0..N, of a real field under the package's
 symmetric convention; full spectra are ``f[m + N]``, m = -N..N.
+
+The strip ones take the cell matrices of ``strip._cell_matrices`` and
+hold the program's 9-point stencil against a general sparse matrix:
+
+* ``csr_system`` scatters every cell matrix into a scipy CSR matrix over
+  all nodes (z-fastest node order), summing the shared entries;
+* ``lu_strip_solve`` solves its unknown block by a sparse LU.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from muskat import strip
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -55,3 +67,33 @@ def convolve_truncated(af, bf):
     # np.convolve gives modes -2N..2N at positions k+2N; keep |k| <= N
     n = (len(af) - 1) // 2
     return np.convolve(af, bf)[n : 3 * n + 1]
+
+
+def csr_system(h, grid, params):
+    """The strip's stiffness matrix over all nodes as a CSR matrix."""
+    nx, nz = grid.n_x, grid.n_z
+    kloc = strip._cell_matrices(h, grid, params).transpose(2, 3, 0, 1)
+    idx = np.arange(nx * nz).reshape(nx, nz)
+    i0 = np.arange(nx)
+    i1 = (i0 + 1) % nx
+    jj = np.arange(nz - 1)
+    corners = np.empty((nx, nz - 1, 4), dtype=np.int64)
+    corners[:, :, 0] = idx[i0][:, jj]
+    corners[:, :, 1] = idx[i0][:, jj + 1]
+    corners[:, :, 2] = idx[i1][:, jj]
+    corners[:, :, 3] = idx[i1][:, jj + 1]
+    rows = np.repeat(corners[..., :, None], 4, axis=3).ravel()
+    cols = np.repeat(corners[..., None, :], 4, axis=2).ravel()
+    n = nx * nz
+    return sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def lu_strip_solve(h, psi, grid, params):
+    """The unknown rows of the strip solution, shape (n_x, n_z - 1), from a
+    sparse LU of ``csr_system``'s unknown block."""
+    nx, nz = grid.n_x, grid.n_z
+    A = csr_system(h, grid, params)
+    idx = np.arange(nx * nz).reshape(nx, nz)
+    u_ids, d_ids = idx[:, :-1].ravel(), idx[:, -1]
+    rhs = -(A[u_ids][:, d_ids] @ psi.values(nx))
+    return spla.splu(A[u_ids][:, u_ids].tocsc()).solve(rhs).reshape(nx, nz - 1)

