@@ -10,7 +10,9 @@ one right-hand-side evaluation (``integrate._rhs_raw``: forcing plus
 fixed-point solve) per model, and one RK4 ``integrate.step`` (wnl1 at
 criterion 2's dt), all at N = 64 and 256, then the strip solve
 (``strip.solve_strip``: stencil build plus preconditioned CG) next to the
-sparse LU of the oracle's CSR matrix (``tests/oracles.py``),
+sparse LU of the oracle's CSR matrix (``tests/oracles.py``), and the
+set-up and one application of its preconditioner
+(``strip.flat_preconditioner``: DCT in z, rfft in x),
 ``diagnostics.check_operator_bounds`` at 500 samples, N = 64, and last
 the wall time, peak RSS and loaded scipy modules of ``import muskat.cli``
 in a fresh interpreter, the fixed cost every CLI call and sweep worker
@@ -176,7 +178,8 @@ def strip_rows():
     sparse LU, median of 3.
 
     256x65 flat is the size of `muskat verify flux`; 512x256 at sigma =
-    0.05 and 0.2 are two of the solves of `muskat verify dtn`.
+    0.05 and 0.2 are two of the solves of `muskat verify dtn`.  Then the
+    preconditioner's set-up and one application at both sizes, mean of 100.
     """
     print(f"\n{'grid':>8} {'sigma':>6} {'cg [s]':>9} {'iters':>6} "
           f"{'residual':>10} {'csr+lu [s]':>10} {'max |cg - lu|':>14}")
@@ -193,6 +196,13 @@ def strip_rows():
         print(f"{nx:>4}x{nz:<3} {sigma:>6.2f} {t_cg:>9.3f} "
               f"{sol.iterations:>6} {sol.residual_norm:>10.2e} {t_lu:>10.3f} "
               f"{diff:>14.2e}")
+    print(f"\n{'grid':>8} {'precond set-up [ms]':>20} {'apply [ms]':>11}")
+    for nx, nz in ((256, 65), (512, 256)):
+        grid = strip.StripGrid(nx, nz)
+        r = np.random.default_rng(0).standard_normal(nx * (nz - 1))
+        t_setup = _timeit(strip.flat_preconditioner, grid, 1.0, repeat=100)
+        t_apply = _timeit(strip.flat_preconditioner(grid, 1.0), r, repeat=100)
+        print(f"{nx:>4}x{nz:<3} {t_setup * 1e3:>20.3f} {t_apply * 1e3:>11.3f}")
 
 
 def bounds_row():

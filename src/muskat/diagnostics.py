@@ -258,6 +258,8 @@ def check_operator_bounds(sample_count, params, rng_seed, n_modes=64):
     ||I(h,V)||_{A0} / (||h||_{A1} ||V||_{A3}) and its stability across the
     two sample halves.
     """
+    if sample_count < 2:
+        raise ValueError(f"sample_count must be at least 2, got {sample_count}")
     rng = np.random.default_rng(rng_seed)
     rep = BoundReport()
     spec = models.model_spec(params)

@@ -21,9 +21,9 @@ pocketfft's pybind11 binding ``pypocketfft``, loaded from its file in
 scipy's directory.  Importing ``scipy.fft`` would also run that package's
 init, which loads ``scipy.special``, ``numpy.f2py`` and ``numpy.testing``,
 about 0.3 s that every CLI call, sweep worker and benchmark body would pay
-for two functions.  ``rfft``/``irfft`` pass the binding the arguments that
-``scipy.fft.rfft``/``irfft`` pass, so they return the same bits
-(``tests/test_spectral.py`` checks this against scipy).
+for three functions.  ``rfft``/``irfft``/``dct`` pass the binding the
+arguments that ``scipy.fft.rfft``/``irfft``/``dct`` pass, so they return
+the same bits (``tests/test_spectral.py`` checks this against scipy).
 """
 
 import importlib.machinery
@@ -65,8 +65,9 @@ pocketfft = _load_pocketfft()
 
 
 # The arguments are positional, r2c(a, axes, forward, inorm, out, nthreads)
-# and c2r(a, axes, lastsize, forward, inorm, out, nthreads); inorm = 2
-# divides by the transform length, 0 does not scale.  Called with keywords,
+# c2r(a, axes, lastsize, forward, inorm, out, nthreads) and
+# dct(a, type, axes, inorm, out, nthreads, ortho); inorm = 2 divides by the
+# transform length, 0 does not scale.  Called with keywords,
 # the binding holds an allocation that grows to about 2 MB over the first
 # 1e5 calls.
 
@@ -81,6 +82,13 @@ def irfft(F, n, axis=-1):
     of ``scipy.fft.irfft(F, n=n, axis=axis)`` for a complex128 array F
     with n // 2 + 1 entries along ``axis``."""
     return pocketfft.c2r(F, (axis,), n, False, 2, None, 1)
+
+
+def dct(x, type, axis=-1):
+    """Unnormalized discrete cosine transform of ``type`` along ``axis``:
+    the bits of ``scipy.fft.dct(x, type=type, axis=axis)`` for a float64
+    array x."""
+    return pocketfft.dct(x, type, (axis,), 0, None, 1, False)
 
 
 class GridMismatchError(ValueError):

@@ -23,14 +23,15 @@ operators; it exists to validate them.
 
 Linear solve: conjugate gradients on the unknown (non-Dirichlet) nodes,
 where the operator is the stencil applied to the unknowns with a zero
-Dirichlet row and the right-hand side the stencil applied to the datum
-alone, preconditioned by the exact flat operator (h = 0, eps = 0),
-delta*(Kx (x) Mz) + (Mx (x) Kz) with the Dirichlet row removed.  The 1-D
-x-blocks Kx, Mx are circulant, so one real FFT along x splits that
-operator into one symmetric positive definite tridiagonal system in z per
-wavenumber, all solved by one batched Thomas sweep.  On a flat interface
-the preconditioner is the operator and CG stops after one iteration; the
-iteration count grows slowly with the steepness eps*h.
+Dirichlet row and the right-hand side the top unknown row's couplings to
+the datum, preconditioned by the exact inverse of the flat operator
+(h = 0, eps = 0), delta*(Kx (x) Mz) + (Mx (x) Kz) with the Dirichlet row
+removed.  The 1-D x-blocks Kx, Mx are circulant, so a real FFT along x
+diagonalizes them; the z-blocks Kz, Mz share the cosine eigenbasis of the
+half-cell-Neumann/Dirichlet second difference, so a DCT along z
+diagonalizes them (``flat_preconditioner``).  On a flat interface the
+preconditioner is the operator's inverse and CG stops after one
+iteration; the iteration count grows slowly with the steepness eps*h.
 
 All checks here are stationary: the surface datum is prescribed, never
 coupled back through the time derivative.
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import (GridMismatchError, SpectralField, irfft, rfft,
-                       tanh_clamped)
+from .spectral import (GridMismatchError, SpectralField, dct,
+                       depth_symbol, derivative_symbol, irfft, rfft)
 
 DEGENERACY_FLOOR = 0.05
 # CG stops once ||r|| <= CG_RTOL * ||rhs||, and fails after CG_MAXITER steps
@@ -101,13 +102,16 @@ def _field_values(field, n_x):
     return field.values(n_x)
 
 
-def _dx_values(vals, order=1):
-    """Spectral x-derivative of grid samples (periodic), along axis 0."""
-    n = vals.shape[0]
+def _x_multiplier(vals, symbol):
+    """The Fourier multiplier ``symbol`` (a callable k -> m(k), as in
+    ``spectral``) applied to periodic grid samples along axis 0."""
     F = rfft(vals, axis=0)
-    kk = (1j * np.arange(F.shape[0])) ** order
-    F = F * (kk[:, None] if vals.ndim > 1 else kk)
-    return irfft(F, n, axis=0)
+    m = symbol(np.arange(F.shape[0], dtype=float))
+    return irfft(F * (m[:, None] if vals.ndim > 1 else m), vals.shape[0],
+                 axis=0)
+
+
+DX, G0 = derivative_symbol(1), depth_symbol("finite")  # d/dx, flat map
 
 
 def coefficient_fields(h_vals, hx_vals, z, delta, epsilon):
@@ -160,7 +164,7 @@ def _cell_matrices(h, grid, params):
     nx, nz = grid.n_x, grid.n_z
     hv = _field_values(h, nx)
     _check_degeneracy(hv, params.epsilon)
-    hx = _dx_values(hv)
+    hx = _x_multiplier(hv, DX)
     # cell midpoints
     hm = 0.5 * (hv + np.roll(hv, -1))
     hxm = 0.5 * (hx + np.roll(hx, -1))
@@ -226,48 +230,31 @@ def flat_preconditioner(grid, delta):
     """Inverse of the flat (h = 0, eps = 0) operator on the unknown nodes,
     as a function of a flat (n_x * (n_z - 1)) vector in z-fastest order.
 
-    The operator is delta*(Kx (x) Mz) + (Mx (x) Kz), assembled from the
-    1-D blocks.  Kx and Mx are circulant with the symbols
-    (2 - 2 cos(k dx)) / dx and dx (4 + 2 cos(k dx)) / 6, so after an rfft
-    along x, wavenumber k solves the tridiagonal system
-    delta*Kx(k) Mz + Mx(k) Kz in z (Dirichlet node dropped, no-flux bottom
-    node carrying half an element).  The Thomas factors of every
-    wavenumber are computed once here; each application is one rfft, one
-    batched forward and back substitution, and one irfft.
+    The operator is delta*(Kx (x) Mz) + (Mx (x) Kz).  Kx, Mx are circulant
+    with the symbols kx = (2 - 2 cos(k dx))/dx, mx = dx (4 + 2 cos(k dx))/6.
+    On the nu = n_z - 1 unknown z nodes (no-flux bottom node carrying half
+    an element), Kz = A/dz and Mz = (dz/6)(6E - A), with A = tridiag(-1, 2,
+    -1) but A[0, 0] = 1 and E = diag(1/2, 1, ..., 1).  The cosines
+    v_m(i) = cos(w_m i), w_m = (2m + 1) pi / (2 nu), solve A v_m =
+    lam_m E v_m, lam_m = 2 - 2 cos w_m (the last row as cos(w_m nu) = 0),
+    and V^T E V = (nu/2) I.  So per wavenumber the inverse is
+    (2/nu) V diag(1/s) V^T, s = delta kx (dz/6)(6 - lam_m) + mx lam_m/dz;
+    the unnormalized DCT-III of r with row 0 doubled is 2 V^T r, and the
+    DCT-II of y is 2 V y.
     """
-    nx, nu = grid.n_x, grid.n_z - 1
-    cos_k = np.cos(grid.dx * np.arange(nx // 2 + 1))
-
-    def symbol(b):  # circulant 1-D block in x
-        return b[0, 0] + b[1, 1] + 2.0 * b[0, 1] * cos_k
-
-    def tridiag(b):  # 1-D block in z on the unknown nodes: (main, off)
-        main = np.full(nu, b[0, 0] + b[1, 1])
-        main[0] = b[0, 0]
-        return main[:, None], np.full((nu - 1, 1), b[0, 1])
-
-    k1x, m1x = _blocks_1d(grid.dx)
-    k1z, m1z = _blocks_1d(grid.dz)
-    (mz, mz_off), (kz, kz_off) = tridiag(m1z), tridiag(k1z)
-    kx, mx = delta * symbol(k1x), symbol(m1x)
-    # rows: z index, columns: wavenumber
-    diag = mz * kx + kz * mx
-    off = mz_off * kx + kz_off * mx
-    lower = np.empty_like(off)
-    inv_piv = np.empty_like(diag)
-    inv_piv[0] = 1.0 / diag[0]
-    for i in range(1, nu):
-        lower[i - 1] = off[i - 1] * inv_piv[i - 1]
-        inv_piv[i] = 1.0 / (diag[i] - lower[i - 1] * off[i - 1])
+    nx, nu, dx, dz = grid.n_x, grid.n_z - 1, grid.dx, grid.dz
+    cos_k = np.cos(dx * np.arange(nx // 2 + 1))[:, None]
+    kx = (2.0 - 2.0 * cos_k) / dx
+    mx = dx * (4.0 + 2.0 * cos_k) / 6.0
+    lam = 2.0 - 2.0 * np.cos((2 * np.arange(nu) + 1) * math.pi / (2 * nu))
+    s = delta * kx * (dz / 6.0) * (6.0 - lam) + mx * lam / dz
+    scale = 1.0 / (2 * nu * s)
+    row0 = np.ones(nu)
+    row0[0] = 2.0
 
     def apply(r):
-        y = rfft(r.reshape(nx, nu).T, axis=1)
-        for i in range(1, nu):
-            y[i] -= lower[i - 1] * y[i - 1]
-        y[nu - 1] *= inv_piv[nu - 1]
-        for i in range(nu - 2, -1, -1):
-            y[i] = (y[i] - off[i] * y[i + 1]) * inv_piv[i]
-        return irfft(y, nx, axis=1).T.ravel()
+        y = rfft(dct(r.reshape(nx, nu) * row0, 3, axis=1), axis=0) * scale
+        return dct(irfft(y, nx, axis=0), 2, axis=1).ravel()
 
     return apply
 
@@ -316,14 +303,15 @@ def solve_strip(h, psi, grid, params):
     LinearSolveError when CG does not converge within CG_MAXITER
     iterations or produces non-finite values.
     """
-    nx, nz = grid.n_x, grid.n_z
-    nu = nz - 1
+    nx, nu = grid.n_x, grid.n_z - 1
     C = assemble_system(h, grid, params)
     psi_vals = _field_values(psi, nx)
-    # rhs: minus the stencil applied to [0; psi], on the unknown rows
-    datum = np.zeros((nx, nz))
-    datum[:, nu] = psi_vals
-    rhs = -stencil_apply(C, datum)[:, :nu].ravel()
+    # rhs: minus the couplings of the top unknown row to the datum
+    top = C[:, 2, :, nu - 1]
+    rhs = np.zeros((nx, nu))
+    rhs[:, nu - 1] = -(top[0] * np.roll(psi_vals, 1) + top[1] * psi_vals
+                       + top[2] * np.roll(psi_vals, -1))
+    rhs = rhs.ravel()
     # Auu p: the stencil applied to [p; 0], on the unknown rows.  The
     # couplings to the Dirichlet row multiply its zeros, so they are set to
     # 0; on the unknown block alone they would read the next x column.
@@ -335,7 +323,7 @@ def solve_strip(h, psi, grid, params):
 
     phi_u, iterations = _pcg(Auu, rhs, flat_preconditioner(grid, params.delta))
     residual = float(np.linalg.norm(Auu(phi_u) - rhs))
-    phi = np.empty((nx, nz))
+    phi = np.empty((nx, nu + 1))
     phi[:, :nu] = phi_u.reshape(nx, nu)
     phi[:, nu] = psi_vals
     return StripSolution(phi, residual, iterations)
@@ -346,13 +334,11 @@ def surface_normal_velocity(sol, h, grid, params, sigma):
 
     Chain rule through the lifting; 3-point one-sided z-derivative at z=0.
     """
-    nz = grid.n_z
-    dz = grid.dz
     phi = sol.phi
     hv = _field_values(h, grid.n_x)
-    hx = _dx_values(hv)
-    phiz = (3.0 * phi[:, nz - 1] - 4.0 * phi[:, nz - 2] + phi[:, nz - 3]) / (2.0 * dz)
-    phix = _dx_values(phi[:, nz - 1])
+    hx = _x_multiplier(hv, DX)
+    phiz = (3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]) / (2.0 * grid.dz)
+    phix = _x_multiplier(phi[:, -1], DX)
     opz = 1.0 + params.epsilon * hv
     dz_big = phiz / opz
     dx_big = phix - params.epsilon * hx / opz * phiz
@@ -368,12 +354,6 @@ def dtn_apply(h, psi, grid, params, sigma=None):
     out = SpectralField.from_values(vals, n_modes=psi.n_modes)
     out.coeffs[0] = 0.0
     return out
-
-
-def flat_dtn_symbol(delta):
-    """Exact flat-interface map per mode: k tanh(sqrt(delta) k)."""
-    sd = math.sqrt(delta)
-    return lambda k: np.abs(k) * tanh_clamped(sd * np.abs(k)) / 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +410,16 @@ def _a0_of_values(vals):
     return 2.0 * float(np.abs(F[1:]).sum()) / len(vals)
 
 
+def _order_values(values, name):
+    """The parameter values of an order check as floats, largest first;
+    raises ValueError unless they are positive and at least two differ."""
+    vals = sorted((float(v) for v in values), reverse=True)
+    if not all(v > 0.0 for v in vals) or len(set(vals)) < 2:
+        raise ValueError(f"{name} must hold at least two distinct positive "
+                         f"values, got {list(values)}")
+    return vals
+
+
 def verify_dtn_expansion(h, psi, sigmas, grid, params):
     """Remainder order of the small-steepness expansion of the surface map.
 
@@ -440,33 +430,27 @@ def verify_dtn_expansion(h, psi, sigmas, grid, params):
     """
     if abs(params.delta - 1.0) > 1e-12:
         raise ValueError("the steepness expansion check runs at delta = 1")
+    sig = _order_values(sigmas, "sigmas")
     nx = grid.n_x
     hv = _field_values(h, nx)
     psiv = _field_values(psi, nx)
-    g0 = flat_dtn_symbol(1.0)
-
-    def g0_vals(vals):
-        F = rfft(vals)
-        kk = np.arange(F.shape[0])
-        return irfft(F * g0(kk), nx)
-
-    taylor1 = -(g0_vals(hv * g0_vals(psiv)) + _dx_values(hv * _dx_values(psiv)))
+    g0_psi = _x_multiplier(psiv, G0)
+    taylor1 = -(_x_multiplier(hv * g0_psi, G0)
+                + _x_multiplier(hv * _x_multiplier(psiv, DX), DX))
+    h0 = SpectralField.zeros(h.n_modes)
     flat = replace(params, epsilon=0.0, sigma=0.0)
-    sol0 = solve_strip(SpectralField.zeros(h.n_modes), psi, grid, flat)
-    out0 = surface_normal_velocity(
-        sol0, SpectralField.zeros(h.n_modes), grid, flat, 0.0
-    )
-    floor = _a0_of_values(out0 - g0_vals(psiv))
+    out0 = surface_normal_velocity(solve_strip(h0, psi, grid, flat), h0,
+                                   grid, flat, 0.0)
+    floor = _a0_of_values(out0 - g0_psi)
 
     remainders = []
     first_order_errors = []
-    for s in sorted(sigmas, reverse=True):
-        p_s = replace(params, epsilon=float(s), sigma=float(s))
+    for s in sig:
+        p_s = replace(params, epsilon=s, sigma=s)
         sol = solve_strip(h, psi, grid, p_s)
-        out = surface_normal_velocity(sol, h, grid, p_s, float(s))
-        remainders.append(_a0_of_values(out - (g0_vals(psiv) + s * taylor1)))
+        out = surface_normal_velocity(sol, h, grid, p_s, s)
+        remainders.append(_a0_of_values(out - (g0_psi + s * taylor1)))
         first_order_errors.append(_a0_of_values((out - out0) / s - taylor1))
-    sig = sorted(sigmas, reverse=True)
     grid_limited = floor > 0.1 * min(remainders)
     return OrderReport(
         "sigma",
@@ -516,33 +500,28 @@ def verify_lub_flux(h, f, deltas, grid, params):
     flat-mobility forms dx f + (delta/3) dxxx f and -z(z+2)/2 dxx f when
     h = 0, and both remainders are second order in delta.
     """
-    nx, nz = grid.n_x, grid.n_z
+    dts = _order_values(deltas, "deltas")
+    nx, dz, z = grid.n_x, grid.dz, grid.z
     eps = params.epsilon
     hv = _field_values(h, nx)
-    hx = _dx_values(hv)
+    hx = _x_multiplier(hv, DX)
     fv = _field_values(f, nx)
-    fx = _dx_values(fv)
-    fxx = _dx_values(fv, 2)
+    fx = _x_multiplier(fv, DX)
+    fxx = _x_multiplier(fv, derivative_symbol(2))
     mob = 1.0 + eps * hv
-    z = grid.z
     flux_rem, phi_rem = [], []
-    dts = sorted(deltas, reverse=True)
     for d in dts:
-        p_d = replace(
-            params, delta=float(d), sigma=eps * math.sqrt(float(d)),
-            model=params.model,
-        )
+        p_d = replace(params, delta=d, sigma=eps * math.sqrt(d))
         sol = solve_strip(h, f, grid, p_d)
         phi = sol.phi
-        phix = _dx_values(phi)
+        phix = _x_multiplier(phi, DX)
         phiz = np.empty_like(phi)
-        dz = grid.dz
         phiz[:, 1:-1] = (phi[:, 2:] - phi[:, :-2]) / (2.0 * dz)
         phiz[:, 0] = (-3.0 * phi[:, 0] + 4.0 * phi[:, 1] - phi[:, 2]) / (2.0 * dz)
         phiz[:, -1] = (3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]) / (2.0 * dz)
         integrand = mob[:, None] * phix - eps * (1.0 + z)[None, :] * hx[:, None] * phiz
         q = _simpson(integrand, dz)
-        asym_flux = mob * fx + (d / 3.0) * _dx_values(mob**3 * fxx)
+        asym_flux = mob * fx + (d / 3.0) * _x_multiplier(mob**3 * fxx, DX)
         flux_rem.append(_a0_of_values(q - asym_flux))
         phi1 = -0.5 * z[None, :] * (z[None, :] + 2.0) * (mob**2 * fxx)[:, None]
         phi_rem.append(float(np.abs(phi - (fv[:, None] + d * phi1)).max()))

@@ -295,6 +295,18 @@ def test_verify_dtn_grid_limited_exit_2(tmp_path, capsys):
     assert "grid-limited" in capsys.readouterr().err
 
 
+def test_verify_dtn_single_sigma_is_a_config_error(tmp_path, capsys):
+    # one steepness fits no slope: a usage error before any solve, not a
+    # numerical failure
+    p = tmp_path / "d.cfg"
+    p.write_text("theta = 1.0\nverify.dtn.n_x = 64\nverify.dtn.n_z = 20\n"
+                 "verify.dtn.n_modes = 16\nverify.dtn.sigmas = 0.1\n")
+    rc = main(["verify", "dtn", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error: sigmas" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "dtn_report.json").exists()
+
+
 def test_verify_flux_solve_failure_exit_2(tmp_path, monkeypatch, capsys):
     import muskat.strip as strip_mod
 

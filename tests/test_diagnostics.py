@@ -204,6 +204,12 @@ def test_operator_bounds_exact_and_deterministic():
     assert rep4.checks["damped_high_mode"]["passed"]
 
 
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_operator_bounds_need_two_samples(samples):
+    with pytest.raises(ValueError, match="sample_count"):
+        check_operator_bounds(samples, wnl(sigma=1.0, lam=1.0, theta=1.0), 0)
+
+
 def test_random_decay_field_profile(rng):
     f = random_decay_field(64, 3, rng, amplitude=2.0)
     assert f.coeffs[0] == 0.0

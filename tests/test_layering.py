@@ -1,7 +1,8 @@
 """The package's import graph, read from the source with ``ast``.
 
 Every import sits at module level, so importing a module loads all it
-needs at once, and the modules import one another without a cycle.
+needs at once, and the modules import one another without a cycle.  Only
+``spectral`` knows the FFT binding.
 """
 
 import ast
@@ -87,3 +88,25 @@ def test_scan_sees_the_package_imports():
     assert {"integrate", "diagnostics", "plots"} <= graph["cli"]
     assert "diagnostics" in graph["integrate"]
     assert not any("cli" in deps for deps in graph.values())
+
+
+def _names(module):
+    """Every identifier, attribute and imported name in a module's code
+    (not its strings or comments)."""
+    with open(os.path.join(PKG_DIR, module + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+def test_only_spectral_names_the_fft_binding():
+    naming = [m for m in MODULES
+              if any("pocketfft" in name for name in _names(m))]
+    assert naming == ["spectral"]

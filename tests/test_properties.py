@@ -20,6 +20,8 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
   oracle's CSR scatter of the same cell matrices, and is exactly
   symmetric; the preconditioned CG strip solve equals a sparse LU solve
   of the oracle's matrix;
+* ``strip.flat_preconditioner`` inverts the oracle's flat (h = 0,
+  eps = 0) operator on the unknown nodes;
 * ``strip._simpson`` is bitwise equal to ``scipy.integrate.simpson``, which
   the package itself no longer imports;
 * for all three models: ``apply_quasilinear`` is linear in U,
@@ -240,6 +242,19 @@ def test_strip_cg_matches_lu(nx, nz, seed, delta, lift):
     got = strip.solve_strip(h, psi, grid, p).phi[:, :-1]
     ref = lu_strip_solve(h, psi, grid, p)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@PROPS
+@given(nx=st.integers(4, 32).map(lambda m: 2 * m), nz=st.integers(16, 40),
+       seed=seeds, delta=st.floats(0.01, 1.0))
+def test_flat_preconditioner_inverts_flat_operator(nx, nz, seed, delta):
+    grid = strip.StripGrid(nx, nz)
+    p = ModelParams.lubrication(lam=1.0, theta=1.0, delta=delta, epsilon=0.0)
+    A = csr_system(SpectralField.zeros(nx // 2 - 1), grid, p)
+    unknown = np.arange(nx * nz).reshape(nx, nz)[:, :-1].ravel()
+    x = np.random.default_rng(seed).standard_normal(unknown.size)
+    back = strip.flat_preconditioner(grid, delta)(A[unknown][:, unknown] @ x)
+    assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @PROPS

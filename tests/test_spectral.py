@@ -78,6 +78,17 @@ def test_binding_bitwise_equals_scipy_fft(shape, axis, transposed):
                           scipy.fft.irfft(G, n=n, axis=axis))
 
 
+@pytest.mark.parametrize("shape", [(64, 32), (256, 64), (512, 255)])
+@pytest.mark.parametrize("type", [2, 3])
+def test_dct_bitwise_equals_scipy_fft(shape, type):
+    # the strip preconditioner's transforms: z along axis 1
+    import scipy.fft
+
+    x = np.random.default_rng(sum(shape) + type).standard_normal(shape)
+    assert np.array_equal(spectral.dct(x, type, axis=1),
+                          scipy.fft.dct(x, type=type, axis=1))
+
+
 def test_missing_binding_names_its_path(monkeypatch, tmp_path):
     fake = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
     monkeypatch.setattr(spectral.importlib.util, "find_spec",

@@ -248,6 +248,34 @@ def test_lub_flux_second_order_with_profile():
     assert 1.8 <= phi_rep.slope <= 2.2
 
 
+def _no_solve(*args):
+    raise AssertionError("a degenerate range reached a strip solve")
+
+
+@pytest.mark.parametrize("sigmas", [[0.2, 0.1, 0.0], [0.1], [0.1, 0.1],
+                                    [0.2, -0.1]])
+def test_dtn_check_rejects_degenerate_sigmas_before_solving(monkeypatch,
+                                                             sigmas):
+    import muskat.strip as strip_mod
+
+    monkeypatch.setattr(strip_mod, "solve_strip", _no_solve)
+    h = SpectralField.cosine(1, 1.0, 8)
+    with pytest.raises(ValueError, match="sigmas"):
+        verify_dtn_expansion(h, h, sigmas, StripGrid(32, 17), p_of())
+
+
+@pytest.mark.parametrize("deltas", [[0.04, 0.02, 0.0], [0.02]])
+def test_flux_check_rejects_degenerate_deltas_before_solving(monkeypatch,
+                                                             deltas):
+    import muskat.strip as strip_mod
+
+    monkeypatch.setattr(strip_mod, "solve_strip", _no_solve)
+    f = SpectralField.cosine(1, 1.0, 8)
+    with pytest.raises(ValueError, match="deltas"):
+        verify_lub_flux(SpectralField.zeros(8), f, deltas, StripGrid(32, 17),
+                        p_of(eps=0.1))
+
+
 def test_lub_flux_zero_datum():
     g = StripGrid(128, 33)
     p = p_of(eps=0.2)
