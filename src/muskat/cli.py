@@ -20,14 +20,11 @@ import numpy as np
 
 from . import diagnostics, integrate, strip
 from .config import (
-    VERIFY_DEFAULTS,
     ConfigError,
-    _as_float,
-    _as_float_list,
-    _as_int,
     load_config,
     make_initial_condition,
     parse_config_text,
+    verify_settings,
 )
 from .elliptic import SolverError
 from .plots import svg_line_chart
@@ -54,25 +51,33 @@ def _workers(n_jobs):
 def _sweep_cells(specs):
     """--sweep KEY=V1,V2,... specs -> [(overrides, directory name)]: the
     cross product of at most two keys, named k1=a__k2=b; no specs give one
-    unnamed cell."""
-    axes = []
+    unnamed cell.  A repeated key or value, which would run one cell twice
+    or into one directory, is rejected."""
+    axes = {}  # key -> its values
     for spec in specs or []:
         if "=" not in spec:
             raise ConfigError(f"--sweep expects KEY=V1,V2,..., got {spec!r}")
         key, vals = spec.split("=", 1)
+        key = key.strip()
         values = [v.strip() for v in vals.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"--sweep {key}: no values")
-        axes.append([(key.strip(), v) for v in values])
+        if key in axes:
+            raise ConfigError(f"--sweep {key}: key given twice")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"--sweep {key}: a value given twice")
+        axes[key] = values
     if len(axes) > 2:
         raise ConfigError("--sweep supports at most 2 keys")
+    cells = itertools.product(*([(k, v) for v in vals]
+                                for k, vals in axes.items()))
     return [(dict(cell), "__".join(f"{k}={v}" for k, v in cell))
-            for cell in itertools.product(*axes)]
+            for cell in cells]
 
 
-def _prepare_cell(cell_raw, out_dir, seed):
-    """(h0, params, config) of one cell; raises ConfigError if invalid."""
-    config, params = load_config(cell_raw)
+def _prepare_cell(source, out_dir, seed):
+    """(h0, params, config) of a sweep cell or `verify decay`'s run."""
+    config, params = load_config(source)
     if seed is not None:
         config.rng_seed = seed
     config.output_dir = out_dir
@@ -122,6 +127,7 @@ def cmd_simulate(args):
 
 
 def _write_report(out_dir, name, payload):
+    os.makedirs(out_dir, exist_ok=True)  # only once there is a report
     path = os.path.join(out_dir, name)
     diagnostics.write_json(path, payload)
     return path
@@ -130,36 +136,40 @@ def _write_report(out_dir, name, payload):
 def cmd_verify(args):
     config, params = load_config(args.config)
     out_dir = args.out or config.output_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    v = config.verify
+    if args.kind == "decay":  # run the configured trajectory, then check it
+        h0, params, config = _prepare_cell(
+            args.config, os.path.join(out_dir, "trajectory"), args.seed)
+        try:
+            traj = integrate.run(h0, params, config)
+        except SolverError as exc:
+            print(f"solver failure: {exc} (partial output retained)", file=sys.stderr)
+            return EXIT_NUMERICAL
+        checks = diagnostics.decay_checks(traj.records, params)
+        ok = all(c["passed"] for c in checks.values())
+        diagnostics.append_checks_to_meta(config.output_dir, checks)
+        path = _write_report(out_dir, "decay_report.json", checks)
+        print(f"decay report: {path} passed={ok}")
+        return EXIT_OK if ok else EXIT_NUMERICAL
 
-    def vget(key, parse=_as_float, derived=None):  # ConfigError if bad
-        value = v.get(f"{args.kind}.{key}", VERIFY_DEFAULTS[args.kind][key])
-        return parse(f"verify.{args.kind}.{key}",
-                     derived if value is None else value)
-
+    s = verify_settings(config.verify, args.kind)
     if args.kind == "bounds":
-        samples = vget("samples", _as_int)
-        n_modes = vget("n_modes", _as_int)
         seed = args.seed if args.seed is not None else config.rng_seed
-        rep = diagnostics.check_operator_bounds(samples, params, seed, n_modes)
+        rep = diagnostics.check_operator_bounds(s["samples"], params, seed,
+                                                s["n_modes"])
         path = _write_report(out_dir, "bounds_report.json", rep.as_dict())
         print(f"bounds report: {path} passed={rep.passed}")
         return EXIT_OK if rep.passed else EXIT_NUMERICAL
 
-    if args.kind in ("dtn", "flux"):
-        n_x = vget("n_x", _as_int)
-        grid = StripGrid(n_x, vget("n_z", _as_int))
-        n_modes = vget("n_modes", _as_int, min(64, n_x // 2 - 1))
+    grid = StripGrid(s["n_x"], s["n_z"])
+    n_modes = s["n_modes"]
+    if n_modes is None:
+        n_modes = min(64, s["n_x"] // 2 - 1)
 
     if args.kind == "dtn":
-        sigmas = vget("sigmas", _as_float_list)
-        h = SpectralField.cosine(vget("h_mode", _as_int),
-                                 vget("h_amplitude"), n_modes)
-        psi = SpectralField.cosine(vget("psi_mode", _as_int),
-                                   vget("psi_amplitude"), n_modes)
+        h = SpectralField.cosine(s["h_mode"], s["h_amplitude"], n_modes)
+        psi = SpectralField.cosine(s["psi_mode"], s["psi_amplitude"], n_modes)
         p = replace(params, delta=1.0, sigma=params.epsilon * 1.0)
-        rep = strip.verify_dtn_expansion(h, psi, sigmas, grid, p)
+        rep = strip.verify_dtn_expansion(h, psi, s["sigmas"], grid, p)
         path = _write_report(out_dir, "dtn_report.json", rep.as_dict())
         if rep.grid_limited:
             print(f"dtn report: {path} grid-limited (discretization floor "
@@ -169,39 +179,35 @@ def cmd_verify(args):
         print(f"dtn report: {path} slope={rep.slope:.3f} passed={rep.passed}")
         return EXIT_OK if rep.passed else EXIT_NUMERICAL
 
-    if args.kind == "flux":
-        deltas = vget("deltas", _as_float_list)
-        f = SpectralField.cosine(vget("f_mode", _as_int),
-                                 vget("f_amplitude"), n_modes)
-        if v.get("flux.h_mode") is None:
-            h = SpectralField.zeros(n_modes)
-        else:
-            h = SpectralField.cosine(vget("h_mode", _as_int),
-                                     vget("h_amplitude"), n_modes)
-        flux_rep, phi_rep = strip.verify_lub_flux(h, f, deltas, grid, params)
-        payload = {"flux": flux_rep.as_dict(), "phi": phi_rep.as_dict()}
-        path = _write_report(out_dir, "flux_report.json", payload)
-        ok = flux_rep.passed and phi_rep.passed
-        print(f"flux report: {path} flux_slope={flux_rep.slope:.3f} "
-              f"phi_slope={phi_rep.slope:.3f} passed={ok}")
-        return EXIT_OK if ok else EXIT_NUMERICAL
-
-    # decay: run the configured trajectory, then check it
-    config.output_dir = os.path.join(out_dir, "trajectory")
-    if args.seed is not None:
-        config.rng_seed = args.seed
-    h0 = make_initial_condition(config)
-    try:
-        traj = integrate.run(h0, params, config)
-    except SolverError as exc:
-        print(f"solver failure: {exc} (partial output retained)", file=sys.stderr)
-        return EXIT_NUMERICAL
-    checks = diagnostics.decay_checks(traj.records, params)
-    ok = all(c["passed"] for c in checks.values())
-    diagnostics.append_checks_to_meta(config.output_dir, checks)
-    path = _write_report(out_dir, "decay_report.json", checks)
-    print(f"decay report: {path} passed={ok}")
+    f = SpectralField.cosine(s["f_mode"], s["f_amplitude"], n_modes)
+    if s["h_mode"] is None:
+        h = SpectralField.zeros(n_modes)
+    else:
+        h = SpectralField.cosine(s["h_mode"], s["h_amplitude"], n_modes)
+    flux_rep, phi_rep = strip.verify_lub_flux(h, f, s["deltas"], grid, params)
+    payload = {"flux": flux_rep.as_dict(), "phi": phi_rep.as_dict()}
+    path = _write_report(out_dir, "flux_report.json", payload)
+    ok = flux_rep.passed and phi_rep.passed
+    print(f"flux report: {path} flux_slope={flux_rep.slope:.3f} "
+          f"phi_slope={phi_rep.slope:.3f} passed={ok}")
     return EXIT_OK if ok else EXIT_NUMERICAL
+
+
+def _snapshot_indices(out_dir):
+    """meta.json's "snapshots" list; ConfigError if missing or ill-typed."""
+    name = diagnostics.META_FILE
+    try:
+        meta = diagnostics.read_meta(out_dir)
+    except ValueError as exc:
+        raise ConfigError(f"corrupt {name}: {exc}")
+    if not isinstance(meta, dict) or "snapshots" not in meta:
+        raise ConfigError(f'corrupt {name}: no "snapshots" entry')
+    snaps = meta["snapshots"]
+    if not (isinstance(snaps, list)
+            and all(type(i) is int and i >= 0 for i in snaps)):
+        raise ConfigError(f'corrupt {name}: "snapshots" is {snaps!r}, not a '
+                          "list of record indices")
+    return snaps
 
 
 def cmd_plot(args):
@@ -215,6 +221,7 @@ def cmd_plot(args):
         raise ConfigError(f"corrupt {diagnostics.ENERGY_FILE}: {exc}")
     if not records:
         raise ConfigError(f"{energy_path}: no records")
+    snaps = _snapshot_indices(out_dir)  # before any chart is written
     t = [r.t for r in records]
     series = [("energy", t, [r.energy for r in records])]
     for s in range(4):
@@ -236,7 +243,6 @@ def cmd_plot(args):
                    annotations=annotations)
     written = [norms_path]
 
-    snaps = diagnostics.read_meta(out_dir)["snapshots"]
     if snaps:
         profiles = []
         for idx in (snaps[0], snaps[-1]) if len(snaps) > 1 else snaps:

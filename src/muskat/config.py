@@ -86,12 +86,9 @@ _IC_KINDS = {
     "random_decay": {"p": 3, "amplitude": 1e-3, "seed": None},
     "from_file": {"path": None},
 }
-_IC_PARSERS = {"k": _as_int, "amplitude": _as_float, "p": _as_float,
-               "seed": _as_int, "path": _as_str}
 
-# verify.<suite>.<key> -> the default `muskat verify` reads; None where it
-# derives the value (n_modes from n_x; flux without h_mode runs on a flat
-# interface).  Any other verify key is rejected.
+# verify.<suite>.<key> -> its default; None where `muskat verify` derives it
+# (n_modes from n_x; flux without h_mode: a flat h).  Others are rejected.
 VERIFY_DEFAULTS = {
     "bounds": {"samples": 500, "n_modes": 64},
     "dtn": {"n_x": 512, "n_z": 256, "sigmas": "0.2,0.1,0.05", "n_modes": None,
@@ -103,6 +100,26 @@ VERIFY_DEFAULTS = {
 }
 _VERIFY_KEYS = {f"{suite}.{key}" for suite, keys in VERIFY_DEFAULTS.items()
                 for key in keys}
+
+# the parser of each initial_condition.* and verify.* key, by its name
+_KEY_PARSERS = {"k": _as_int, "amplitude": _as_float, "p": _as_float,
+                "seed": _as_int, "path": _as_str, "samples": _as_int,
+                "n_modes": _as_int, "n_x": _as_int, "n_z": _as_int,
+                "sigmas": _as_float_list, "deltas": _as_float_list,
+                "h_mode": _as_int, "h_amplitude": _as_float,
+                "psi_mode": _as_int, "psi_amplitude": _as_float,
+                "f_mode": _as_int, "f_amplitude": _as_float}
+
+
+def verify_settings(verify, suite):
+    """suite's {key: parsed value}, each from verify or VERIFY_DEFAULTS."""
+    settings = {}
+    for key, default in VERIFY_DEFAULTS[suite].items():
+        value = verify.get(f"{suite}.{key}", default)
+        if value is not None:
+            value = _KEY_PARSERS[key](f"verify.{suite}.{key}", value)
+        settings[key] = value
+    return settings
 
 
 def _initial_condition(ic):
@@ -119,8 +136,8 @@ def _initial_condition(ic):
     out = {"kind": kind}
     for key, default in _IC_KINDS[kind].items():
         if key in ic or default is not None:
-            out[key] = _IC_PARSERS[key](f"initial_condition.{key}",
-                                        ic.get(key, default))
+            out[key] = _KEY_PARSERS[key](f"initial_condition.{key}",
+                                         ic.get(key, default))
     if kind == "from_file" and "path" not in out:
         raise ConfigError("initial_condition = from_file requires "
                           "initial_condition.path")
@@ -208,6 +225,8 @@ def load_config(source):
     if unknown:
         raise ConfigError("unknown verify keys: "
                           f"{sorted('verify.' + k for k in unknown)}")
+    for suite in VERIFY_DEFAULTS:
+        verify_settings(verify, suite)
 
     # an empty sigma is derived below, an empty or "auto" tol is the default
     if raw.get("sigma") in (None, ""):

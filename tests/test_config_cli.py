@@ -276,6 +276,23 @@ def test_sweep_too_many_keys(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("sweeps", [["dt=1e-3,2e-3", "dt=5e-4"],
+                                    ["dt=1e-3,1e-3"]])
+def test_sweep_repeated_key_or_value_runs_no_cell(tmp_path, monkeypatch,
+                                                  capsys, sweeps):
+    # a key swept twice would run every cell at its last value, a value
+    # swept twice would run two cells into one directory
+    monkeypatch.setenv("MUSKAT_THREADS", "1")
+    path, _ = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    argv = ["simulate", "--config", path, "--out", str(out)]
+    for spec in sweeps:
+        argv += ["--sweep", spec]
+    assert main(argv) == 1
+    assert "given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_bounds_cli(tmp_path):
     p = tmp_path / "b.cfg"
     p.write_text("theta = 1.0\nlambda = 1.0\nsigma = 1.0\n"
@@ -305,6 +322,72 @@ def test_verify_dtn_single_sigma_is_a_config_error(tmp_path, capsys):
     assert rc == 1
     assert "error: sigmas" in capsys.readouterr().err
     assert not (tmp_path / "o" / "dtn_report.json").exists()
+
+
+def test_verify_dtn_passes_on_a_fine_grid(tmp_path, capsys):
+    # the default sigmas on a 256 x 128 strip: the quadratic remainder stands
+    # clear of the discretization floor, and its slope is 2
+    p = tmp_path / "d.cfg"
+    p.write_text("theta = 1.0\nverify.dtn.n_x = 256\nverify.dtn.n_z = 128\n")
+    out = tmp_path / "o"
+    assert main(["verify", "dtn", "--config", str(p), "--out", str(out)]) == 0
+    rep = json.loads((out / "dtn_report.json").read_text())
+    assert not rep["grid_limited"]
+    assert rep["slope"] == pytest.approx(2.0, abs=0.3)
+    assert "passed=True" in capsys.readouterr().out
+
+
+def test_verify_flux_h_mode_reaches_the_check(tmp_path, capsys):
+    # verify.flux.h_mode = 1 checks the flux over a wavy interface, which
+    # changes the remainders the flat interface gives
+    base = ("theta = 1.0\nepsilon = 0.1\nverify.flux.n_x = 64\n"
+            "verify.flux.n_z = 17\n")
+    reports = {}
+    for name, extra in (("flat", ""), ("wavy", "verify.flux.h_mode = 1\n")):
+        p = tmp_path / f"{name}.cfg"
+        p.write_text(base + extra)
+        out = tmp_path / name
+        assert main(["verify", "flux", "--config", str(p), "--out",
+                     str(out)]) == 0
+        assert "passed=True" in capsys.readouterr().out
+        reports[name] = json.loads((out / "flux_report.json").read_text())
+    wavy, flat = reports["wavy"], reports["flat"]
+    assert wavy["flux"]["remainders"] != flat["flux"]["remainders"]
+    assert wavy["phi"]["remainders"] != flat["phi"]["remainders"]
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "bounds"],
+                                     ["verify", "dtn"]])
+def test_malformed_verify_value_exit_1_for_every_command(tmp_path, capsys,
+                                                         command):
+    # every verify.* value is parsed at load, whichever command reads it
+    path, _ = write_cfg(tmp_path, extra=(
+        "verify.dtn.n_x = abc\nverify.bounds.samples = 10\n"
+        "verify.bounds.n_modes = 32\n"))
+    out = tmp_path / "res"
+    assert main(command + ["--config", path, "--out", str(out)]) == 1
+    assert "error: verify.dtn.n_x: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, lines, message", [
+    ("flux", "verify.flux.n_x = 6.5", "verify.flux.n_x"),
+    ("flux", "verify.flux.n_z = 8", "n_z"),
+    ("dtn", "verify.dtn.n_x = 64\nverify.dtn.n_z = 20\nverify.dtn.sigmas = 0.1",
+     "sigmas"),
+    ("bounds", "verify.bounds.samples = 1", "sample_count"),
+    ("decay", "initial_condition.k = 100", "initial_condition.k"),
+], ids=["bad_value", "thin_strip", "single_sigma", "one_sample",
+        "ic_out_of_range"])
+def test_rejected_verify_config_creates_no_out_dir(tmp_path, capsys, kind,
+                                                   lines, message):
+    # the report directory is made only once there is a report to write
+    p = tmp_path / "v.cfg"
+    p.write_text(f"theta = 1.0\nlambda = 1.0\n{lines}\n")
+    out = tmp_path / "rep"
+    assert main(["verify", kind, "--config", str(p), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_flux_solve_failure_exit_2(tmp_path, monkeypatch, capsys):
@@ -547,6 +630,24 @@ def test_plot_corrupt_csv_names_row(tmp_path, capsys):
 
 def test_plot_missing_dir(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "nope")]) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.pop("snapshots"),
+    lambda meta: meta.update(snapshots=3),
+    lambda meta: meta.update(snapshots=["t_000000"]),
+], ids=["missing", "not_a_list", "not_indices"])
+def test_plot_corrupt_meta_writes_no_chart(tmp_path, capsys, edit):
+    # meta.json is read, and its snapshot list checked, before any chart
+    path, out = write_cfg(tmp_path, t_end=0.05)
+    assert main(["simulate", "--config", path]) == 0
+    meta_path = tmp_path / "traj" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+    assert main(["plot", out]) == 1
+    assert "error: corrupt meta.json: " in capsys.readouterr().err
+    assert not (tmp_path / "traj" / "norms.svg").exists()
 
 
 def test_snapshot_mean_mode_zero_in_files(tmp_path):

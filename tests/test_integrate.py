@@ -243,6 +243,39 @@ def test_solver_failure_retains_partial_output(tmp_path):
     assert meta["rejected_steps"] == 0
 
 
+def test_underflow_after_accepted_steps_retains_partial_output(tmp_path,
+                                                               monkeypatch):
+    # three steps are accepted, then every attempt fails until dt
+    # underflows: the error propagates, and the partial output carries the
+    # accepted records and the rejections the error counted
+    import json
+
+    import muskat.integrate as integ
+    from muskat.diagnostics import read_energy_csv
+
+    orig = integ._try_advance
+    calls = {"n": 0}
+
+    def failing_after_three(tab, c, k1, dt, scheme, tol, max_iter):
+        calls["n"] += 1
+        if calls["n"] > 3:
+            raise integ.NotContractingError(2.0, 1)
+        return orig(tab, c, k1, dt, scheme, tol, max_iter)
+
+    monkeypatch.setattr(integ, "_try_advance", failing_after_three)
+    out = tmp_path / "partial"
+    cfg = config(dt=0.01, t_end=1.0, output_cadence=1, output_dir=str(out))
+    with pytest.raises(StepSizeUnderflowError) as info:
+        run(SpectralField.cosine(1, 1e-3, 32), wnl(lam=1.0), cfg)
+    assert info.value.rejected_steps > 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert "time step underflow" in meta["failed"]
+    assert meta["rejected_steps"] == info.value.rejected_steps
+    records = read_energy_csv(out / "energy.csv")
+    assert [r.t for r in records] == pytest.approx([0.0, 0.01, 0.02])
+    assert meta["records"] == 3
+
+
 def test_deterministic_reruns(tmp_path):
     p = wnl(sigma=0.3, lam=1.0)
     cfg1 = config(t_end=0.2, output_dir=str(tmp_path / "a"))
