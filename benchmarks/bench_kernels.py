@@ -8,7 +8,9 @@ oracle shown for scale, then one transform batch of the op table
 same ``numpy.fft`` call, and
 one right-hand-side evaluation (``integrate._rhs_raw``: forcing plus
 fixed-point solve) per model, and one RK4 ``integrate.step`` (wnl1 at
-criterion 2's dt), all at N = 64 and 256, then the strip solve
+criterion 2's dt) next to the same step with every stage started cold,
+all at N = 64 and 256, the sweeps per RK4 stage of wnl1 at N = 256 and of
+``configs/verify.cfg``'s trajectory, then the strip solve
 (``strip.solve_strip``: stencil build plus preconditioned CG) next to the
 sparse LU of the oracle's CSR matrix (``tests/oracles.py``), and the
 set-up and one application of its preconditioner
@@ -31,7 +33,8 @@ import time
 import numpy as np
 
 import muskat
-from muskat import _kernels, strip
+from muskat import _kernels, integrate, strip
+from muskat.config import SolverConfig, load_config, make_initial_condition
 from muskat.diagnostics import check_operator_bounds
 from muskat.integrate import IntegratorState, _rhs_raw, step
 from muskat.models import _table, linear_decay_rate
@@ -108,27 +111,85 @@ def rhs_rows(rng, rounds=9):
             c = 1e-3 * _random_field(n, rng)
             times = [_timeit(_rhs_raw, tab, c, 3e-7, 200, repeat=200)
                      for _ in range(rounds)]
-            _, iters = _rhs_raw(tab, c, 3e-7, 200)
+            _, iters, _ = _rhs_raw(tab, c, 3e-7, 200)
             print(f"{n:>6} {model:<12} {np.median(times) * 1e6:>12.1f} "
                   f"{iters:>6}")
 
 
+def _cold_step(tab, c, dt, tol):
+    """One RK4 step whose four stages all start cold, at T(0)."""
+    k1, _, tol = _rhs_raw(tab, c, tol, 200)
+    k2, _, _ = _rhs_raw(tab, c + 0.5 * dt * k1, tol, 200)
+    k3, _, _ = _rhs_raw(tab, c + 0.5 * dt * k2, tol, 200)
+    k4, _, _ = _rhs_raw(tab, c + dt * k3, tol, 200)
+    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def step_rows(rng, rounds=9):
-    """Median over rounds of the mean time of one accepted RK4 step.
+    """Median over rounds of the mean time of one accepted RK4 step, as
+    ``integrate.step`` takes it (stages 2-4 warm) and with every stage
+    cold.
 
     wnl1 as in acceptance criterion 2: dt = 2.7/m(N), tol = 3e-7, an
     initial datum of |k|^-2 magnitudes at amplitude 1e-3.
     """
-    print(f"\n{'N':>6} {'rk4 step':<12} {'median [us]':>12} {'iters':>6}")
+    print(f"\n{'N':>6} {'rk4 step':<12} {'warm [us]':>10} {'cold [us]':>10} "
+          f"{'iters':>6}")
     p = _rhs_params("wnl1")
     for n in (64, 256):
         h = SpectralField(1e-3 * _random_field(n, rng))
-        state = IntegratorState(h, 2.7 / float(linear_decay_rate(n, p)))
-        times = [_timeit(step, state, p, 3e-7, 200, repeat=100)
+        dt = 2.7 / float(linear_decay_rate(n, p))
+        state = IntegratorState(h, dt)
+        tab = _table(n, p)
+        times = [(_timeit(step, state, p, 3e-7, 200, repeat=100),
+                  _timeit(_cold_step, tab, h.coeffs, dt, 3e-7, repeat=100))
                  for _ in range(rounds)]
+        t_warm, t_cold = np.median(times, axis=0)
         _, _, iters = step(state, p, 3e-7, 200)
-        print(f"{n:>6} {'wnl1':<12} {np.median(times) * 1e6:>12.1f} "
+        print(f"{n:>6} {'wnl1':<12} {t_warm * 1e6:>10.1f} {t_cold * 1e6:>10.1f} "
               f"{iters:>6}")
+
+
+def _stage_sweeps(h0, p, cfg):
+    """Sweeps per stage of the run's RK4 steps: stage 1 (cold, T(0) and
+    its iterations) and stages 2-4 (warm, one sweep per iteration)."""
+    iters = []
+    orig = integrate._solve_raw
+
+    def counted(*args):
+        out = orig(*args)
+        iters.append(out[1])
+        return out
+
+    integrate._solve_raw = counted  # the stage solves; not the closing one
+    try:
+        integrate.run(h0, p, cfg)
+    finally:
+        integrate._solve_raw = orig
+    per_step = np.array(iters).reshape(-1, 4)  # no step was rejected
+    return 1.0 + per_step[:, 0].mean(), per_step[:, 1:].mean()
+
+
+def sweep_rows():
+    """Sweeps per RK4 stage: wnl1 at N = 256 with criterion 2's dt and
+    tol from cos x at amplitude 1e-3 (first 500 steps), and the trajectory
+    of ``configs/verify.cfg``."""
+    print(f"\n{'run':<28} {'stage 1':>8} {'stages 2-4':>11}")
+    p = _rhs_params("wnl1")
+    n = 256
+    dt = 2.7 / float(linear_decay_rate(n, p))
+    h0 = SpectralField.cosine(1, 1e-3, n)
+    cfg = SolverConfig(lam=1.0, theta=1.0, sigma=0.1, n_modes=n, dt=dt,
+                       t_end=500 * dt, output_cadence=1000, tol=3e-7)
+    rows = [("wnl1 N=256, criterion 2 dt", h0, p, cfg)]
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "configs", "verify.cfg")
+    vcfg, vp = load_config(path)
+    vcfg.output_dir = ""
+    rows.append(("configs/verify.cfg", make_initial_condition(vcfg), vp, vcfg))
+    for name, h, params, c in rows:
+        first, later = _stage_sweeps(h, params, c)
+        print(f"{name:<28} {first:>8.2f} {later:>11.2f}")
 
 
 # The peak RSS is the process's own VmHWM: ru_maxrss would carry over the
@@ -235,6 +296,7 @@ def main():
     transform_rows(rng)
     rhs_rows(rng)
     step_rows(rng)
+    sweep_rows()
     strip_rows()
     bounds_row()
     import_row()

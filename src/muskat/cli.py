@@ -24,6 +24,7 @@ from .config import (
     load_config,
     make_initial_condition,
     parse_config_text,
+    parse_value,
     verify_settings,
 )
 from .elliptic import SolverError
@@ -52,7 +53,8 @@ def _sweep_cells(specs):
     """--sweep KEY=V1,V2,... specs -> [(overrides, directory name)]: the
     cross product of at most two keys, named k1=a__k2=b; no specs give one
     unnamed cell.  A repeated key or value, which would run one cell twice
-    or into one directory, is rejected."""
+    or into one directory, is rejected; values compare as ``config``
+    parses them, so dt=1e-3,0.001 repeats a value."""
     axes = {}  # key -> its values
     for spec in specs or []:
         if "=" not in spec:
@@ -64,7 +66,8 @@ def _sweep_cells(specs):
             raise ConfigError(f"--sweep {key}: no values")
         if key in axes:
             raise ConfigError(f"--sweep {key}: key given twice")
-        if len(set(values)) < len(values):
+        parsed = [parse_value(key, v) for v in values]
+        if any(v in parsed[:i] for i, v in enumerate(parsed)):
             raise ConfigError(f"--sweep {key}: a value given twice")
         axes[key] = values
     if len(axes) > 2:
@@ -210,6 +213,21 @@ def _snapshot_indices(out_dir):
     return snaps
 
 
+def _load_profile(out_dir, idx):
+    """(label, x, h(x)) of snapshot idx; ConfigError if missing or corrupt."""
+    path = diagnostics.snapshot_path(out_dir, idx)
+    if not os.path.isfile(path):
+        raise ConfigError(f"missing snapshot {path}")
+    try:
+        h = load_spectrum_csv(path)
+    except ValueError as exc:
+        raise ConfigError(f"corrupt snapshot {path}: {exc}")
+    vals = h.values(max(4 * h.n_modes, 64))
+    x = np.linspace(0.0, 2.0 * math.pi, len(vals), endpoint=False)
+    label = os.path.basename(path).removesuffix(".csv")
+    return label, list(x), list(vals)
+
+
 def cmd_plot(args):
     out_dir = args.trajectory
     energy_path = os.path.join(out_dir, diagnostics.ENERGY_FILE)
@@ -221,7 +239,10 @@ def cmd_plot(args):
         raise ConfigError(f"corrupt {diagnostics.ENERGY_FILE}: {exc}")
     if not records:
         raise ConfigError(f"{energy_path}: no records")
-    snaps = _snapshot_indices(out_dir)  # before any chart is written
+    # the snapshot list and every profile drawn are read before any chart
+    snaps = _snapshot_indices(out_dir)
+    profiles = [_load_profile(out_dir, idx)
+                for idx in ((snaps[0], snaps[-1]) if len(snaps) > 1 else snaps)]
     t = [r.t for r in records]
     series = [("energy", t, [r.energy for r in records])]
     for s in range(4):
@@ -243,15 +264,7 @@ def cmd_plot(args):
                    annotations=annotations)
     written = [norms_path]
 
-    if snaps:
-        profiles = []
-        for idx in (snaps[0], snaps[-1]) if len(snaps) > 1 else snaps:
-            path = diagnostics.snapshot_path(out_dir, idx)
-            h = load_spectrum_csv(path)
-            vals = h.values(max(4 * h.n_modes, 64))
-            x = np.linspace(0.0, 2.0 * math.pi, len(vals), endpoint=False)
-            label = os.path.basename(path).removesuffix(".csv")
-            profiles.append((label, list(x), list(vals)))
+    if profiles:
         prof_path = os.path.join(out_dir, "profiles.svg")
         svg_line_chart(profiles, prof_path, title="Interface profiles",
                        xlabel="x", ylabel="h")

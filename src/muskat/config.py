@@ -191,6 +191,25 @@ class SolverConfig:
 # verify is a section, never a top-level value
 _KNOWN_TOP = {KEY_NAMES.get(f.name, f.name) for f in fields(SolverConfig)} \
     - {"verify"}
+# top-level key -> (SolverConfig field, parser), for the scalar fields
+_TOP_PARSERS = {KEY_NAMES.get(f.name, f.name): (f.name, _PARSERS[f.type])
+                for f in fields(SolverConfig) if f.type in _PARSERS}
+# top-level values that stand for the default (sigma derived, tol auto)
+_DEFAULTED = {"sigma": ("",), "tol": ("", "auto")}
+
+
+def parse_value(key, value):
+    """The value of one dotted config key as ``load_config`` parses it:
+    None for a value that stands for the default, and the text itself for
+    a key that takes text or that ``load_config`` rejects."""
+    section, _, sub = key.partition(".")
+    if section in ("initial_condition", "verify") and sub:
+        parser = _KEY_PARSERS.get(sub.rpartition(".")[2])
+    elif value in _DEFAULTED.get(key, ()):
+        return None
+    else:
+        parser = _TOP_PARSERS.get(key, (None, None))[1]
+    return value if parser is None else parser(key, value)
 
 
 def load_config(source):
@@ -229,15 +248,11 @@ def load_config(source):
         verify_settings(verify, suite)
 
     # an empty sigma is derived below, an empty or "auto" tol is the default
-    if raw.get("sigma") in (None, ""):
-        raw.pop("sigma", None)
-    if raw.get("tol") in (None, "", "auto"):
-        raw.pop("tol", None)
-    scalars = {}
-    for f in fields(SolverConfig):
-        key = KEY_NAMES.get(f.name, f.name)
-        if key in raw and f.type in _PARSERS:
-            scalars[f.name] = _PARSERS[f.type](key, raw[key])
+    for key, empty in _DEFAULTED.items():
+        if raw.get(key) in (None, *empty):
+            raw.pop(key, None)
+    scalars = {name: parse(key, raw[key])
+               for key, (name, parse) in _TOP_PARSERS.items() if key in raw}
     cfg = SolverConfig(**scalars, ic=_initial_condition(ic), verify=verify)
     if "sigma" not in raw and cfg.model == "lubrication":
         cfg.sigma = cfg.epsilon * math.sqrt(cfg.delta)

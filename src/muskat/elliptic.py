@@ -12,6 +12,11 @@ equal to the operator norm of base^{-1} perturbation; outside the small-h
 regime that ratio exceeds one and the solve reports failure instead of
 iterating forever.
 
+For the models' right-hand side, F = N(h), the map and its start fold
+into one bilinear sweep (``models``): V_{n+1} = T(V_n) with V_0 = T(0) =
+base^{-1} N(h), or V_0 a guess.  The integrator starts an RK step's first
+stage at T(0) and its later stages from the stage before.
+
 ``dense_solve`` is the independent reference route: it assembles the same
 operator mode by mode against the cosine/sine basis and solves the dense
 linear system directly.  It exists to check the iteration, never to replace
@@ -25,7 +30,7 @@ import numpy as np
 import numpy.random  # np.random: loaded here, not at its first use
 
 from . import models
-from .models import _table
+from .models import _sweep, _table
 from .spectral import SpectralField, check_same_grid, random_decay_field
 from .spectral import wiener_norm
 
@@ -100,7 +105,8 @@ def default_tolerance(c):
     """1e-11 max(1, ||F||_{A0}) for the mean-zero coefficient array c of F.
 
     The sum runs over k >= 1, as in ``wiener_norm(F, 0)``, so the two give
-    the same bits.
+    the same bits.  An RK step takes F = N(h) at its first stage and uses
+    that tolerance for all its stages (``integrate``).
     """
     return 1e-11 * max(1.0, 2.0 * float(np.abs(c[1:]).sum()))
 
@@ -110,27 +116,34 @@ def _norm_raw(tab, c):
     return 2.0 * float((tab.norm_k * np.abs(c)).sum())
 
 
-def _solve_raw(tab, cF, hphys, tol, max_iter):
-    """Raw fixed point on coefficient arrays.  Returns (U, iters, increments).
+def _solve_raw(tab, V, a, pre, c, hphys, tol, max_iter):
+    """Raw fixed point on coefficient arrays, from the guess V.
+    Returns (U, iters, increments).
 
-    Each iteration is V <- V0 + sum(solve_out * P[h phys(solve_stack V)]):
-    one 2-row (thin film: 1-row) inverse batch, one forward batch and one
-    weighted sum, the base inverse being folded into the table's rows.
-    With h = 0 the update is exactly zero, so the first increment is 0.0
-    and the solve returns V0 after one iteration.  With the quadratic
-    terms off it returns V0 at once, and hphys is not read.
+    The map is T(V) = a + base^{-1} B(h, pre + theta k^2 V), pre None
+    standing for 0: a = F/base, pre None for L_h U = F (so T(V) = V0 +
+    S V), and a = -rate h, pre = w h for the models' right-hand side.  Each
+    iteration is one sweep (``models._sweep``): one inverse batch, which
+    also transforms the profile c while hphys is None, and one forward
+    batch.  Every sweep counts as an iteration and is checked: its
+    increment ||T(V) - V|| in the scheme norm against tol, the stall rule
+    and max_iter.  So a guess whose first increment is <= tol costs one
+    sweep, and the a-posteriori bound q/(1-q) times the last increment
+    holds from any guess.  With h = 0 the sweep is exactly zero; with the
+    quadratic terms off T is constant and the solve returns a at once,
+    reading neither c nor hphys.
     """
-    V0 = cF / tab.base
-    V0[0] = 0.0
     if not tab.force_active:
-        return V0, 1, [0.0]
-    V = V0
+        return a, 1, [0.0]
     increments = []
     stall = 0
     prev = None
     for it in range(1, max_iter + 1):
-        Vn = models._solve_update(tab, hphys, V)
-        Vn += V0
+        psi = tab.tk2 * V
+        if pre is not None:
+            psi += pre
+        Vn, hphys = _sweep(tab, c, hphys, psi)
+        Vn += a
         d = Vn - V
         inc = _norm_raw(tab, d)
         increments.append(inc)
@@ -200,8 +213,10 @@ def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
     tab = _table(h.n_modes, params)
     if tol is None:
         tol = default_tolerance(F.coeffs)
-    hphys = tab.phys(h.coeffs)
-    U_raw, iters, increments = _solve_raw(tab, F.coeffs, hphys, tol, max_iter)
+    V0 = F.coeffs / tab.base
+    V0[0] = 0.0
+    U_raw, iters, increments = _solve_raw(tab, V0, V0, None, h.coeffs, None,
+                                          tol, max_iter)
     U = SpectralField(U_raw, copy=False)
     residual = wiener_norm(
         SpectralField(

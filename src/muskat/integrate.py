@@ -7,11 +7,16 @@ at O(k^2) (the rate tends to (lam/4theta) k^2 as |k| grows), classical RK4
 with dt of order 1/N^2 is stable and no implicit machinery is needed.
 
 The first stage is solved once per step: it does not depend on dt, so a
-failure there ends the run at once.  A step is rejected, and dt halved,
-whenever a later stage solve fails to contract or the step produces
-non-finite values; dt recovers by a factor 1.2 every 10 accepted steps up
-to the configured value.  The mean mode is pinned to zero after every
-accepted step.
+failure there ends the run at once.  It starts cold, at T(0) = N(h)/base
+(``models``), so the contraction check that ends a run outside the
+smallness regime runs at every step; with tol None its tolerance is
+1e-11 max(1, ||N(h)||_{A0}), and the later stages reuse it.  Stages 2-4
+start warm, from the stage before moved on by the linear part, and cost
+one sweep when their first increment is within tol.  A step is rejected,
+and dt halved, whenever a later stage solve fails to contract or the step
+produces non-finite values; dt recovers by a factor 1.2 every 10 accepted
+steps up to the configured value.  The mean mode is pinned to zero after
+every accepted step.
 """
 
 import math
@@ -31,7 +36,7 @@ from .elliptic import (
     default_tolerance,
     solve_quasilinear,
 )
-from .models import _forcing_with_h, _table
+from .models import _sweep, _table
 from .spectral import SpectralField, save_spectrum_csv
 
 DT_FLOOR = 1e-14
@@ -69,37 +74,72 @@ class IntegratorState:
             self.dt_max = self.dt
 
 
-def _rhs_raw(tab, c, tol, max_iter):
-    """dh/dt for the model of tab.spec; returns (coeffs, solver iterations)."""
+def _rhs_raw(tab, c, tol, max_iter, guess=None):
+    """dh/dt for the model of tab.spec.  Returns (coeffs, solver
+    iterations, tol).
+
+    dh/dt is the fixed point U = T(U), T(U) = -rate h + base^{-1} B(h, w h
+    + theta k^2 U) (``models``); model 2 takes T(mu), mu = -rate h, and no
+    solve.  Without a guess the iteration starts cold at T(0) = N(h)/base,
+    whose sweep also transforms h, and a tol of None becomes
+    ``default_tolerance(N(h))``.  A guess needs a tol: the iteration starts
+    there, and its first sweep transforms h.  The tol used comes back, so a
+    step can reuse its first stage's.
+    """
     if tab.spec.explicit:
-        return models._rhs_wnl2_raw(tab, c), 0
-    F, hphys = _forcing_with_h(tab, c)
-    if tol is None:
-        tol = default_tolerance(F)
-    U, iters, _ = _solve_raw(tab, F, hphys, tol, max_iter)
-    return U, iters
+        return models._rhs_wnl2_raw(tab, c), 0, tol
+    a = tab.lin * c
+    if not tab.force_active:
+        return a, 1, tol
+    pre = tab.w * c
+    hphys = None
+    if guess is None:
+        guess, hphys = _sweep(tab, c, None, pre)
+        guess += a
+        if tol is None:
+            tol = default_tolerance(tab.base * guess)
+    U, iters, _ = _solve_raw(tab, guess, a, pre, c, hphys, tol, max_iter)
+    return U, iters, tol
 
 
 def _try_advance(tab, c, k1, dt, scheme, tol, max_iter):
-    """One explicit step attempt from the solved first stage k1.
-    Returns (c_new, iterations of the later stages)."""
+    """One explicit step attempt from the solved first stage k1, with the
+    first stage's tolerance tol.  Returns (c_new, iterations of the later
+    stages).
+
+    Stages 2-4 start their fixed point from the stage before moved on by
+    the linear part, U_g = k_prev - rate (x - x_prev), x the stage input:
+    x - x_prev is (dt/2) k1, (dt/2)(k2 - k1) and dt k3 - (dt/2) k2.
+    """
     if scheme == "euler":
         cn = c + dt * k1
         iters = 0
     else:
         # c + a*k and c + (dt/6)(k1 + 2 k2 + 2 k3 + k4) evaluated in place,
         # in the operation order of those expressions (same bits).  One
-        # buffer carries the stage inputs; c and k1 are never written.
+        # buffer carries the stage inputs and one the guesses; c and k1
+        # are never written.
         half = 0.5 * dt
+        lin = tab.lin
         x = np.multiply(k1, half)
+        g = lin * x
+        g += k1
         x += c
-        k2, n2 = _rhs_raw(tab, x, tol, max_iter)
+        k2, n2, _ = _rhs_raw(tab, x, tol, max_iter, g)
+        np.subtract(k2, k1, out=g)
+        g *= half
+        g *= lin
+        g += k2
         np.multiply(k2, half, out=x)
         x += c
-        k3, n3 = _rhs_raw(tab, x, tol, max_iter)
+        k3, n3, _ = _rhs_raw(tab, x, tol, max_iter, g)
         np.multiply(k3, dt, out=x)
+        np.multiply(k2, half, out=g)
+        np.subtract(x, g, out=g)
+        g *= lin
+        g += k3
         x += c
-        k4, n4 = _rhs_raw(tab, x, tol, max_iter)
+        k4, n4, _ = _rhs_raw(tab, x, tol, max_iter, g)
         cn = k2
         cn *= 2.0
         cn += k1
@@ -120,11 +160,12 @@ def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
 
     Returns (new_state, k1_field, solver_iterations); k1 is the solved
     dh/dt at the step's starting point.  A failed k1 solve raises at once:
-    no smaller dt changes it.
+    no smaller dt changes it.  A tol of None becomes the k1 solve's
+    default, which every attempt's later stages reuse.
     """
     tab = _table(state.h.n_modes, params)
     c = state.h.coeffs
-    k1, n1 = _rhs_raw(tab, c, tol, max_iter)
+    k1, n1, tol = _rhs_raw(tab, c, tol, max_iter)
     dt = state.dt
     rejected = state.rejected_steps
     streak = state.accepted_streak
@@ -218,7 +259,7 @@ def run(h0, params, config):
         # the closing rhs evaluation doubles as the logged solve report
         h = state.h
         if tab.spec.explicit:
-            kf, itf = _rhs_raw(tab, h.coeffs, config.tol, config.max_iter)
+            kf, itf, _ = _rhs_raw(tab, h.coeffs, config.tol, config.max_iter)
         else:
             U, rep = solve_quasilinear(h, models.forcing(h, params), params,
                                        config.tol, config.max_iter)

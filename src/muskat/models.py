@@ -25,17 +25,27 @@ perturbation and ``N`` collects the forcing terms:
 Every quadratic product is dealiased at formation (4N padding) and every
 public operation returns a mean-zero field.
 
-Transform budget.  With w = (chi + (lam/4) k^4) h the two quadratic pairs
-of the small-slope forcing fold into one,
+Transform budget.  With w = chi + (lam/4) k^4, the forcing and the
+perturbation are one bilinear form B(h, psi), linear in psi:
 
-    sigma*chi [G(h*Gh) + dx(h dx h)] + sigma*lam/4 [G(h*G dx^4 h) + dx(h dx^5 h)]
-        = sigma [G(h*G w) + dx(h dx w)],
+    small slope:  B(h, psi) = sigma [G(h*G psi) + dx(h*dx psi)]
+    thin film:    B(h, psi) = sqrt(delta) eps dx(h*dx psi)
+    N(h)       = -base rate h + B(h, w h)
+    L_h U      = base U - B(h, theta k^2 U)   (theta k^2 U = -theta dxx U)
 
-so the forcing and the physical profile come from one 3-row inverse batch
-[h, G w, dx w] and one 2-row forward batch.  The fixed-point update folds
--sigma*theta/base into its output rows and costs 2 + 2 rows per iteration,
-so a small-slope right-hand side converging in one iteration transforms 9
-rows of 4N points (thin film: 2 + 1 for the forcing, 1 + 1 per iteration).
+so L_h U = N(h) is the fixed point U = T(U) of
+
+    T(U) = -rate h + base^{-1} B(h, w h + theta k^2 U).
+
+One sweep (``_sweep``) gives base^{-1} B(h, psi) from one inverse batch
+[h, G psi, dx psi] (thin film [h, dx psi]) and one forward batch of 2 rows
+(thin film 1); the profile row h is left out when the physical h is
+already known.  So N(h)/base = T(0) is one sweep of 3 + 2 rows (thin film
+2 + 1), each further fixed-point iteration 2 + 2 (1 + 1), model 2's
+right-hand side T(mu), mu = -rate h, one sweep of 3 + 2, and a stage that
+starts warm and converges at its first increment one sweep of 3 + 2.  A
+cold small-slope stage converging in one iteration transforms 9 rows in 4
+calls; an RK4 step whose warm stages converge at once, 24 rows in 10.
 
 Transform binding.  The batches call pocketfft's C++ ``c2r``/``r2c``
 through ``spectral.irfft``/``rfft``, the binding that numpy.fft and
@@ -57,11 +67,14 @@ norm order and the energy coefficient, and carries the symbols T(k),
 base(k) and rate(k).  The op table, the solver, the integrator and the
 diagnostics ask the spec instead of comparing names.
 
-One table per model.  ``_OpTable`` holds its own model's base, forcing and
-perturbation rows, so each operation is one function for all three models.
-The benchmark's tracer (``perfbench/spans.py``) wraps attributes by name,
-so the old per-model names stay bound as aliases until the program counts
-its own layers (ROADMAP item 1).
+One table per model.  ``_OpTable`` holds one set of model rows: the
+sweep's factor rows ``stack`` ([G, ik], thin film [ik]), its output rows
+``out`` (the same symbols times sigma, thin film sqrt(delta) eps, over
+base) and ``lin`` = -rate, so each operation is one function for all
+three models.  The benchmark's tracer (``perfbench/spans.py``) wraps
+attributes by name, so the old per-model names stay bound as aliases
+until the program counts its own layers (ROADMAP item 1): the forcing
+names to ``_sweep``, the thin-film perturbation name to ``_perturb_raw``.
 
 Memory and threads.  The module keeps an immutable per-(n_modes, params)
 table of symbol arrays, shared by every caller.  Each transform batch
@@ -203,15 +216,16 @@ def model_spec(params):
 class _OpTable:
     """Per-(n_modes, params) constant arrays for the FFT pipeline.
 
-    ``base`` is ``ModelSpec.base``; ``force_*`` and ``pert_*`` are the
-    model's forcing and perturbation rows, the perturbation being
-    ``pert_scale`` (sigma*theta; thin film 1.0) times its products, and
-    ``force_active`` (sigma, thin film eps, nonzero) switches both on.  The
-    commutator and split rows depend on the depth only.
+    The model rows are one set: the sweep's factor rows ``stack`` and
+    output rows ``out`` (module docstring), ``lin`` = -rate, the forcing
+    weight ``w`` = chi + (lam/4) k^4 and ``tk2`` = theta k^2, the factor of
+    U in the sweep's argument.  ``force_active`` (sigma, thin film eps,
+    nonzero) switches the quadratic terms on.  The commutator and split
+    rows depend on the depth only.
 
-    Immutable after construction.  Scaling conventions: rows of *_stack are
+    Immutable after construction.  Scaling conventions: rows of *stack are
     premultiplied so that irfft gives physical samples directly, rows of
-    *_out fold in the inverse-transform normalization of the 4N product
+    *out fold in the inverse-transform normalization of the 4N product
     grid.
     """
 
@@ -235,35 +249,19 @@ class _OpTable:
         self.split_stack = np.stack([ik**3, k**3 + 0j, -G * k**2 + 0j]) * to_phys
         self.split_outA = np.stack([ik, -k + 0j]) * from_phys
         self.split_outB = np.stack([k + 0j, G + 0j]) * from_phys
-        # forcing linear*c + sum(force_out * P[h phys(force_stack[1:] c)]),
-        # force_stack[0] giving h itself; w = chi + lam/4 k^4
-        wsym = p.chi + (p.lam / 4.0) * k**4
-        dw = ik * wsym
+        # B(h, psi) / base = sum(out * P[h phys(stack psi)])
         if spec.thin_film:
-            # sqrt(delta) dx((1 + eps h) dx(w h)): factors [h, dx(w h)];
-            # perturbation factor dx^3 V, output theta sqrt(delta) eps dx .
-            sqd = math.sqrt(p.delta)
-            self.force_linear = sqd * ik * dw
-            self.force_stack = np.stack([np.ones_like(k) + 0j, dw]) * to_phys
-            self.force_out = ik[None, :] * (sqd * p.epsilon * from_phys)
-            self.force_active = p.epsilon != 0.0
-            self.pert_stack = ik[None, :] ** 3 * to_phys
-            self.pert_out = self.force_out * p.theta
-            self.pert_scale = 1.0
+            rows = ik[None, :]
+            coef = math.sqrt(p.delta) * p.epsilon
         else:
-            # -G w h + sigma [G(h * G w h) + dx(h * dx w h)]:
-            # factors [h, G w h, dx w h], outputs sigma [G ., dx .]
-            self.force_linear = -G * wsym
-            self.force_stack = np.stack([np.ones_like(k), G * wsym, dw]) * to_phys
-            self.force_out = np.stack([G + 0j, ik]) * (p.sigma * from_phys)
-            self.force_active = p.sigma != 0.0
-            self.pert_stack = self.comm_stack
-            self.pert_out = self.comm_out
-            self.pert_scale = p.sigma * p.theta
-        # fixed point V <- V0 + sum(solve_out * P[h phys(pert_stack V)]): the
-        # perturbation's sign and scale and the base inverse are folded
-        # into the output rows
-        self.solve_out = -(self.pert_scale * self.pert_out) / self.base
+            rows = np.stack([G + 0j, ik])
+            coef = p.sigma
+        self.force_active = coef != 0.0
+        self.stack = rows * to_phys
+        self.out = rows * (coef * from_phys) / self.base
+        self.lin = -spec.rate(k)
+        self.w = p.chi + (p.lam / 4.0) * k**4
+        self.tk2 = p.theta * k**2
         self.norm_k = k**spec.norm_order
 
     # -- transforms: pocketfft's c2r/r2c on the 4N grid (module docstring)
@@ -301,60 +299,64 @@ def _weighted_sum(weights, rows):
     return out
 
 
-def _products(tab, hphys, rows, weights):
-    """sum_j weights_j P[h phys(rows_j)], mean-projected: two batches."""
-    out = _weighted_sum(weights, tab.prods(hphys, tab.phys_stack(rows)))
-    out[0] = 0.0
-    return out
+def _sweep(tab, c, hphys, psi):
+    """base^{-1} B(h, psi), mean-projected, and the physical h.
 
-
-def _forcing_with_h(tab, c):
-    """N(h) and the physical h, from one inverse and one forward batch.
-
-    Row 0 of ``force_stack`` is the profile, so one inverse batch yields
-    both the product factors and the physical h the solve needs (3 + 2 rows
-    small slope, 2 + 1 thin film).  The product rows are summed first and
-    the linear part is added last: that order fixes the rounding of every
-    output file.  With the quadratic terms off, N(h) is linear, no solve
-    reads h and no transform runs: the physical h is None.
+    One inverse batch and one forward batch.  With hphys None the profile
+    c is row 0 of the inverse batch, so the same call yields the physical
+    h that later sweeps of this h reuse (3 + 2 rows small slope, 2 + 1 thin
+    film); given hphys, c is not read (2 + 2, 1 + 1).
     """
-    hphys = None
-    if tab.force_active:
-        ph = tab.phys_stack(tab.force_stack * c)
-        hphys = ph[0]
-        out = _weighted_sum(tab.force_out, tab.prods(hphys, ph[1:]))
-        out += tab.force_linear * c
+    if hphys is None:
+        rows = np.empty((len(tab.stack) + 1, tab.n + 1), complex)
+        np.multiply(c, tab.h_scale, out=rows[0])
+        np.multiply(tab.stack, psi, out=rows[1:])
+        ph = tab.phys_stack(rows)
+        hphys, ph = ph[0], ph[1:]
     else:
-        out = tab.force_linear * c
+        ph = tab.phys_stack(tab.stack * psi)
+    out = _weighted_sum(tab.out, tab.prods(hphys, ph))
     out[0] = 0.0
     return out, hphys
 
 
-def _commutator_raw(tab, hphys, v):
-    return _products(tab, hphys, tab.comm_stack * v, tab.comm_out)
-
-
-def _perturb_raw(tab, hphys, v):
-    """The perturbation of L_h divided by ``pert_scale``."""
-    return _products(tab, hphys, tab.pert_stack * v, tab.pert_out)
-
-
 def _solve_update(tab, hphys, v):
-    """-base^{-1} perturbation(h, v): the fixed-point map minus its V0."""
-    return _products(tab, hphys, tab.pert_stack * v, tab.solve_out)
+    """S v = base^{-1} B(h, theta k^2 v) = -base^{-1} perturbation(h, v):
+    the fixed-point map minus its value at 0."""
+    return _sweep(tab, None, hphys, tab.tk2 * v)[0]
+
+
+def _perturb_raw(tab, c, v):
+    """The perturbation of L_h, -base S v, from one sweep of the profile c."""
+    out, _ = _sweep(tab, c, None, tab.tk2 * v)
+    out *= -tab.base
+    return out
+
+
+def _commutator_raw(tab, hphys, v):
+    """I(h, v), mean-projected: two batches."""
+    pr = tab.prods(hphys, tab.phys_stack(tab.comm_stack * v))
+    out = _weighted_sum(tab.comm_out, pr)
+    out[0] = 0.0
+    return out
 
 
 # names perfbench/spans.py wraps, kept until ROADMAP item 1 retires it
-_forcing_wnl_with_h = _forcing_wnl_raw = _forcing_lub_raw = _forcing_with_h
+_forcing_wnl_with_h = _forcing_wnl_raw = _forcing_lub_raw = _sweep
 _lub_perturb_raw = _perturb_raw
 
 
 def _rhs_wnl2_raw(tab, c):
-    # the model-1 fixed-point map applied once, to mu instead of U
-    f, hphys = _forcing_with_h(tab, c)
-    out = f / tab.base
+    """T(mu), mu = -rate h: model 2's dh/dt from one sweep."""
+    mu = tab.lin * c
     if tab.force_active:
-        out += _solve_update(tab, hphys, tab.force_linear * c / tab.base)
+        psi = tab.tk2 * mu
+        psi += tab.w * c
+        out, _ = _sweep(tab, c, None, psi)
+        out += mu
+    else:
+        out = mu
+    out[0] = 0.0
     return out
 
 
@@ -363,9 +365,18 @@ def _rhs_wnl2_raw(tab, c):
 # ---------------------------------------------------------------------------
 
 def forcing(h, params):
-    """N(h): the linear and quadratic forcing of the model in ``params``."""
+    """N(h): the linear and quadratic forcing of the model in ``params``,
+    base T(0) (module docstring)."""
     tab = _table(h.n_modes, params)
-    return SpectralField(_forcing_with_h(tab, h.coeffs)[0], copy=False)
+    c = h.coeffs
+    if tab.force_active:
+        out, _ = _sweep(tab, c, None, tab.w * c)
+        out += tab.lin * c
+    else:
+        out = tab.lin * c
+    out *= tab.base
+    out[0] = 0.0
+    return SpectralField(out, copy=False)
 
 
 def apply_quasilinear(h, U, params):
@@ -375,8 +386,7 @@ def apply_quasilinear(h, U, params):
     tab = _table(h.n_modes, params)
     out = tab.base * U.coeffs
     if tab.force_active:
-        out = out + tab.pert_scale * _perturb_raw(tab, tab.phys(h.coeffs),
-                                                  U.coeffs)
+        out += _perturb_raw(tab, h.coeffs, U.coeffs)
     out[0] = 0.0
     return SpectralField(out, copy=False)
 
@@ -429,7 +439,7 @@ def leading_velocity_wnl2(h, params):
     Mode formula: mu(k) = -(chi + (lam/4) k^4) |k| T(|k|) hhat(k) / ell(k).
     """
     tab = _table(h.n_modes, params)
-    out = tab.force_linear * h.coeffs / tab.base
+    out = tab.lin * h.coeffs
     out[0] = 0.0
     return SpectralField(out, copy=False)
 

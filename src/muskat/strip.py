@@ -49,6 +49,11 @@ DEGENERACY_FLOOR = 0.05
 # CG stops once ||r|| <= CG_RTOL * ||rhs||, and fails after CG_MAXITER steps
 CG_RTOL = 1e-13
 CG_MAXITER = 500
+# elements per chunk of the stencil product: its output and term slices
+# (256 kB each) stay in cache across the 9 terms.  At 512x256 a product
+# took 3.4 ms in one pass, 2.8 ms in chunks of 8,192 and 2.4 ms in chunks
+# of 32,768; 256x65 (17k elements, one chunk) is unchanged
+STENCIL_CHUNK = 32768
 
 
 class DegenerateLiftError(ValueError):
@@ -209,7 +214,10 @@ def stencil_apply(C, x):
 
     On the flattened z-fastest array the neighbour n + d sits at offset
     dx*m + dz, and the offset wraps in x.  A coefficient that reaches past
-    a z boundary is 0, so the value it would read does not matter.
+    a z boundary is 0, so the value it would read does not matter.  The
+    sum runs over chunks of STENCIL_CHUNK elements that stay in cache, in
+    the same per-element order as one pass over the whole array (the same
+    bits).
     """
     nx, m = x.shape
     n = nx * m
@@ -217,12 +225,18 @@ def stencil_apply(C, x):
     flat = x.ravel()
     padded = np.concatenate((flat[n - w:], flat, flat[:w]))
     coeffs = C.reshape(9, n)
-    y = coeffs[0] * padded[:n]
-    term = np.empty(n)
-    for d in range(1, 9):
-        start = (d // 3) * m + d % 3
-        np.multiply(coeffs[d], padded[start:start + n], out=term)
-        y += term
+    y = np.empty(n)
+    term = np.empty(min(n, STENCIL_CHUNK))
+    for lo in range(0, n, STENCIL_CHUNK):
+        hi = min(lo + STENCIL_CHUNK, n)
+        out = y[lo:hi]
+        t = term[: hi - lo]
+        np.multiply(coeffs[0, lo:hi], padded[lo:hi], out=out)
+        for d in range(1, 9):
+            start = (d // 3) * m + d % 3 + lo
+            np.multiply(coeffs[d, lo:hi], padded[start:start + hi - lo],
+                        out=t)
+            out += t
     return y.reshape(nx, m)
 
 

@@ -277,11 +277,14 @@ def test_sweep_too_many_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sweeps", [["dt=1e-3,2e-3", "dt=5e-4"],
-                                    ["dt=1e-3,1e-3"]])
+                                    ["dt=1e-3,1e-3"], ["dt=1e-3,0.001"],
+                                    ["initial_condition.k=2,02"],
+                                    ["verify.dtn.sigmas=0.1,1e-1"]])
 def test_sweep_repeated_key_or_value_runs_no_cell(tmp_path, monkeypatch,
                                                   capsys, sweeps):
     # a key swept twice would run every cell at its last value, a value
-    # swept twice would run two cells into one directory
+    # swept twice (also as another spelling of one number) would run two
+    # cells into one directory or one cell twice
     monkeypatch.setenv("MUSKAT_THREADS", "1")
     path, _ = write_cfg(tmp_path)
     out = tmp_path / "sweep"
@@ -648,6 +651,25 @@ def test_plot_corrupt_meta_writes_no_chart(tmp_path, capsys, edit):
     assert main(["plot", out]) == 1
     assert "error: corrupt meta.json: " in capsys.readouterr().err
     assert not (tmp_path / "traj" / "norms.svg").exists()
+
+
+@pytest.mark.parametrize("damage", ["delete", "corrupt"])
+def test_plot_bad_snapshot_writes_no_chart(tmp_path, capsys, damage):
+    # every profile drawn is loaded before any chart is written
+    path, out = write_cfg(tmp_path, t_end=0.05)
+    assert main(["simulate", "--config", path]) == 0
+    snaps = sorted((tmp_path / "traj" / "snapshots").iterdir())
+    assert len(snaps) > 1
+    if damage == "delete":
+        snaps[-1].unlink()
+    else:
+        snaps[-1].write_text("k,re,im\n0,zero,0\n")
+    assert main(["plot", out]) == 1
+    err = capsys.readouterr().err
+    assert str(snaps[-1]) in err
+    assert ("missing snapshot" if damage == "delete" else "corrupt snapshot") in err
+    assert not (tmp_path / "traj" / "norms.svg").exists()
+    assert not (tmp_path / "traj" / "profiles.svg").exists()
 
 
 def test_snapshot_mean_mode_zero_in_files(tmp_path):

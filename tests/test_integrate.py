@@ -346,7 +346,7 @@ def test_rhs_transform_budget(monkeypatch):
     tab = _table(64, p)
     c = SpectralField.cosine(1, 1e-3, 64).coeffs
     calls = _transform_calls(monkeypatch)
-    _, iters = _rhs_raw(tab, c, 1e-6, 200)
+    _, iters, _ = _rhs_raw(tab, c, 1e-6, 200)
     assert iters == 1
     assert calls == [("phys_stack", 3), ("prods", 2),
                      ("phys_stack", 2), ("prods", 2)]
@@ -362,7 +362,7 @@ def test_lub_rhs_single_inverse_before_solve(monkeypatch):
     tab = _table(64, p)
     c = SpectralField.cosine(1, 1e-3, 64).coeffs
     calls = _transform_calls(monkeypatch)
-    _, iters = _rhs_raw(tab, c, None, 200)
+    _, iters, _ = _rhs_raw(tab, c, None, 200)
     assert iters >= 2
     assert calls[:2] == [("phys_stack", 2), ("prods", 1)]
     assert calls[2:] == [("phys_stack", 1), ("prods", 1)] * iters
@@ -370,20 +370,26 @@ def test_lub_rhs_single_inverse_before_solve(monkeypatch):
 
 def test_rk4_stages_in_place_match_textbook_and_keep_inputs():
     # _try_advance combines the stages in place; the bits must equal the
-    # textbook expression, and neither c nor k1 may be written
+    # textbook expression with the same warm starts and stage 1's tol, and
+    # neither c nor k1 may be written
     from muskat.integrate import _rhs_raw, _try_advance
     from muskat.models import _table
 
     p = wnl(sigma=0.1, lam=1.0)
     tab = _table(64, p)
     c = random_field(64, np.random.default_rng(3), p=3.0, amplitude=1e-3).coeffs
-    k1, _ = _rhs_raw(tab, c, None, 200)
+    k1, _, tol = _rhs_raw(tab, c, None, 200)
     c0, k10 = c.copy(), k1.copy()
     dt = 2.0 / float(linear_decay_rate(64, p))
-    got, _ = _try_advance(tab, c, k1, dt, "rk4", None, 200)
-    k2, _ = _rhs_raw(tab, c + 0.5 * dt * k1, None, 200)
-    k3, _ = _rhs_raw(tab, c + 0.5 * dt * k2, None, 200)
-    k4, _ = _rhs_raw(tab, c + dt * k3, None, 200)
+    got, _ = _try_advance(tab, c, k1, dt, "rk4", tol, 200)
+    # each later stage starts from the one before, moved on by -rate
+    lin = tab.lin
+    k2, _, _ = _rhs_raw(tab, c + 0.5 * dt * k1, tol, 200,
+                        k1 + lin * (0.5 * dt * k1))
+    k3, _, _ = _rhs_raw(tab, c + 0.5 * dt * k2, tol, 200,
+                        k2 + lin * (0.5 * dt * (k2 - k1)))
+    k4, _, _ = _rhs_raw(tab, c + dt * k3, tol, 200,
+                        k3 + lin * (dt * k3 - 0.5 * dt * k2))
     ref = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     ref[0] = 0.0
     assert got.tobytes() == ref.tobytes()

@@ -12,6 +12,11 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
 * one folded fixed-point update equals (F - perturbation(h, V)) / base
   composed from the public operators;
 * ``integrate._rhs_raw`` agrees with the public forcing + solve route;
+* for all three models, one sweep of the fixed-point map T equals
+  base^{-1} N(h) + S U; a solve started from any guess lands within its
+  a-posteriori bound of the cold solve and of the dense solve; and a warm
+  RK4 step takes the stated transform budget (wnl1 at N = 64: 10 calls,
+  24 rows);
 * the FFT sign/tanh split of the commutator (``models.commutator_sign_split``,
   which ``diagnostics.check_operator_bounds`` evaluates) equals the direct
   double sum of ``_kernels.sign_split_direct``;
@@ -33,6 +38,8 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
   for bit.
 """
 
+import contextlib
+import functools
 import math
 import os
 import tempfile
@@ -165,7 +172,7 @@ def test_rhs_raw_matches_public_route(n, seed, depth, sigma, amplitude, model):
         p = ModelParams(lam=1.0, theta=1.0, sigma=sigma, depth=depth,
                         model=model)
     h = field(n, seed, amplitude)
-    got, _ = integrate._rhs_raw(_table(n, p), h.coeffs, None, 200)
+    got, _, _ = integrate._rhs_raw(_table(n, p), h.coeffs, None, 200)
     if model == "wnl2":
         mu = models.leading_velocity_wnl2(h, p)
         f = models.forcing(h, p).coeffs
@@ -346,9 +353,156 @@ def test_solve_raw_matches_dense_solve(n, seed, depth, model, sigma,
     tab = _table(n, p)
     h, F = field(n, seed, amplitude), field(n, seed + 1)
     tol = 1e-14 * elliptic._norm_raw(tab, F.coeffs)
-    U, _, _ = elliptic._solve_raw(tab, F.coeffs, tab.phys(h.coeffs), tol, 200)
+    V0 = F.coeffs / tab.base
+    V0[0] = 0.0
+    U, _, _ = elliptic._solve_raw(tab, V0, V0, None, None, tab.phys(h.coeffs),
+                                  tol, 200)
     ref = elliptic.dense_solve(h, F, p)
     assert a0_dist(SpectralField(U), ref) <= 1e-11 * wiener_norm(ref, 0)
+
+
+def model_map(tab, c):
+    """(a, pre) of the models' fixed-point map T(V) = a + base^{-1}
+    B(h, pre + theta k^2 V): a = -rate h, pre = w h."""
+    return tab.lin * c, tab.w * c
+
+
+def one_sweep(tab, c, U):
+    """T(U) as the solver computes it: one iteration from U, accepted."""
+    a, pre = model_map(tab, c)
+    out, iters, _ = elliptic._solve_raw(tab, U, a, pre, c, None, math.inf, 1)
+    assert iters == 1
+    return out
+
+
+@PROPS
+@given(n=n_modes, seed=seeds, depth=depths, model=models3, sigma=unit,
+       theta=st.floats(0.1, 3.0))
+def test_sweep_equals_base_inverse_forcing_plus_update(n, seed, depth, model,
+                                                       sigma, theta):
+    # T(U) = base^{-1} N(h) + S U, for U random and, the right-hand side of
+    # model 2, for U = mu
+    p = model_params(model, depth, sigma, theta)
+    tab = _table(n, p)
+    h, U = field(n, seed, 0.1), field(n, seed + 1)
+    c = h.coeffs
+    mu = models.leading_velocity_wnl2(h, p).coeffs
+    f0 = models.invert_base(models.forcing(h, p), p).coeffs
+    hphys = tab.phys(c)
+    cases = [(one_sweep(tab, c, U.coeffs), U.coeffs),
+             (models._rhs_wnl2_raw(tab, c), mu)]
+    for got, v in cases:
+        ref = SpectralField(f0 + models._solve_update(tab, hphys, v))
+        assert a0_dist(SpectralField(got), ref) <= (
+            1e-13 * max(wiener_norm(ref, 0), 1e-300))
+
+
+def update_bound(tab, hphys, n):
+    """An upper bound of the scheme-norm operator norm q of the update S:
+    sqrt(2) times its largest gain on the basis fields e_k, i e_k (S is
+    real-linear, and |Re z| + |Im z| <= sqrt(2) |z|)."""
+    gains = []
+    for k in range(1, n + 1):
+        for unit_ in (1.0, 1j):
+            e = np.zeros(n + 1, complex)
+            e[k] = unit_
+            gains.append(elliptic._gain(tab, hphys, e)[1])
+    return math.sqrt(2.0) * max(gains)
+
+
+@PROPS
+@given(n=st.integers(2, 12), seed=seeds, depth=depths, model=models3,
+       sigma=st.floats(0.0, 0.5), amplitude=st.floats(1e-3, 2e-2))
+def test_warm_solve_within_a_posteriori_bound_of_cold(n, seed, depth, model,
+                                                      sigma, amplitude):
+    # ||V_m - U*|| <= (q ||V_m - V_{m-1}|| + roundoff) / (1 - q) from any
+    # start, so warm and cold solves agree within the two bounds, and each
+    # lies within its bound of the dense solve
+    p = model_params(model, depth, sigma)
+    tab = _table(n, p)
+    h = field(n, seed, amplitude)
+    c = h.coeffs
+    q = update_bound(tab, tab.phys(c), n)
+    assert q < 0.5
+    a, pre = model_map(tab, c)
+    F = models.forcing(h, p)
+    tol = elliptic.default_tolerance(F.coeffs)
+    exact = elliptic.dense_solve(h, F, p).coeffs
+    norm = functools.partial(elliptic._norm_raw, tab)
+    slack = 1e-12 * norm(exact)
+
+    def bound(increments):
+        return (q * increments[-1] + slack) / (1.0 - q)
+
+    v0 = one_sweep(tab, c, np.zeros_like(c))
+    cold, _, cold_incs = elliptic._solve_raw(tab, v0, a, pre, c, None, tol,
+                                             200)
+    assert norm(cold - exact) <= bound(cold_incs)
+    rng = np.random.default_rng(seed)
+    good = cold + 1e-8 * norm(cold) * random_field(n, rng, p=4.0).coeffs
+    wild = norm(cold) * random_field(n, rng, p=4.0).coeffs
+    for guess in (np.zeros_like(c), wild, good):
+        warm, _, incs = elliptic._solve_raw(tab, guess, a, pre, c, None, tol,
+                                            200)
+        assert norm(warm - exact) <= bound(incs)
+        assert norm(warm - cold) <= bound(incs) + bound(cold_incs)
+
+
+@contextlib.contextmanager
+def transform_rows():
+    """The row count of every transform batch of the op table made within
+    the block, one entry per call."""
+    rows = []
+    saved = {name: models._OpTable.__dict__[name]
+             for name in ("phys", "phys_stack", "prods")}
+
+    def counted(orig):
+        def call(tab, *args):
+            arr = args[-1]
+            rows.append(arr.shape[0] if arr.ndim == 2 else 1)
+            return orig(tab, *args)
+        return call
+
+    try:
+        for name, orig in saved.items():
+            setattr(models._OpTable, name, counted(orig))
+        yield rows
+    finally:
+        for name, orig in saved.items():
+            setattr(models._OpTable, name, orig)
+
+
+@PROPS
+@given(seed=seeds, depth=depths, model=models3,
+       amplitude=st.floats(1e-5, 1e-3))
+def test_warm_rk4_step_transform_budget(seed, depth, model, amplitude):
+    # N = 64, dt = 2.7/m(64), tol 1e-6: every warm stage converges at its
+    # first increment, one sweep with h in its batch.  wnl1: stage 1 cold
+    # in one iteration (3 + 2, 2 + 2), three warm stages (3 + 2 each): 10
+    # calls, 24 rows.  Thin film: the same with 2 + 1 and 1 + 1, stage 1
+    # converging later.  wnl2: 1 + 1 calls per stage, 3 + 2 rows.
+    n, tol = 64, 1e-6
+    p = model_params(model, depth, 0.1)
+    h = random_field(n, np.random.default_rng(seed), p=3.0,
+                     amplitude=amplitude)
+    state = integrate.IntegratorState(h, 2.7 / float(
+        models.linear_decay_rate(n, p)))
+    tab = _table(n, p)
+    with transform_rows() as stage1:
+        integrate._rhs_raw(tab, h.coeffs, tol, 200)
+    with transform_rows() as rows:
+        _, _, iters = integrate.step(state, p, tol, 200)
+    if model == "wnl2":
+        assert stage1 == [3, 2] and iters == 0
+        assert rows == [3, 2] * 4
+    elif model == "wnl1":
+        assert stage1 == [3, 2, 2, 2] and iters == 4
+        assert rows == [3, 2, 2, 2] + [3, 2] * 3
+        assert (len(rows), sum(rows)) == (10, 24)
+    else:
+        n1 = iters - 3
+        assert stage1 == [2, 1] + [1, 1] * n1
+        assert rows == stage1 + [2, 1] * 3
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

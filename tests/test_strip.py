@@ -12,6 +12,7 @@ from muskat.spectral import (
     wiener_norm,
 )
 from muskat.strip import (
+    STENCIL_CHUNK,
     DegenerateLiftError,
     LinearSolveError,
     StripGrid,
@@ -19,6 +20,7 @@ from muskat.strip import (
     coefficient_fields,
     dtn_apply,
     solve_strip,
+    stencil_apply,
     surface_normal_velocity,
     verify_dtn_expansion,
     verify_lub_flux,
@@ -133,6 +135,24 @@ def test_assembled_operator_symmetric():
     h = SpectralField.cosine(1, 0.4, 8)
     A = csr_system(h, g, p_of(delta=0.6, eps=0.4))
     assert abs(A - A.T).max() == 0.0
+
+
+def test_stencil_chunks_give_the_unchunked_bits():
+    # 300 x 250 spans two whole chunks and a part; the reference is the
+    # one-pass sum in the same term order
+    nx, m = 300, 250
+    assert 2 * STENCIL_CHUNK < nx * m < 3 * STENCIL_CHUNK
+    rng = np.random.default_rng(7)
+    C = rng.standard_normal((3, 3, nx, m))
+    x = rng.standard_normal((nx, m))
+    n, w = nx * m, m + 1
+    flat = x.ravel()
+    padded = np.concatenate((flat[n - w:], flat, flat[:w]))
+    ref = C[0, 0].ravel() * padded[:n]
+    for d in range(1, 9):
+        start = (d // 3) * m + d % 3
+        ref += C[d // 3, d % 3].ravel() * padded[start:start + n]
+    assert stencil_apply(C, x).tobytes() == ref.reshape(nx, m).tobytes()
 
 
 def test_flat_strip_closed_form_second_order():
