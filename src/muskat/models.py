@@ -74,7 +74,10 @@ base) and ``lin`` = -rate, so each operation is one function for all
 three models.  The benchmark's tracer (``perfbench/spans.py``) wraps
 attributes by name, so the old per-model names stay bound as aliases
 until the program counts its own layers (ROADMAP item 1): the forcing
-names to ``_sweep``, the thin-film perturbation name to ``_perturb_raw``.
+names to ``_sweep``, the thin-film perturbation name to ``_perturb_raw``,
+``_commutator_raw`` to ``_bilinear_form``: the sweep on the wnl1 table at
+sigma = 1, the one evaluation of B that the commutator I(h, V) = B(h, dxx V)
+(the perturbation at sigma = theta = 1) and strip's surface-map check use.
 
 Memory and threads.  The module keeps an immutable per-(n_modes, params)
 table of symbol arrays, shared by every caller.  Each transform batch
@@ -220,8 +223,8 @@ class _OpTable:
     output rows ``out`` (module docstring), ``lin`` = -rate, the forcing
     weight ``w`` = chi + (lam/4) k^4 and ``tk2`` = theta k^2, the factor of
     U in the sweep's argument.  ``force_active`` (sigma, thin film eps,
-    nonzero) switches the quadratic terms on.  The commutator and split
-    rows depend on the depth only.
+    nonzero) switches the quadratic terms on.  The split rows depend on
+    the depth only.
 
     Immutable after construction.  Scaling conventions: rows of *stack are
     premultiplied so that irfft gives physical samples directly, rows of
@@ -241,9 +244,6 @@ class _OpTable:
         to_phys = self.m / SQRT_2PI
         from_phys = SQRT_2PI / self.m
         self.h_scale = to_phys
-        # commutator I(h,V): factors [G dxx V, dxxx V], outputs [G ., dx .]
-        self.comm_stack = np.stack([-G * k**2 + 0j, ik**3]) * to_phys
-        self.comm_out = np.stack([G + 0j, ik]) * from_phys
         # sign/tanh split of I: I_A = dx(h dxxx V) - Lam(h Lam^3 V),
         # I_B = Lam(h Lam^3 V) + G(h G dxx V)
         self.split_stack = np.stack([ik**3, k**3 + 0j, -G * k**2 + 0j]) * to_phys
@@ -333,17 +333,18 @@ def _perturb_raw(tab, c, v):
     return out
 
 
-def _commutator_raw(tab, hphys, v):
-    """I(h, v), mean-projected: two batches."""
-    pr = tab.prods(hphys, tab.phys_stack(tab.comm_stack * v))
-    out = _weighted_sum(tab.comm_out, pr)
-    out[0] = 0.0
+def _bilinear_form(c, psi, depth):
+    """G(h*G psi) + dx(h*dx psi), G of ``depth``: B(h, psi) at sigma = 1, one
+    sweep on the wnl1 table times its base; truncated at c's N modes."""
+    tab = _table(len(c) - 1, ModelParams(sigma=1.0, depth=depth))
+    out, _ = _sweep(tab, c, None, psi)
+    out *= tab.base
     return out
 
 
 # names perfbench/spans.py wraps, kept until ROADMAP item 1 retires it
 _forcing_wnl_with_h = _forcing_wnl_raw = _forcing_lub_raw = _sweep
-_lub_perturb_raw = _perturb_raw
+_lub_perturb_raw, _commutator_raw = _perturb_raw, _bilinear_form
 
 
 def _rhs_wnl2_raw(tab, c):
@@ -400,11 +401,11 @@ def invert_base(F, params):
 
 
 def commutator(h, V, params):
-    """I(h,V) = G(h * G dxx V) + dx(h * dxxx V), dealiased and mean-projected."""
+    """I(h,V) = G(h * G dxx V) + dx(h * dxxx V) = B(h, dxx V) at sigma = 1."""
     check_same_grid(h, V)
-    tab = _table(h.n_modes, params)
-    out = _commutator_raw(tab, tab.phys(h.coeffs), V.coeffs)
-    return SpectralField(out, copy=False)
+    psi = -np.arange(h.n_modes + 1.0) ** 2 * V.coeffs
+    return SpectralField(_bilinear_form(h.coeffs, psi, params.depth),
+                         copy=False)
 
 
 def commutator_sign_split(h, V, params):

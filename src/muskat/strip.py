@@ -18,8 +18,8 @@ neighbours only, so it is stored as a 9-point stencil on the grid
 (periodic in x), summed from the 4x4 cell matrices; no sparse matrix is
 formed.  The operator is exactly symmetric, the scheme is conservative and
 second order, and the bottom condition is the natural boundary condition
-of the quadratic form.  This route never touches the Fourier-side model
-operators; it exists to validate them.
+of the quadratic form.  The solve never touches the Fourier-side model
+operators; the surface-map check holds it against the models' own B(h, psi).
 
 Linear solve: conjugate gradients on the unknown (non-Dirichlet) nodes,
 where the operator is the stencil applied to the unknowns with a zero
@@ -42,7 +42,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import (GridMismatchError, SpectralField, dct,
+from .models import _bilinear_form
+from .spectral import (GridMismatchError, SpectralField, check_same_grid, dct,
                        depth_symbol, derivative_symbol, irfft, rfft)
 
 DEGENERACY_FLOOR = 0.05
@@ -437,44 +438,40 @@ def _order_values(values, name):
 def verify_dtn_expansion(h, psi, sigmas, grid, params):
     """Remainder order of the small-steepness expansion of the surface map.
 
-    Compares the solved map against  G0 psi - sigma (G0(h G0 psi) +
-    dx(h dx psi))  for each steepness, with the flat-interface solve used to
-    estimate the discretization floor; requires delta = 1 (the order-one
-    depth regime, where the interface height is sigma*h).
+    Compares the solved map against  G0 psi - sigma B(h, psi)  for each
+    steepness, with the flat-interface solve used to estimate the
+    discretization floor; requires delta = 1 (the order-one depth regime,
+    where the interface height is sigma*h).  B is the models' finite-depth
+    form (``models._bilinear_form``), truncated at n_modes, so h's highest
+    mode plus psi's must not exceed n_modes (ValueError before any solve).
     """
     if abs(params.delta - 1.0) > 1e-12:
         raise ValueError("the steepness expansion check runs at delta = 1")
     sig = _order_values(sigmas, "sigmas")
+    check_same_grid(h, psi)
+    top = sum(int(np.flatnonzero(f.coeffs).max(initial=0)) for f in (h, psi))
+    if top > h.n_modes:
+        raise ValueError(f"h's top mode plus psi's, {top}, exceeds n_modes")
     nx = grid.n_x
-    hv = _field_values(h, nx)
-    psiv = _field_values(psi, nx)
-    g0_psi = _x_multiplier(psiv, G0)
-    taylor1 = -(_x_multiplier(hv * g0_psi, G0)
-                + _x_multiplier(hv * _x_multiplier(psiv, DX), DX))
+    g0_psi = _x_multiplier(_field_values(psi, nx), G0)
+    taylor1 = -SpectralField(_bilinear_form(h.coeffs, psi.coeffs, "finite"),
+                             copy=False).values(nx)
     h0 = SpectralField.zeros(h.n_modes)
     flat = replace(params, epsilon=0.0, sigma=0.0)
     out0 = surface_normal_velocity(solve_strip(h0, psi, grid, flat), h0,
                                    grid, flat, 0.0)
     floor = _a0_of_values(out0 - g0_psi)
 
-    remainders = []
-    first_order_errors = []
+    remainders, first_order_errors = [], []
     for s in sig:
         p_s = replace(params, epsilon=s, sigma=s)
         sol = solve_strip(h, psi, grid, p_s)
         out = surface_normal_velocity(sol, h, grid, p_s, s)
         remainders.append(_a0_of_values(out - (g0_psi + s * taylor1)))
         first_order_errors.append(_a0_of_values((out - out0) / s - taylor1))
-    grid_limited = floor > 0.1 * min(remainders)
-    return OrderReport(
-        "sigma",
-        sig,
-        remainders,
-        expected_slope=2.0,
-        floor=floor,
-        grid_limited=grid_limited,
-        extra={"first_order_errors": first_order_errors},
-    )
+    return OrderReport("sigma", sig, remainders, expected_slope=2.0,
+                       floor=floor, grid_limited=floor > 0.1 * min(remainders),
+                       extra={"first_order_errors": first_order_errors})
 
 
 def _simpson(y, dx):

@@ -7,7 +7,10 @@ share no code with ``muskat``:
   the 4N padded grid, through ``numpy.fft``;
 * ``convolve_truncated`` is the same product as a literal truncated
   convolution of full spectra, with ``full_spectrum``/``half_spectrum``
-  converting between the layouts.
+  converting between the layouts;
+* ``naive_commutator`` composes I(h, V) term by term from
+  ``pointwise_product``, the reference for the small-slope perturbation
+  (the program takes it from the sweep it steps with).
 
 Half spectra are ``c[k]``, k = 0..N, of a real field under the package's
 symmetric convention; full spectra are ``f[m + N]``, m = -N..N.
@@ -42,6 +45,18 @@ def pointwise_product(a, b):
     av = np.fft.irfft(a, n=m) * (m / SQRT_2PI)
     bv = np.fft.irfft(b, n=m) * (m / SQRT_2PI)
     return np.fft.rfft(av * bv)[: n + 1] * (SQRT_2PI / m)
+
+
+def naive_commutator(h, v, depth):
+    """I(h, V) = G(h G dxx V) + dx(h dxxx V) of the half spectra h, v, with
+    G = |k| tanh|k| (finite depth) or |k|; the mean mode is set to 0."""
+    k = np.arange(len(h), dtype=float)
+    G = k * np.tanh(k) if depth == "finite" else k
+    ik = 1j * k
+    out = (G * pointwise_product(h, G * ik**2 * v)
+           + ik * pointwise_product(h, ik**3 * v))
+    out[0] = 0.0
+    return out
 
 
 def full_spectrum(half):

@@ -327,6 +327,17 @@ def test_verify_dtn_single_sigma_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "dtn_report.json").exists()
 
 
+def test_verify_dtn_modes_past_n_modes_exit_1(tmp_path, capsys):
+    # modes 40 + 30 exceed the 64 modes the model's B(h, psi) carries
+    p = tmp_path / "d.cfg"
+    p.write_text("theta = 1.0\nverify.dtn.h_mode = 40\n"
+                 "verify.dtn.psi_mode = 30\n")
+    out = tmp_path / "o"
+    assert main(["verify", "dtn", "--config", str(p), "--out", str(out)]) == 1
+    assert "exceeds n_modes" in capsys.readouterr().err
+    assert not (out / "dtn_report.json").exists()
+
+
 def test_verify_dtn_passes_on_a_fine_grid(tmp_path, capsys):
     # the default sigmas on a 256 x 128 strip: the quadratic remainder stands
     # clear of the discretization floor, and its slope is 2

@@ -10,9 +10,10 @@ from muskat.elliptic import (
     dense_solve,
     solve_quasilinear,
 )
-from muskat.models import _table, apply_quasilinear, forcing
+from muskat.models import _solve_update, _table, apply_quasilinear, forcing
 from muskat.params import ModelParams
-from muskat.spectral import COS_MODE, SpectralField, wiener_norm
+from muskat.spectral import (COS_MODE, SpectralField, random_decay_field,
+                             wiener_norm)
 
 from conftest import a0_dist, random_field
 
@@ -146,6 +147,47 @@ def test_certify_smallness_cases():
     b = certify_smallness(SpectralField.cosine(1, 0.02, 32), p, seed=7)
     assert b.contraction_factor == pytest.approx(2 * a.contraction_factor, rel=1e-10)
     assert b.contraction_factor >= a.contraction_factor
+
+
+def _dense_update_radius(h, p):
+    """Spectral radius of the update S, assembled column by column over the
+    [Re c_1..c_N, Im c_1..c_N] basis."""
+    n = h.n_modes
+    tab = _table(n, p)
+    hphys = tab.phys(h.coeffs)
+    S = np.empty((2 * n, 2 * n))
+    for j in range(2 * n):
+        e = np.zeros(n + 1, complex)
+        e[1 + j % n] = 1.0 if j < n else 1j
+        col = _solve_update(tab, hphys, e)
+        S[:, j] = np.concatenate([col[1:].real, col[1:].imag])
+    return float(np.abs(np.linalg.eigvals(S)).max())
+
+
+@pytest.mark.parametrize("h, p, rtol", [
+    (SpectralField.cosine(2, 2.0, 32), wnl(), 1e-3),
+    (SpectralField.cosine(3, 1.3, 32), wnl(), 1e-3),
+    (SpectralField.cosine(1, 0.5, 32), wnl(), 1e-3),
+    (SpectralField.cosine(1, 0.3, 32), lub(eps=4.0, delta=1.0, lam=1.0), 1e-2),
+    (random_decay_field(32, 2, np.random.default_rng(1)),
+     lub(eps=1.0, delta=0.5, lam=1.0), 1e-2),
+], ids=["wnl1_2cos2x", "wnl1_1.3cos3x", "wnl1_0.5cosx", "lub_cosx",
+        "lub_random"])
+def test_certify_smallness_is_the_spectral_radius(h, p, rtol):
+    # the |k|^-4 probes alone report 0.47 and 0.83 at 2 cos 2x and
+    # 1.3 cos 3x, whose updates have spectral radius 0.994 and 1.18
+    rep = certify_smallness(h, p)
+    rho = _dense_update_radius(h, p)
+    assert rep.contraction_factor == pytest.approx(rho, rel=rtol)
+    assert rep.passed == (rho < 1.0)
+
+
+def test_certify_smallness_fails_where_the_solve_diverges():
+    h = SpectralField.cosine(3, 1.3, 32)
+    assert not certify_smallness(h, wnl()).passed
+    F = random_decay_field(32, 2, np.random.default_rng(1))
+    with pytest.raises((MaxIterationsError, NotContractingError)):
+        solve_quasilinear(h, F, wnl())
 
 
 def test_solved_field_feeds_quasilinear_identity(rng):

@@ -27,7 +27,7 @@ from muskat.spectral import (
 )
 
 from conftest import a0_dist, random_field
-from oracles import pointwise_product
+from oracles import naive_commutator, pointwise_product
 
 T1 = math.tanh(1.0)
 T2 = math.tanh(2.0)
@@ -362,17 +362,6 @@ def _naive_forcing_wnl(h, p):
     )
 
 
-def _naive_commutator(h, v, p):
-    G = depth_symbol(p.depth)
-    t1 = apply_multiplier(
-        _prod(h, apply_multiplier(
-            apply_multiplier(v, derivative_symbol(2)), G)), G)
-    t2 = apply_multiplier(
-        _prod(h, apply_multiplier(v, derivative_symbol(3))),
-        derivative_symbol(1))
-    return _mean_zero(t1.coeffs + t2.coeffs)
-
-
 def test_batched_pipeline_matches_naive_composition(rng):
     # the stacked-transform fast path against term-by-term composition
     # through the public primitives
@@ -386,7 +375,8 @@ def test_batched_pipeline_matches_naive_composition(rng):
             scale = max(wiener_norm(naive, 0), 1e-30)
             assert a0_dist(fast, naive) <= 1e-12 * scale
             fast_i = commutator(h, v, p)
-            naive_i = _naive_commutator(h, v, p)
+            naive_i = SpectralField(naive_commutator(h.coeffs, v.coeffs,
+                                                     depth))
             scale_i = max(wiener_norm(naive_i, 0), 1e-30)
             assert a0_dist(fast_i, naive_i) <= 1e-12 * scale_i
 

@@ -9,9 +9,11 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
 * the folded forcing equals the four-product formula, evaluated once with
   the FFT product of ``oracles.pointwise_product`` and once with the
   direct double sum of ``oracles.convolve_truncated``;
-* one folded fixed-point update equals (F - perturbation(h, V)) / base
-  composed from the public operators;
-* ``integrate._rhs_raw`` agrees with the public forcing + solve route;
+* one folded fixed-point update equals (F - perturbation(h, V)) / base,
+  the small-slope perturbation composed term by term
+  (``oracles.naive_commutator``, not the sweep under test);
+* ``integrate._rhs_raw`` agrees with the public forcing + solve route
+  (model 2's perturbation again from ``oracles.naive_commutator``);
 * for all three models, one sweep of the fixed-point map T equals
   base^{-1} N(h) + S U; a solve started from any guess lands within its
   a-posteriori bound of the cold solve and of the dense solve; and a warm
@@ -66,7 +68,8 @@ from muskat.spectral import (
 
 from conftest import a0_dist, random_field
 from oracles import (convolve_truncated, csr_system, full_spectrum,
-                     half_spectrum, lu_strip_solve, pointwise_product)
+                     half_spectrum, lu_strip_solve, naive_commutator,
+                     pointwise_product)
 
 PROPS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -153,7 +156,7 @@ def test_folded_update_matches_perturbation(n, seed, depth, sigma, theta, lub):
     if lub:
         pert = models.apply_quasilinear(h, V, p).coeffs - tab.base * V.coeffs
     else:
-        pert = sigma * theta * models.commutator(h, V, p).coeffs
+        pert = sigma * theta * naive_commutator(h.coeffs, V.coeffs, depth)
     ref = (F.coeffs - pert) / tab.base
     ref[0] = 0.0
     ref = SpectralField(ref)
@@ -176,7 +179,8 @@ def test_rhs_raw_matches_public_route(n, seed, depth, sigma, amplitude, model):
     if model == "wnl2":
         mu = models.leading_velocity_wnl2(h, p)
         f = models.forcing(h, p).coeffs
-        f = f - p.sigma * p.theta * models.commutator(h, mu, p).coeffs
+        f = f - p.sigma * p.theta * naive_commutator(h.coeffs, mu.coeffs,
+                                                     depth)
         ref = models.invert_base(SpectralField(f), p)
     else:
         ref, _ = solve_quasilinear(h, models.forcing(h, p), p)

@@ -284,6 +284,29 @@ def test_dtn_check_rejects_degenerate_sigmas_before_solving(monkeypatch,
         verify_dtn_expansion(h, h, sigmas, StripGrid(32, 17), p_of())
 
 
+class _Solved(Exception):
+    pass
+
+
+def _flag_solve(*args):
+    raise _Solved
+
+
+@pytest.mark.parametrize("h_mode, psi_mode, admitted",
+                         [(40, 30, False), (1, 64, False), (34, 30, True)])
+def test_dtn_check_mode_bound_before_solving(monkeypatch, h_mode, psi_mode,
+                                             admitted):
+    # B(h, psi) is truncated at n_modes and the grid product is not: past
+    # the bound the two differ (100% at 40 + 40 with N = 64)
+    import muskat.strip as strip_mod
+
+    monkeypatch.setattr(strip_mod, "solve_strip", _flag_solve)
+    h = SpectralField.cosine(h_mode, 1.0, 64)
+    psi = SpectralField.cosine(psi_mode, 1.0, 64)
+    with pytest.raises(_Solved if admitted else ValueError):
+        verify_dtn_expansion(h, psi, [0.2, 0.1], StripGrid(256, 17), p_of())
+
+
 @pytest.mark.parametrize("deltas", [[0.04, 0.02, 0.0], [0.02]])
 def test_flux_check_rejects_degenerate_deltas_before_solving(monkeypatch,
                                                              deltas):
