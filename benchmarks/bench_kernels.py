@@ -12,7 +12,9 @@ criterion 2's dt) next to the same step with every stage started cold,
 all at N = 64 and 256, the sweeps per RK4 stage of wnl1 at N = 256 and of
 ``configs/verify.cfg``'s trajectory, then the strip solve
 (``strip.solve_strip``: stencil build plus preconditioned CG) next to the
-sparse LU of the oracle's CSR matrix (``tests/oracles.py``), and the
+sparse LU of the oracle's CSR matrix (``tests/oracles.py``), with the
+stencil build (``strip.assemble_system``) alone and the ``tracemalloc``
+peaks of the build and of the solve, and the
 set-up and one application of its preconditioner
 (``strip.flat_preconditioner``: DCT in z, rfft in x),
 ``diagnostics.check_operator_bounds`` at 500 samples, N = 64, and last
@@ -29,6 +31,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -234,16 +237,29 @@ def _median_time(fn, *args, rounds=3):
     return float(np.median(times)), out
 
 
+def _traced_peak_mib(fn, *args):
+    """Peak of the memory ``tracemalloc`` sees allocated during fn(*args),
+    in MiB (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def strip_rows():
     """solve_strip (stencil build + CG) against the oracle's CSR scatter +
-    sparse LU, median of 3.
+    sparse LU, median of 3, with the stencil build (``assemble_system``,
+    mean of 20) and the traced peaks of the build and of the solve.
 
     256x65 flat is the size of `muskat verify flux`; 512x256 at sigma =
     0.05 and 0.2 are two of the solves of `muskat verify dtn`.  Then the
     preconditioner's set-up and one application at both sizes, mean of 100.
     """
     print(f"\n{'grid':>8} {'sigma':>6} {'cg [s]':>9} {'iters':>6} "
-          f"{'residual':>10} {'csr+lu [s]':>10} {'max |cg - lu|':>14}")
+          f"{'residual':>10} {'csr+lu [s]':>10} {'max |cg - lu|':>14} "
+          f"{'asm [ms]':>9} {'asm peak [MiB]':>15} {'solve peak [MiB]':>17}")
     cases = ((256, 65, 0.0), (512, 256, 0.05), (512, 256, 0.2))
     for nx, nz, sigma in cases:
         grid = strip.StripGrid(nx, nz)
@@ -254,9 +270,13 @@ def strip_rows():
         t_cg, sol = _median_time(strip.solve_strip, h, psi, grid, p)
         t_lu, phi_lu = _median_time(lu_strip_solve, h, psi, grid, p)
         diff = np.abs(sol.phi[:, :-1] - phi_lu).max()
+        t_asm = _timeit(strip.assemble_system, h, grid, p)
+        asm_peak = _traced_peak_mib(strip.assemble_system, h, grid, p)
+        solve_peak = _traced_peak_mib(strip.solve_strip, h, psi, grid, p)
         print(f"{nx:>4}x{nz:<3} {sigma:>6.2f} {t_cg:>9.3f} "
               f"{sol.iterations:>6} {sol.residual_norm:>10.2e} {t_lu:>10.3f} "
-              f"{diff:>14.2e}")
+              f"{diff:>14.2e} {t_asm * 1e3:>9.2f} {asm_peak:>15.2f} "
+              f"{solve_peak:>17.2f}")
     print(f"\n{'grid':>8} {'precond set-up [ms]':>20} {'apply [ms]':>11}")
     for nx, nz in ((256, 65), (512, 256)):
         grid = strip.StripGrid(nx, nz)

@@ -14,17 +14,18 @@ off-diagonal vanishes, so the co-normal and vertical derivatives agree).
 
 Discretization: bilinear elements on the structured grid with P sampled at
 cell midpoints.  The stiffness matrix couples each node to its eight
-neighbours only, so it is stored as a 9-point stencil on the grid
-(periodic in x), summed from the 4x4 cell matrices; no sparse matrix is
-formed.  The operator is exactly symmetric, the scheme is conservative and
-second order, and the bottom condition is the natural boundary condition
-of the quadratic form.  The solve never touches the Fourier-side model
+neighbours only; its rows of the unknown (non-Dirichlet) nodes are kept
+as a 9-point stencil on the grid (periodic in x) and the top row's
+couplings to the datum as three x-arrays, summed from the 4x4 cell
+matrices one entry at a time (no cell-matrix tensor, no sparse matrix).
+The operator is exactly symmetric, the scheme is conservative and second
+order, and the bottom condition is the natural boundary condition of the
+quadratic form.  The solve never touches the Fourier-side model
 operators; the surface-map check holds it against the models' own B(h, psi).
 
-Linear solve: conjugate gradients on the unknown (non-Dirichlet) nodes,
-where the operator is the stencil applied to the unknowns with a zero
-Dirichlet row and the right-hand side the top unknown row's couplings to
-the datum, preconditioned by the exact inverse of the flat operator
+Linear solve: conjugate gradients on the unknown nodes, with the stencil
+as operator and minus the datum's couplings as right-hand side,
+preconditioned by the exact inverse of the flat operator
 (h = 0, eps = 0), delta*(Kx (x) Mz) + (Mx (x) Kz) with the Dirichlet row
 removed.  The 1-D x-blocks Kx, Mx are circulant, so a real FFT along x
 diagonalizes them; the z-blocks Kz, Mz share the cosine eigenbasis of the
@@ -162,50 +163,48 @@ def _local_blocks(dx, dz):
     return kxx, kzz, kxz
 
 
-def _cell_matrices(h, grid, params):
-    """The 4x4 bilinear-element matrix of every cell, shape (4, 4, n_x,
-    n_z - 1): cell (i, j) has the corners (i, j), (i, j+1), (i+1, j),
-    (i+1, j+1) (x periodic), local index 2*ix + iz, and each entry is one
-    contiguous (n_x, n_z - 1) array."""
-    nx, nz = grid.n_x, grid.n_z
+def assemble_system(h, grid, params):
+    """The stiffness matrix's rows of the unknown nodes as a 9-point
+    stencil, and their couplings to the datum.
+
+    Returns (C, top): C[1 + dx, 1 + dz, i, j], shape (3, 3, n_x, n_z - 1),
+    couples node (i, j) to ((i + dx) mod n_x, j + dz), and is 0 where
+    j + dz leaves the unknown rows [0, n_z - 1); top[1 + dx, i] couples
+    node (i, n_z - 2) to the datum at (i + dx) mod n_x.  Node (i, j) is
+    corner (ax, az) of cell (i - ax, j - az).  Each of the 16 cell-matrix
+    entries is one (n_x, n_z - 1) array added into its stencil slice, so a
+    stencil entry adds the cells that hold both nodes in ascending cell
+    order, the order a COO-to-CSR conversion sums them in (away from the x
+    wrap); it is the same for C[d] at n as for C[-d] at n + d, so C[d](n)
+    == C[-d](n + d) bit for bit.
+    """
+    nx, nu = grid.n_x, grid.n_z - 1
     hv = _field_values(h, nx)
     _check_degeneracy(hv, params.epsilon)
     hx = _x_multiplier(hv, DX)
     # cell midpoints
     hm = 0.5 * (hv + np.roll(hv, -1))
     hxm = 0.5 * (hx + np.roll(hx, -1))
-    zm = -1.0 + grid.dz * (np.arange(nz - 1) + 0.5)
+    zm = -1.0 + grid.dz * (np.arange(nu) + 0.5)
     a, b, c = coefficient_fields(hm, hxm, zm, params.delta, params.epsilon)
-    kxx, kzz, kxz = (blk[:, :, None, None]
-                     for blk in _local_blocks(grid.dx, grid.dz))
-    return kxx * a + kzz * c + kxz * b
-
-
-def assemble_system(h, grid, params):
-    """The symmetric stiffness matrix over all nodes as a 9-point stencil.
-
-    Returns C of shape (3, 3, n_x, n_z): C[1 + dx, 1 + dz, i, j] is the
-    entry coupling node (i, j) to node ((i + dx) mod n_x, j + dz), and 0
-    where j + dz leaves [0, n_z).  Node (i, j) is corner (ax, az) of cell
-    (i - ax, j - az).  Each entry adds the cell matrices of the cells that
-    hold both nodes in ascending cell order, the order a COO-to-CSR
-    conversion sums them in (away from the x wrap); it is the same order
-    for C[d] at n as for C[-d] at n + d, so C[d](n) == C[-d](n + d) bit
-    for bit.
-    """
-    nx, nz = grid.n_x, grid.n_z
-    kloc = _cell_matrices(h, grid, params)
-    C = np.zeros((3, 3, nx, nz))
+    kxx, kzz, kxz = _local_blocks(grid.dx, grid.dz)
+    C = np.zeros((3, 3, nx, nu))
+    top = np.zeros((3, nx))
     for ax in (1, 0):
         for az in (1, 0):
-            nodes = slice(az, nz - 1 + az)  # node rows j = cell row + az
             for bx in (0, 1):
                 for bz in (0, 1):
-                    entry = kloc[2 * ax + az, 2 * bx + bz]
+                    p, q = 2 * ax + az, 2 * bx + bz
+                    entry = kxx[p, q] * a
+                    entry += kzz[p, q] * c
+                    entry += kxz[p, q] * b
                     if ax:  # cell i - 1 of node i
                         entry = np.roll(entry, 1, axis=0)
-                    C[1 + bx - ax, 1 + bz - az, :, nodes] += entry
-    return C
+                    n = nu - (az or bz)  # cells whose two nodes are unknown
+                    C[1 + bx - ax, 1 + bz - az, :, az:az + n] += entry[:, :n]
+                    if bz > az:  # the top cell's corner (., nu) is the datum
+                        top[1 + bx - ax] += entry[:, -1]
+    return C, top
 
 
 def stencil_apply(C, x):
@@ -292,16 +291,16 @@ def _pcg(A, b, precond):
         r -= alpha * q
         rnorm = np.linalg.norm(r)
         if not math.isfinite(rnorm):
-            raise LinearSolveError("sparse solve failed: non-finite residual "
-                                   f"at CG iteration {it}")
+            raise LinearSolveError("strip CG solve failed: non-finite "
+                                   f"residual at CG iteration {it}")
         if rnorm <= CG_RTOL * b_norm:
             return x, it
         z = precond(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
     raise LinearSolveError(
-        f"sparse solve failed: CG did not reach ||r|| <= {CG_RTOL:g}*||rhs|| "
-        f"in {CG_MAXITER} iterations (||r|| / ||rhs|| = "
+        f"strip CG solve failed: CG did not reach ||r|| <= {CG_RTOL:g}"
+        f"*||rhs|| in {CG_MAXITER} iterations (||r|| / ||rhs|| = "
         f"{rnorm / b_norm:.3g})"
     )
 
@@ -309,32 +308,28 @@ def _pcg(A, b, precond):
 def solve_strip(h, psi, grid, params):
     """Solve the flattened problem for the prescribed surface datum psi.
 
-    The unknown nodes are solved by conjugate gradients preconditioned with
-    the flat-strip operator (``flat_preconditioner``) to a relative
-    residual of CG_RTOL; no factorization is formed.  The Dirichlet row of
-    the returned solution equals the supplied datum exactly; the bottom
-    no-flux condition is built into the operator.  ``residual_norm`` is the
-    true residual ||Auu phi_u - rhs|| of the returned solution.  Raises
-    LinearSolveError when CG does not converge within CG_MAXITER
-    iterations or produces non-finite values.
+    The unknown nodes are solved by conjugate gradients on the stencil of
+    ``assemble_system`` (right-hand side: minus its couplings times the
+    datum), preconditioned with the flat-strip operator
+    (``flat_preconditioner``), to a relative residual of CG_RTOL; no
+    factorization is formed.  The Dirichlet row of the returned solution
+    equals the supplied datum exactly; the bottom no-flux condition is
+    built into the operator.  ``residual_norm`` is the true residual
+    ||Auu phi_u - rhs|| of the returned solution.  Raises LinearSolveError
+    when CG does not converge within CG_MAXITER iterations or produces
+    non-finite values.
     """
     nx, nu = grid.n_x, grid.n_z - 1
-    C = assemble_system(h, grid, params)
+    C, top = assemble_system(h, grid, params)
     psi_vals = _field_values(psi, nx)
     # rhs: minus the couplings of the top unknown row to the datum
-    top = C[:, 2, :, nu - 1]
     rhs = np.zeros((nx, nu))
     rhs[:, nu - 1] = -(top[0] * np.roll(psi_vals, 1) + top[1] * psi_vals
                        + top[2] * np.roll(psi_vals, -1))
     rhs = rhs.ravel()
-    # Auu p: the stencil applied to [p; 0], on the unknown rows.  The
-    # couplings to the Dirichlet row multiply its zeros, so they are set to
-    # 0; on the unknown block alone they would read the next x column.
-    Cuu = C[:, :, :, :nu].copy()
-    Cuu[:, 2, :, nu - 1] = 0.0
 
     def Auu(p):
-        return stencil_apply(Cuu, p.reshape(nx, nu)).ravel()
+        return stencil_apply(C, p.reshape(nx, nu)).ravel()
 
     phi_u, iterations = _pcg(Auu, rhs, flat_preconditioner(grid, params.delta))
     residual = float(np.linalg.norm(Auu(phi_u) - rhs))

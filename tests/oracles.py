@@ -15,9 +15,15 @@ share no code with ``muskat``:
 Half spectra are ``c[k]``, k = 0..N, of a real field under the package's
 symmetric convention; full spectra are ``f[m + N]``, m = -N..N.
 
-The strip ones take the cell matrices of ``strip._cell_matrices`` and
-hold the program's 9-point stencil against a general sparse matrix:
+The strip ones form every cell's bilinear-element matrix at once
+(``cell_matrices``: P sampled at the cell midpoints by the program's
+``coefficient_fields``, a (4, 4, n_x, n_z - 1) tensor) and hold the
+program's streamed 9-point stencil against it:
 
+* ``full_stencil`` scatters the cell matrices into a stencil over all
+  nodes, Dirichlet row included, in the program's summation order, so
+  its unknown rows and its couplings to the datum must equal
+  ``strip.assemble_system``'s bit for bit;
 * ``csr_system`` scatters every cell matrix into a scipy CSR matrix over
   all nodes (z-fastest node order), summing the shared entries;
 * ``lu_strip_solve`` solves its unknown block by a sparse LU.
@@ -84,10 +90,49 @@ def convolve_truncated(af, bf):
     return np.convolve(af, bf)[n : 3 * n + 1]
 
 
+def cell_matrices(h, grid, params):
+    """The 4x4 bilinear-element matrix of every cell, shape (4, 4, n_x,
+    n_z - 1): cell (i, j) has the corners (i, j), (i, j+1), (i+1, j),
+    (i+1, j+1) (x periodic), local index 2*ix + iz, and each entry is one
+    contiguous (n_x, n_z - 1) array."""
+    nx, nz = grid.n_x, grid.n_z
+    hv = h.values(nx)
+    hx = strip._x_multiplier(hv, strip.DX)
+    hm = 0.5 * (hv + np.roll(hv, -1))
+    hxm = 0.5 * (hx + np.roll(hx, -1))
+    zm = -1.0 + grid.dz * (np.arange(nz - 1) + 0.5)
+    a, b, c = strip.coefficient_fields(hm, hxm, zm, params.delta,
+                                       params.epsilon)
+    kxx, kzz, kxz = (blk[:, :, None, None]
+                     for blk in strip._local_blocks(grid.dx, grid.dz))
+    return kxx * a + kzz * c + kxz * b
+
+
+def full_stencil(h, grid, params):
+    """The stiffness matrix over all nodes as a 9-point stencil, shape (3,
+    3, n_x, n_z): C[1 + dx, 1 + dz, i, j] couples node (i, j) to node
+    ((i + dx) mod n_x, j + dz), and is 0 where j + dz leaves [0, n_z).
+    Node (i, j) is corner (ax, az) of cell (i - ax, j - az); each entry
+    adds the cells that hold both nodes in ascending cell order."""
+    nx, nz = grid.n_x, grid.n_z
+    kloc = cell_matrices(h, grid, params)
+    C = np.zeros((3, 3, nx, nz))
+    for ax in (1, 0):
+        for az in (1, 0):
+            nodes = slice(az, nz - 1 + az)  # node rows j = cell row + az
+            for bx in (0, 1):
+                for bz in (0, 1):
+                    entry = kloc[2 * ax + az, 2 * bx + bz]
+                    if ax:  # cell i - 1 of node i
+                        entry = np.roll(entry, 1, axis=0)
+                    C[1 + bx - ax, 1 + bz - az, :, nodes] += entry
+    return C
+
+
 def csr_system(h, grid, params):
     """The strip's stiffness matrix over all nodes as a CSR matrix."""
     nx, nz = grid.n_x, grid.n_z
-    kloc = strip._cell_matrices(h, grid, params).transpose(2, 3, 0, 1)
+    kloc = cell_matrices(h, grid, params).transpose(2, 3, 0, 1)
     idx = np.arange(nx * nz).reshape(nx, nz)
     i0 = np.arange(nx)
     i1 = (i0 + 1) % nx

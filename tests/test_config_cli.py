@@ -413,7 +413,7 @@ def test_verify_flux_solve_failure_exit_2(tmp_path, monkeypatch, capsys):
                  "verify.flux.n_z = 17\nverify.flux.n_modes = 8\n")
     rc = main(["verify", "flux", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "sparse solve failed" in capsys.readouterr().err
+    assert "strip CG solve failed" in capsys.readouterr().err
 
 
 def test_verify_decay_cli(tmp_path):

@@ -22,11 +22,13 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
 * the FFT sign/tanh split of the commutator (``models.commutator_sign_split``,
   which ``diagnostics.check_operator_bounds`` evaluates) equals the direct
   double sum of ``_kernels.sign_split_direct``;
-* the strip's 9-point stencil (``strip.assemble_system``) applied by
-  ``strip.stencil_apply`` equals the matrix-vector product of the
-  oracle's CSR scatter of the same cell matrices, and is exactly
-  symmetric; the preconditioned CG strip solve equals a sparse LU solve
-  of the oracle's matrix;
+* the strip's streamed 9-point stencil on the unknown nodes and its
+  couplings to the datum (``strip.assemble_system``) equal the rows of
+  the oracle's full-node scatter of the cell-matrix tensor bit for bit;
+  applied by ``strip.stencil_apply`` they give the matrix-vector product
+  of the oracle's CSR scatter of the same cell matrices, and the stencil
+  is exactly symmetric; the preconditioned CG strip solve equals a
+  sparse LU solve of the oracle's matrix;
 * ``strip.flat_preconditioner`` inverts the oracle's flat (h = 0,
   eps = 0) operator on the unknown nodes;
 * ``strip._simpson`` is bitwise equal to ``scipy.integrate.simpson``, which
@@ -68,8 +70,8 @@ from muskat.spectral import (
 
 from conftest import a0_dist, random_field
 from oracles import (convolve_truncated, csr_system, full_spectrum,
-                     half_spectrum, lu_strip_solve, naive_commutator,
-                     pointwise_product)
+                     full_stencil, half_spectrum, lu_strip_solve,
+                     naive_commutator, pointwise_product)
 
 PROPS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -221,27 +223,49 @@ strip_grids = dict(nx=st.integers(4, 16).map(lambda m: 2 * m),
 
 @PROPS
 @given(**strip_grids)
+def test_streamed_stencil_equals_full_node_oracle(nx, nz, seed, delta, lift):
+    # the same additions in the same order as the full-node scatter: its
+    # unknown rows with the Dirichlet couplings zeroed, and those couplings
+    grid, h, _psi, p = strip_case(nx, nz, seed, delta, lift)
+    C, top = strip.assemble_system(h, grid, p)
+    full = full_stencil(h, grid, p)
+    assert np.array_equal(top, full[:, 2, :, nz - 2])
+    full = full[:, :, :, :-1]
+    full[:, 2, :, -1] = 0.0
+    assert np.array_equal(C, full)
+
+
+@PROPS
+@given(**strip_grids)
 def test_stencil_matches_csr_oracle(nx, nz, seed, delta, lift):
+    # the unknown rows of A x: the stencil on the unknown nodes plus the
+    # top row's couplings to the Dirichlet row
     grid, h, _psi, p = strip_case(nx, nz, seed, delta, lift)
     x = np.random.default_rng(seed).standard_normal((nx, nz))
-    got = strip.stencil_apply(strip.assemble_system(h, grid, p), x)
-    ref = (csr_system(h, grid, p) @ x.ravel()).reshape(nx, nz)
+    C, top = strip.assemble_system(h, grid, p)
+    got = strip.stencil_apply(C, x[:, :-1])
+    datum = x[:, -1]
+    got[:, -1] += (top[0] * np.roll(datum, 1) + top[1] * datum
+                   + top[2] * np.roll(datum, -1))
+    ref = (csr_system(h, grid, p) @ x.ravel()).reshape(nx, nz)[:, :-1]
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @PROPS
 @given(**strip_grids)
 def test_stencil_exactly_symmetric(nx, nz, seed, delta, lift):
-    # C[d](n) == C[-d](n + d) bit for bit; no entry reaches past z = -1, 0
+    # C[d](n) == C[-d](n + d) bit for bit; no entry reaches past z = -1 or
+    # into the Dirichlet row
     grid, h, _psi, p = strip_case(nx, nz, seed, delta, lift)
-    C = strip.assemble_system(h, grid, p)
+    C, _top = strip.assemble_system(h, grid, p)
+    nu = nz - 1
     assert not C[:, 0, :, 0].any() and not C[:, 2, :, -1].any()
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             # back[i, j] = C[-d](i + di, j + dj)
             back = np.roll(C[1 - di, 1 - dj], -di, axis=0)
-            rows = slice(max(0, -dj), nz - max(0, dj))
-            back_rows = slice(max(0, dj), nz - max(0, -dj))
+            rows = slice(max(0, -dj), nu - max(0, dj))
+            back_rows = slice(max(0, dj), nu - max(0, -dj))
             assert np.array_equal(C[1 + di, 1 + dj][:, rows],
                                   back[:, back_rows])
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_solve_failure_wrapped(monkeypatch):
 
     monkeypatch.setattr(strip_mod, "flat_preconditioner", broken)
     g = StripGrid(32, 17)
-    with pytest.raises(LinearSolveError, match="sparse solve failed"):
+    with pytest.raises(LinearSolveError, match="strip CG solve failed"):
         solve_strip(SpectralField.zeros(8), SpectralField.cosine(1, 1.0, 8),
                     g, p_of())
 
@@ -117,7 +118,7 @@ def test_cg_iteration_limit_raises(monkeypatch):
     needed = solve_strip(h, psi, g, p).iterations
     assert needed > 1
     monkeypatch.setattr(strip_mod, "CG_MAXITER", needed - 1)
-    with pytest.raises(LinearSolveError, match="sparse solve failed"):
+    with pytest.raises(LinearSolveError, match="strip CG solve failed"):
         solve_strip(h, psi, g, p)
 
 
@@ -153,6 +154,28 @@ def test_stencil_chunks_give_the_unchunked_bits():
         start = (d // 3) * m + d % 3
         ref += C[d // 3, d % 3].ravel() * padded[start:start + n]
     assert stencil_apply(C, x).tobytes() == ref.reshape(nx, m).tobytes()
+
+
+def test_solve_strip_traced_peak_bounded():
+    # a 256x65 solve allocates at most 20 arrays of n_x*n_z floats at once
+    # (18.3 with the stencil streamed onto the unknown nodes; 34.6 with the
+    # cell-matrix tensor, the full-node stencil and its unknown-block copy)
+    g = StripGrid(256, 65)
+    p = ModelParams(theta=1.0, sigma=0.2, delta=1.0, epsilon=0.2)
+    h = SpectralField.cosine(1, 1.0, 64)
+    psi = SpectralField.cosine(2, 1.0, 64)
+    solve_strip(h, psi, g, p)  # first-call set-up outside the measurement
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_strip(h, psi, g, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 20 * g.n_x * g.n_z * 8
 
 
 def test_flat_strip_closed_form_second_order():
