@@ -54,7 +54,7 @@ def _sweep_cells(specs):
     cross product of at most two keys, named k1=a__k2=b; no specs give one
     unnamed cell.  A repeated key or value, which would run one cell twice
     or into one directory, is rejected; values compare as ``config``
-    parses them, so dt=1e-3,0.001 repeats a value."""
+    parses them, so dt=1e-3,0.001 repeats a value.  So is output_dir."""
     axes = {}  # key -> its values
     for spec in specs or []:
         if "=" not in spec:
@@ -66,6 +66,8 @@ def _sweep_cells(specs):
             raise ConfigError(f"--sweep {key}: no values")
         if key in axes:
             raise ConfigError(f"--sweep {key}: key given twice")
+        if key == "output_dir":
+            raise ConfigError("--sweep output_dir: the sweep names the cells")
         parsed = [parse_value(key, v) for v in values]
         if any(v in parsed[:i] for i, v in enumerate(parsed)):
             raise ConfigError(f"--sweep {key}: a value given twice")
@@ -110,12 +112,16 @@ def cmd_simulate(args):
     base_out = args.out or config.output_dir
     if not base_out:
         raise ConfigError("no output directory (set output_dir or pass --out)")
+    cells = _sweep_cells(args.sweep)
+    if args.seed is not None and any("rng_seed" in o for o, _ in cells):
+        raise ConfigError("--seed would override --sweep rng_seed in every "
+                          "cell")
     # every cell is validated and set up before the first one starts
     jobs = [
         _prepare_cell({**raw, **overrides},
                       os.path.join(base_out, name) if name else base_out,
                       args.seed)
-        for overrides, name in _sweep_cells(args.sweep)
+        for overrides, name in cells
     ]
     workers = _workers(len(jobs))
     if workers == 1 or len(jobs) == 1:
@@ -168,9 +174,11 @@ def cmd_verify(args):
     if n_modes is None:
         n_modes = min(64, s["n_x"] // 2 - 1)
 
+    # amplitude 1: sigmas and epsilon scale h, and each check is linear in
+    # its datum (psi, f)
     if args.kind == "dtn":
-        h = SpectralField.cosine(s["h_mode"], s["h_amplitude"], n_modes)
-        psi = SpectralField.cosine(s["psi_mode"], s["psi_amplitude"], n_modes)
+        h = SpectralField.cosine(s["h_mode"], 1.0, n_modes)
+        psi = SpectralField.cosine(s["psi_mode"], 1.0, n_modes)
         p = replace(params, delta=1.0, sigma=params.epsilon * 1.0)
         rep = strip.verify_dtn_expansion(h, psi, s["sigmas"], grid, p)
         path = _write_report(out_dir, "dtn_report.json", rep.as_dict())
@@ -182,11 +190,11 @@ def cmd_verify(args):
         print(f"dtn report: {path} slope={rep.slope:.3f} passed={rep.passed}")
         return EXIT_OK if rep.passed else EXIT_NUMERICAL
 
-    f = SpectralField.cosine(s["f_mode"], s["f_amplitude"], n_modes)
+    f = SpectralField.cosine(s["f_mode"], 1.0, n_modes)
     if s["h_mode"] is None:
         h = SpectralField.zeros(n_modes)
     else:
-        h = SpectralField.cosine(s["h_mode"], s["h_amplitude"], n_modes)
+        h = SpectralField.cosine(s["h_mode"], 1.0, n_modes)
     flux_rep, phi_rep = strip.verify_lub_flux(h, f, s["deltas"], grid, params)
     payload = {"flux": flux_rep.as_dict(), "phi": phi_rep.as_dict()}
     path = _write_report(out_dir, "flux_report.json", payload)

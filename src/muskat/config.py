@@ -79,11 +79,11 @@ def _as_str(key, v):
 # the parser of each scalar SolverConfig field, by its annotated type
 _PARSERS = {int: _as_int, float: _as_float, float | None: _as_float, str: _as_str}
 
-# initial_condition kinds -> their keys and defaults (None: no default;
-# seed is optional, from_file's path required)
+# initial_condition kinds -> their keys and defaults (None: required);
+# random_decay draws from rng_seed
 _IC_KINDS = {
     "single_mode": {"k": 1, "amplitude": 1e-3},
-    "random_decay": {"p": 3, "amplitude": 1e-3, "seed": None},
+    "random_decay": {"p": 3, "amplitude": 1e-3},
     "from_file": {"path": None},
 }
 
@@ -92,23 +92,19 @@ _IC_KINDS = {
 VERIFY_DEFAULTS = {
     "bounds": {"samples": 500, "n_modes": 64},
     "dtn": {"n_x": 512, "n_z": 256, "sigmas": "0.2,0.1,0.05", "n_modes": None,
-            "h_mode": 1, "h_amplitude": 1.0, "psi_mode": 2,
-            "psi_amplitude": 1.0},
+            "h_mode": 1, "psi_mode": 2},
     "flux": {"n_x": 256, "n_z": 65, "deltas": "0.04,0.02,0.01",
-             "n_modes": None, "f_mode": 1, "f_amplitude": 1.0, "h_mode": None,
-             "h_amplitude": 1.0},
+             "n_modes": None, "f_mode": 1, "h_mode": None},
 }
 _VERIFY_KEYS = {f"{suite}.{key}" for suite, keys in VERIFY_DEFAULTS.items()
                 for key in keys}
 
 # the parser of each initial_condition.* and verify.* key, by its name
 _KEY_PARSERS = {"k": _as_int, "amplitude": _as_float, "p": _as_float,
-                "seed": _as_int, "path": _as_str, "samples": _as_int,
-                "n_modes": _as_int, "n_x": _as_int, "n_z": _as_int,
-                "sigmas": _as_float_list, "deltas": _as_float_list,
-                "h_mode": _as_int, "h_amplitude": _as_float,
-                "psi_mode": _as_int, "psi_amplitude": _as_float,
-                "f_mode": _as_int, "f_amplitude": _as_float}
+                "path": _as_str, "samples": _as_int, "n_modes": _as_int,
+                "n_x": _as_int, "n_z": _as_int, "sigmas": _as_float_list,
+                "deltas": _as_float_list, "h_mode": _as_int,
+                "psi_mode": _as_int, "f_mode": _as_int}
 
 
 def verify_settings(verify, suite):
@@ -135,12 +131,11 @@ def _initial_condition(ic):
                           f"{sorted(unknown)}")
     out = {"kind": kind}
     for key, default in _IC_KINDS[kind].items():
-        if key in ic or default is not None:
-            out[key] = _KEY_PARSERS[key](f"initial_condition.{key}",
-                                         ic.get(key, default))
-    if kind == "from_file" and "path" not in out:
-        raise ConfigError("initial_condition = from_file requires "
-                          "initial_condition.path")
+        if key not in ic and default is None:
+            raise ConfigError(f"initial_condition = {kind} requires "
+                              f"initial_condition.{key}")
+        out[key] = _KEY_PARSERS[key](f"initial_condition.{key}",
+                                     ic.get(key, default))
     return out
 
 
@@ -273,8 +268,7 @@ def make_initial_condition(config):
                 f"initial_condition.k = {ic['k']} outside 1..{config.n_modes}")
         return SpectralField.cosine(ic["k"], ic["amplitude"], config.n_modes)
     if ic["kind"] == "random_decay":
-        seed = ic.get("seed", config.rng_seed)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(config.rng_seed)
         return random_decay_field(config.n_modes, ic["p"], rng, ic["amplitude"])
     h = load_spectrum_csv(ic["path"])
     if h.n_modes != config.n_modes:

@@ -379,7 +379,7 @@ def verify_trajectory_dir(out_dir):
     as many rows as meta.json counts records.
     """
     meta = read_meta(out_dir)
-    _, params = load_config(meta["config"])
+    _, params = load_config(meta["params"])
     records = read_energy_csv(os.path.join(out_dir, ENERGY_FILE))
     checks = decay_checks(records, params)
     worst = 0.0

@@ -41,6 +41,7 @@ _STALL_LIMIT = 3
 _POWER_STEPS = 200
 _POWER_LAG = 10
 _POWER_RTOL = 1e-3
+_PROBES, _PROBE_SEED = 5, 0  # certify_smallness's power-iteration starts
 
 
 class SolverError(RuntimeError):
@@ -120,18 +121,17 @@ def _solve_raw(tab, V, a, pre, c, hphys, tol, max_iter):
     """Raw fixed point on coefficient arrays, from the guess V.
     Returns (U, iters, increments).
 
-    The map is T(V) = a + base^{-1} B(h, pre + theta k^2 V), pre None
-    standing for 0: a = F/base, pre None for L_h U = F (so T(V) = V0 +
-    S V), and a = -rate h, pre = w h for the models' right-hand side.  Each
-    iteration is one sweep (``models._sweep``): one inverse batch, which
-    also transforms the profile c while hphys is None, and one forward
-    batch.  Every sweep counts as an iteration and is checked: its
-    increment ||T(V) - V|| in the scheme norm against tol, the stall rule
-    and max_iter.  So a guess whose first increment is <= tol costs one
-    sweep, and the a-posteriori bound q/(1-q) times the last increment
-    holds from any guess.  With h = 0 the sweep is exactly zero; with the
-    quadratic terms off T is constant and the solve returns a at once,
-    reading neither c nor hphys.
+    The map is T(V) = a + base^{-1} B(h, pre + theta k^2 V): a = F/base,
+    pre = 0 for L_h U = F (so T(V) = V0 + S V), and a = -rate h, pre = w h
+    for the models' right-hand side.  Each iteration is one sweep
+    (``models._sweep``): one inverse batch, which also transforms the
+    profile c while hphys is None, and one forward batch.  Every sweep
+    counts as an iteration and is checked: its increment ||T(V) - V|| in
+    the scheme norm against tol, the stall rule and max_iter.  So a guess
+    whose first increment is <= tol costs one sweep, and the a-posteriori
+    bound q/(1-q) times the last increment holds from any guess.  With
+    h = 0 the sweep is exactly zero; with the quadratic terms off T is
+    constant and the solve returns a at once, reading neither c nor hphys.
     """
     if not tab.force_active:
         return a, 1, [0.0]
@@ -140,8 +140,7 @@ def _solve_raw(tab, V, a, pre, c, hphys, tol, max_iter):
     prev = None
     for it in range(1, max_iter + 1):
         psi = tab.tk2 * V
-        if pre is not None:
-            psi += pre
+        psi += pre
         Vn, hphys = _sweep(tab, c, hphys, psi)
         Vn += a
         d = Vn - V
@@ -215,8 +214,8 @@ def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
         tol = default_tolerance(F.coeffs)
     V0 = F.coeffs / tab.base
     V0[0] = 0.0
-    U_raw, iters, increments = _solve_raw(tab, V0, V0, None, h.coeffs, None,
-                                          tol, max_iter)
+    U_raw, iters, increments = _solve_raw(tab, V0, V0, np.zeros_like(V0),
+                                          h.coeffs, None, tol, max_iter)
     U = SpectralField(U_raw, copy=False)
     residual = wiener_norm(
         SpectralField(
@@ -280,7 +279,7 @@ class SmallnessReport:
     as_dict = asdict
 
 
-def certify_smallness(h, params, n_probes=5, seed=0):
+def certify_smallness(h, params):
     """The contraction factor of the per-step fixed point at this h.
 
     The map is affine, so the factor is the spectral radius of S =
@@ -290,9 +289,9 @@ def certify_smallness(h, params, n_probes=5, seed=0):
     """
     tab = _table(h.n_modes, params)
     hphys = tab.phys(h.coeffs)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
     probes = [random_decay_field(h.n_modes, 4, rng).coeffs
-              for _ in range(n_probes)]
+              for _ in range(_PROBES)]
     ratios = [_gain(tab, hphys, w)[1] for w in probes]
     factor = _stall_ratio(tab, hphys, probes[int(np.argmax(ratios))])
     return SmallnessReport(

@@ -339,7 +339,7 @@ def solve_strip(h, psi, grid, params):
     return StripSolution(phi, residual, iterations)
 
 
-def surface_normal_velocity(sol, h, grid, params, sigma):
+def surface_normal_velocity(sol, h, grid, params):
     """(1/sqrt(delta)) dz(Phi) - sigma h_x dx(Phi) at the surface, on x-grid.
 
     Chain rule through the lifting; 3-point one-sided z-derivative at z=0.
@@ -352,15 +352,13 @@ def surface_normal_velocity(sol, h, grid, params, sigma):
     opz = 1.0 + params.epsilon * hv
     dz_big = phiz / opz
     dx_big = phix - params.epsilon * hx / opz * phiz
-    return dz_big / math.sqrt(params.delta) - sigma * hx * dx_big
+    return dz_big / math.sqrt(params.delta) - params.sigma * hx * dx_big
 
 
-def dtn_apply(h, psi, grid, params, sigma=None):
+def dtn_apply(h, psi, grid, params):
     """Surface-data-to-normal-velocity map, mean-projected spectral output."""
-    if sigma is None:
-        sigma = params.sigma
     sol = solve_strip(h, psi, grid, params)
-    vals = surface_normal_velocity(sol, h, grid, params, sigma)
+    vals = surface_normal_velocity(sol, h, grid, params)
     out = SpectralField.from_values(vals, n_modes=psi.n_modes)
     out.coeffs[0] = 0.0
     return out
@@ -454,14 +452,14 @@ def verify_dtn_expansion(h, psi, sigmas, grid, params):
     h0 = SpectralField.zeros(h.n_modes)
     flat = replace(params, epsilon=0.0, sigma=0.0)
     out0 = surface_normal_velocity(solve_strip(h0, psi, grid, flat), h0,
-                                   grid, flat, 0.0)
+                                   grid, flat)
     floor = _a0_of_values(out0 - g0_psi)
 
     remainders, first_order_errors = [], []
     for s in sig:
         p_s = replace(params, epsilon=s, sigma=s)
         sol = solve_strip(h, psi, grid, p_s)
-        out = surface_normal_velocity(sol, h, grid, p_s, s)
+        out = surface_normal_velocity(sol, h, grid, p_s)
         remainders.append(_a0_of_values(out - (g0_psi + s * taylor1)))
         first_order_errors.append(_a0_of_values((out - out0) / s - taylor1))
     return OrderReport("sigma", sig, remainders, expected_slope=2.0,

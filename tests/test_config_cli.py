@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from muskat.cli import main
 from muskat.config import (
+    _IC_KINDS,
+    _KNOWN_TOP,
     VERIFY_DEFAULTS,
     ConfigError,
     SolverConfig,
@@ -101,8 +104,7 @@ def test_initial_condition_presets(tmp_path):
 
     p = tmp_path / "rand.cfg"
     p.write_text("initial_condition = random_decay\ninitial_condition.p = 3\n"
-                 "initial_condition.amplitude = 0.01\n"
-                 "initial_condition.seed = 5\n")
+                 "initial_condition.amplitude = 0.01\nrng_seed = 5\n")
     cfg2, _ = load_config(str(p))
     h2 = make_initial_condition(cfg2)
     h2b = make_initial_condition(cfg2)
@@ -211,7 +213,7 @@ def test_float_list_rejects_non_finite(value):
 
 @pytest.mark.parametrize("key", ["seed = 5", "p = 2", "path = x.csv"])
 def test_initial_condition_key_of_another_kind_rejected(tmp_path, key):
-    # a key that only another kind reads is rejected, not ignored
+    # a key that only another kind reads, or none, is rejected, not ignored
     p = tmp_path / "ic.cfg"
     p.write_text(f"initial_condition = single_mode\ninitial_condition.{key}\n")
     with pytest.raises(ConfigError, match="single_mode"):
@@ -267,6 +269,88 @@ def test_sweep_bad_value_runs_no_cell(tmp_path, monkeypatch, threads, sweep):
                "--sweep", sweep])
     assert rc == 1
     assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv", [["--sweep", "output_dir=x,y"],
+                                  ["--seed", "3", "--sweep", "rng_seed=1,2"]],
+                         ids=["output_dir", "seed_and_rng_seed"])
+def test_sweep_of_an_overridden_key_runs_no_cell(tmp_path, monkeypatch,
+                                                 capsys, argv):
+    # the sweep names each cell's directory, and --seed sets every cell's
+    # rng_seed: sweeping either would write identical cells
+    monkeypatch.setenv("MUSKAT_THREADS", "1")
+    path, _ = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["simulate", "--config", path, "--out", str(out)] + argv) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_draws_the_random_initial_condition(tmp_path, monkeypatch):
+    # rng_seed, set by --seed or swept, is the seed of random_decay
+    monkeypatch.setenv("MUSKAT_THREADS", "1")
+    text = open(os.path.join(REPO, "configs", "lubrication.cfg")).read()
+    assert "t_end = 24.0" in text
+    path = tmp_path / "lub.cfg"
+    path.write_text(text.replace("t_end = 24.0", "t_end = 0.1"))
+
+    def simulate(out, *extra):
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / out), *extra]) == 0
+        return tmp_path / out
+
+    def energy(run_dir):
+        return (run_dir / "energy.csv").read_bytes()
+
+    assert (energy(simulate("s0", "--seed", "0"))
+            != energy(simulate("s5", "--seed", "5")))
+    sweep = simulate("sweep", "--sweep", "rng_seed=1,2")
+    assert energy(sweep / "rng_seed=1") != energy(sweep / "rng_seed=2")
+    # the shipped config's own seed is rng_seed = 1
+    assert energy(simulate("plain")) == energy(sweep / "rng_seed=1")
+
+
+RETIRED_KEYS = ["initial_condition.seed = 1", "verify.dtn.h_amplitude = 2",
+                "verify.dtn.psi_amplitude = 2", "verify.flux.f_amplitude = 2",
+                "verify.flux.h_amplitude = 2"]
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "bounds"],
+                                     ["verify", "dtn"], ["verify", "flux"],
+                                     ["verify", "decay"]],
+                         ids=["simulate", "bounds", "dtn", "flux", "decay"])
+@pytest.mark.parametrize("line", RETIRED_KEYS)
+def test_retired_keys_exit_1(tmp_path, capsys, command, line):
+    # rng_seed seeds random_decay, and sigmas / epsilon with a linear datum
+    # cover the amplitudes of the strip checks' cosines
+    text = open(os.path.join(REPO, "configs", "verify.cfg")).read()
+    single = "initial_condition = single_mode\ninitial_condition.k = 1\n"
+    assert single in text
+    text = text.replace(single, "initial_condition = random_decay\n")
+    load_config(parse_config_text(text))
+    cfg = tmp_path / "retired.cfg"
+    cfg.write_text(f"{text}\n{line}\n")
+    out = tmp_path / "res"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown" in err and line.split(" ")[0].rpartition(".")[2] in err
+    assert not out.exists()
+
+
+def test_readme_names_every_config_key():
+    # README's config section names every key load_config accepts
+    readme = open(os.path.join(REPO, "README.md")).read()
+    section = readme.split("### Config format", 1)[1].split("\n## ", 1)[0]
+    section = section.split("\n### ", 1)[0]
+    keys = set(_KNOWN_TOP)
+    keys |= {f"initial_condition.{key}" for keys_of_kind in _IC_KINDS.values()
+             for key in keys_of_kind}
+    keys |= {f"verify.{suite}.{key}" for suite, suite_keys
+             in VERIFY_DEFAULTS.items() for key in suite_keys}
+    missing = {key for key in keys
+               if not re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])",
+                                section)}
+    assert not missing, sorted(missing)
 
 
 def test_sweep_too_many_keys(tmp_path, capsys):
@@ -735,7 +819,7 @@ def test_verify_decay_thin_film_without_rate_checks_trend(tmp_path):
         "model = lubrication\nchi = 1\nlambda = 0\ntheta = 1.0\n"
         "delta = 0.01\nepsilon = 0.1\nn_modes = 32\ndt = 0.02\nt_end = 40\n"
         "output_cadence = 10\ninitial_condition = random_decay\n"
-        "initial_condition.p = 1\ninitial_condition.seed = 1\n")
+        "initial_condition.p = 1\nrng_seed = 1\n")
     out = tmp_path / "rep"
     assert main(["verify", "decay", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads((out / "decay_report.json").read_text())
@@ -873,8 +957,6 @@ def solver_configs(draw):
     elif kind == "random_decay":
         ic = {"kind": kind, "p": draw(_nonnegative),
               "amplitude": draw(_nonnegative)}
-        if draw(st.booleans()):
-            ic["seed"] = draw(st.integers(0, 2**64))
     else:
         ic = {"kind": kind, "path": draw(_words)}
     verify_keys = sorted(f"{suite}.{key}" for suite, keys

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -239,6 +240,25 @@ def test_trajectory_dir_self_describing(tmp_path):
     recs = read_energy_csv(str(out / "energy.csv"))
     assert len(recs) == len(traj.records)
     assert recs[5].energy == traj.records[5].energy
+
+
+def test_reverification_reads_only_the_params(tmp_path):
+    # a run directory whose meta.json "config" holds a key load_config no
+    # longer accepts, as initial_condition.seed of runs made before rng_seed
+    # seeded random_decay, re-verifies from its params
+    out = tmp_path / "run"
+    cfg = SolverConfig(model="wnl1", lam=1.0, sigma=0.1, n_modes=32,
+                       dt=0.005, t_end=0.1, output_cadence=2,
+                       snapshot_cadence=5, output_dir=str(out))
+    run(SpectralField.cosine(1, 1e-3, 32), wnl(sigma=0.1, lam=1.0), cfg)
+    meta = json.loads((out / "meta.json").read_text())
+    meta["config"]["initial_condition"] = {"kind": "random_decay", "p": 3.0,
+                                           "amplitude": 1e-3, "seed": 1}
+    (out / "meta.json").write_text(json.dumps(meta))
+    checks = verify_trajectory_dir(str(out))
+    assert checks["run_complete"]["passed"]
+    assert checks["energy_consistency"]["passed"]
+    assert checks["monotone_energy"]["passed"]
 
 
 def test_failed_or_truncated_run_fails_reverification(tmp_path):

@@ -383,8 +383,8 @@ def test_solve_raw_matches_dense_solve(n, seed, depth, model, sigma,
     tol = 1e-14 * elliptic._norm_raw(tab, F.coeffs)
     V0 = F.coeffs / tab.base
     V0[0] = 0.0
-    U, _, _ = elliptic._solve_raw(tab, V0, V0, None, None, tab.phys(h.coeffs),
-                                  tol, 200)
+    U, _, _ = elliptic._solve_raw(tab, V0, V0, np.zeros_like(V0), None,
+                                  tab.phys(h.coeffs), tol, 200)
     ref = elliptic.dense_solve(h, F, p)
     assert a0_dist(SpectralField(U), ref) <= 1e-11 * wiener_norm(ref, 0)
 

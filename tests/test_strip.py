@@ -213,7 +213,7 @@ def test_dtn_flat_reduces_to_multiplier():
     for k in range(1, 9):
         c[k] = COS_MODE / k
     psi = SpectralField(c)
-    out = dtn_apply(SpectralField.zeros(64), psi, g, p, sigma=0.0)
+    out = dtn_apply(SpectralField.zeros(64), psi, g, p)
     kk = np.arange(65.0)
     expect = kk * np.tanh(kk) * psi.coeffs
     err = 2 * np.abs(out.coeffs[1:] - expect[1:]).sum()
@@ -237,7 +237,7 @@ def test_dtn_zero_datum_and_flux_balance(rng):
     scale = np.abs(A @ sol.phi.ravel()).max()
     assert abs(top_flux) <= 1e-10 * max(scale, 1.0)
     # the surface velocity itself integrates to ~0 up to discretization
-    vals = surface_normal_velocity(sol, h, g, p, p.sigma)
+    vals = surface_normal_velocity(sol, h, g, p)
     assert abs(np.mean(vals)) <= 1e-3 * np.abs(vals).max()
 
 
@@ -289,6 +289,55 @@ def test_lub_flux_second_order_with_profile():
     flux_rep, phi_rep = verify_lub_flux(h, f, [0.04, 0.02, 0.01], g, p)
     assert 1.8 <= flux_rep.slope <= 2.2
     assert 1.8 <= phi_rep.slope <= 2.2
+
+
+def _scaled(field, factor):
+    return SpectralField(factor * field.coeffs)
+
+
+def test_dtn_check_homogeneous_in_h_and_psi():
+    # the surface map depends on sigma*h only and is linear in psi, so an
+    # amplitude on either cosine restates verify.dtn.sigmas or rescales
+    # every remainder: neither moves the slope or the verdict
+    g = StripGrid(128, 65)
+    p = ModelParams(chi=1, theta=1.0, sigma=0.0, delta=1.0, epsilon=0.0,
+                    model="wnl1")
+    h = SpectralField.cosine(1, 1.0, 32)
+    psi = SpectralField.cosine(2, 1.0, 32)
+    sig = [0.3, 0.2, 0.1]
+    rep = verify_dtn_expansion(h, psi, sig, g, p)
+    assert rep.passed and not rep.grid_limited
+    half = verify_dtn_expansion(_scaled(h, 2.0), psi, [s / 2 for s in sig],
+                                g, p)
+    assert half.remainders == rep.remainders
+    assert half.floor == rep.floor
+    tripled = verify_dtn_expansion(h, _scaled(psi, 3.0), sig, g, p)
+    np.testing.assert_allclose(tripled.remainders,
+                               3.0 * np.array(rep.remainders), rtol=1e-8)
+    assert tripled.floor == pytest.approx(3.0 * rep.floor, rel=1e-8)
+    assert tripled.slope == pytest.approx(rep.slope, abs=1e-8)
+    assert (tripled.grid_limited, tripled.passed) == (rep.grid_limited,
+                                                      rep.passed)
+
+
+def test_flux_check_homogeneous_in_h_and_f():
+    # the mobility is 1 + epsilon*h and the potential is linear in f, so
+    # an amplitude on h restates epsilon and one on f rescales every
+    # remainder: neither moves the slopes or the verdicts
+    g = StripGrid(128, 65)
+    h = SpectralField.cosine(1, 1.0, 32)
+    f = SpectralField.cosine(1, 1.0, 32)
+    deltas = [0.04, 0.02, 0.01]
+    reps = verify_lub_flux(h, f, deltas, g, p_of(eps=0.1))
+    assert all(rep.passed for rep in reps)
+    half = verify_lub_flux(_scaled(h, 2.0), f, deltas, g, p_of(eps=0.05))
+    assert [r.remainders for r in half] == [r.remainders for r in reps]
+    tripled = verify_lub_flux(h, _scaled(f, 3.0), deltas, g, p_of(eps=0.1))
+    for rep, rep3 in zip(reps, tripled):
+        np.testing.assert_allclose(rep3.remainders,
+                                   3.0 * np.array(rep.remainders), rtol=1e-8)
+        assert rep3.slope == pytest.approx(rep.slope, abs=1e-8)
+        assert rep3.passed == rep.passed
 
 
 def _no_solve(*args):
