@@ -17,7 +17,10 @@ stencil build (``strip.assemble_system``) alone and the ``tracemalloc``
 peaks of the build and of the solve, and the
 set-up and one application of its preconditioner
 (``strip.flat_preconditioner``: DCT in z, rfft in x),
-``diagnostics.check_operator_bounds`` at 500 samples, N = 64, and last
+``diagnostics.check_operator_bounds`` at 500 samples, N = 64, the bytes
+per record of a run's ``diagnostics.RecordTable`` and the ``tracemalloc``
+peak of a ``wnl1_n256``-sized run (criterion 2 at t_end = 1, every step
+recorded), and last
 the wall time, peak RSS and loaded scipy modules of ``import muskat.cli``
 in a fresh interpreter, the fixed cost every CLI call and sweep worker
 pays.
@@ -32,6 +35,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -293,6 +297,28 @@ def bounds_row():
           f"(passed={rep.passed})")
 
 
+def records_row():
+    """The wnl1_n256 benchmark body's run (N = 256, dt = 2.7/m(N), t_end = 1,
+    tol = 3e-7, a record every step) under tracemalloc: records kept, the
+    bytes per record its RecordTable holds allocated, and the traced peak."""
+    p = _rhs_params("wnl1")
+    n = 256
+    dt = 2.7 / float(linear_decay_rate(n, p))
+    cfg = SolverConfig(lam=1.0, theta=1.0, sigma=0.1, n_modes=n, dt=dt,
+                       t_end=1.0, output_cadence=1, tol=3e-7)
+    h0 = SpectralField.cosine(1, 1e-3, n)
+    integrate.run(h0, p, replace(cfg, t_end=10 * dt))  # tables and caches
+    tracemalloc.start()
+    try:
+        records = integrate.run(h0, p, cfg).records
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    print(f"\nwnl1 N=256 run, t_end = 1: {len(records)} records, "
+          f"{records.nbytes / len(records):.1f} B/record held, traced peak "
+          f"{peak:.2f} MiB")
+
+
 def main():
     rng = np.random.default_rng(0)
     header = f"{'N':>6} {'kernel':<12} {'numpy [ms]':>12}"
@@ -319,6 +345,7 @@ def main():
     sweep_rows()
     strip_rows()
     bounds_row()
+    records_row()
     import_row()
 
 

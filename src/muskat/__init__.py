@@ -5,6 +5,7 @@ from .config import PACKAGE_VERSION as __version__
 from .config import ConfigError, SolverConfig, load_config, make_initial_condition
 from .diagnostics import (
     EnergyRecord,
+    RecordTable,
     check_exponential_decay,
     check_monotone_decay,
     check_operator_bounds,

@@ -81,12 +81,15 @@ def _sweep_cells(specs):
 
 
 def _prepare_cell(source, out_dir, seed):
-    """(h0, params, config) of a sweep cell or `verify decay`'s run."""
+    """(h0, params, config) of a sweep cell or `verify decay`'s run;
+    ConfigError for a dt past the scheme's stability limit."""
     config, params = load_config(source)
     if seed is not None:
         config.rng_seed = seed
     config.output_dir = out_dir
-    return make_initial_condition(config), params, config
+    h0 = make_initial_condition(config)
+    integrate.check_step_size(h0, params, config.dt, config.scheme)
+    return h0, params, config
 
 
 def _run_cell(h0, params, config):
@@ -251,17 +254,16 @@ def cmd_plot(args):
     snaps = _snapshot_indices(out_dir)
     profiles = [_load_profile(out_dir, idx)
                 for idx in ((snaps[0], snaps[-1]) if len(snaps) > 1 else snaps)]
-    t = [r.t for r in records]
-    series = [("energy", t, [r.energy for r in records])]
-    for s in range(4):
-        series.append((f"A{s}", t, [r.norms[s] for r in records]))
+    t = records.column("t").tolist()
+    series = [("energy", t, records.column("energy").tolist())]
+    series += [(f"A{s}", t, records.column(f"a{s}").tolist()) for s in range(4)]
     annotations = []
-    a0 = [r.norms[0] for r in records]
+    a0 = records.column("a0")
     if args.log:
-        if any(v <= 0 for v in a0):
+        if (a0 <= 0).any():
             series = [(lbl, xs, ys) for lbl, xs, ys in series
                       if all(y > 0 for y in ys)]
-        if len(records) >= diagnostics.MIN_FIT_RECORDS and all(v > 0 for v in a0):
+        if len(records) >= diagnostics.MIN_FIT_RECORDS and (a0 > 0).all():
             rate = -np.polyfit(t, np.log(a0), 1)[0]
             annotations.append(f"fitted A0 decay rate: {rate:.4f}")
         if not series:
@@ -300,7 +302,9 @@ def build_parser():
     ver.add_argument("kind", choices=["dtn", "flux", "bounds", "decay"])
     ver.add_argument("--config", required=True)
     ver.add_argument("--out", help="report directory")
-    ver.add_argument("--seed", type=int, help="override rng_seed")
+    ver.add_argument("--seed", type=int,
+                     help="override rng_seed (read by bounds and decay only; "
+                          "dtn and flux are deterministic)")
 
     plo = sub.add_parser("plot", help="emit SVG charts for a trajectory dir")
     plo.add_argument("trajectory", help="trajectory directory")

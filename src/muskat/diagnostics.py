@@ -14,12 +14,18 @@ least at rate tanh(1)/2 (bounded strip).  The checkers below verify those
 statements on recorded trajectories and the pointwise operator inequalities
 on seeded random ensembles.
 
-This module alone knows the layout of a run directory: its file names, its
-writer and the readers that re-verify a run from its files alone.
+A trajectory's records are one ``RecordTable``: packed columns that
+``make_record`` appends a row to, that the checks read whole and that
+``write_run`` and ``read_energy_csv`` carry to and from energy.csv bit for
+bit.  This module alone knows the layout of a run directory: its file
+names, its writer and the readers that re-verify a run from its files
+alone.
 """
 
 import json
 import os
+import sys
+from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -41,10 +47,13 @@ MIN_FIT_RECORDS = 20
 # significant digits, then the iteration count
 _CSV_ROW = ",".join(["%.17g"] * 10 + ["%d"])
 
+# the float64 columns of a RecordTable, in energy.csv's order; iters follows
+FLOAT_COLUMNS = tuple(ENERGY_HEADER.split(",")[:-1])
+
 
 @dataclass(slots=True)
 class EnergyRecord:
-    """One sampled instant of a trajectory."""
+    """One sampled instant of a trajectory: a row of a ``RecordTable``."""
 
     t: float
     norms: list  # A^0..A^5 of h
@@ -53,17 +62,59 @@ class EnergyRecord:
     dth_high: float  # A^3 (small slope) or A^4 (thin film) of dh/dt
     iters: int
 
-    def csv_row(self):
-        return _CSV_ROW % (self.t, *self.norms, self.energy, self.dth_a0,
-                           self.dth_high, self.iters)
 
-    @classmethod
-    def from_csv_row(cls, row):
-        parts = row.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"expected 11 columns, got {len(parts)}")
-        vals = [float(p) for p in parts[:10]]
-        return cls(vals[0], vals[1:7], *vals[7:], int(parts[10]))
+class RecordTable:
+    """The records of one trajectory as packed columns.
+
+    Ten float64 columns (``FLOAT_COLUMNS``: t, a0..a5, energy, dth_a0,
+    dth_high) and an int64 ``iters`` column, 88 bytes per record plus the
+    arrays' growth slack.  Rows are appended and never changed.  A run's
+    records in memory (``integrate.run``) and a run's energy.csv read back
+    (``read_energy_csv``) are both a RecordTable.  ``table[i]`` is row i
+    as an ``EnergyRecord``; ``column(name)`` is a whole column as a numpy
+    copy, which is how the trajectory checks read it.
+    """
+
+    __slots__ = ("_floats", "_iters")
+
+    def __init__(self):
+        self._floats = tuple(array("d") for _ in FLOAT_COLUMNS)
+        self._iters = array("q")
+
+    def append(self, t, norms, energy, dth_a0, dth_high, iters):
+        """Add a row, its fields in ``EnergyRecord``'s order."""
+        row = (t, *norms, energy, dth_a0, dth_high)
+        if len(row) != len(self._floats):
+            raise ValueError(f"norms must hold 6 values, got {len(norms)}")
+        for col, v in zip(self._floats, row):
+            col.append(v)
+        self._iters.append(iters)
+
+    def __len__(self):
+        return len(self._iters)
+
+    def __getitem__(self, i):
+        f = [col[i] for col in self._floats]
+        return EnergyRecord(f[0], f[1:7], *f[7:], self._iters[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def column(self, name):
+        """Column ``name`` (a ``FLOAT_COLUMNS`` entry or "iters") as a new
+        numpy array."""
+        if name == "iters":
+            return np.array(self._iters)
+        return np.array(self._floats[FLOAT_COLUMNS.index(name)])
+
+    def rows(self):
+        """Every row as a tuple of the ten floats and iters."""
+        return zip(*self._floats, self._iters)
+
+    @property
+    def nbytes(self):
+        """Bytes the columns hold allocated, growth slack included."""
+        return sum(map(sys.getsizeof, (*self._floats, self._iters)))
 
 
 def energy(h, params):
@@ -80,7 +131,10 @@ def _k_powers(n_modes):
     return k ** np.arange(6.0)[:, None]
 
 
-def make_record(t, h, dth, iters, params):
+def make_record(table, t, h, dth, iters, params):
+    """Append the record of h at time t to table: the A^0..A^5 norms of h,
+    its energy, the A^0 and scheme-order norms of dth = dh/dt and the
+    solver's iteration count."""
     kp = _k_powers(h.n_modes)
     norms = (2.0 * (kp * np.abs(h.coeffs[1:])).sum(axis=1)).tolist()
     # row k^0 is all ones, so the A^0 sum needs no weighting
@@ -89,8 +143,8 @@ def make_record(t, h, dth, iters, params):
     spec = models.model_spec(params)
     s = spec.norm_order
     dth_high = 2.0 * float((kp[s] * dth_abs).sum())
-    return EnergyRecord(t, norms, norms[0] + spec.energy_coefficient * norms[s],
-                        dth_a0, dth_high, iters)
+    table.append(t, norms, norms[0] + spec.energy_coefficient * norms[s],
+                 dth_a0, dth_high, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -113,23 +167,22 @@ class DecayVerdict:
         }
 
 
-def _first_rise(pairs):
-    """Over (earlier, later) pairs: the index of the first rise beyond
-    MONOTONE_SLACK (None if none) and the largest relative rise (>= 0)."""
-    first = None
-    worst = 0.0
-    for i, (earlier, later) in enumerate(pairs):
-        if earlier > 0:
-            worst = max(worst, later / earlier - 1.0)
-        if first is None and later > earlier * (1.0 + MONOTONE_SLACK):
-            first = i
-    return first, worst
+def _first_rise(earlier, later):
+    """Over paired arrays (earlier[i], later[i]): the index of the first
+    rise beyond MONOTONE_SLACK (None if none) and the largest relative
+    rise (>= 0; pairs whose earlier value is not positive, or whose ratio
+    is NaN, do not count)."""
+    pos = earlier > 0
+    worst = float(np.fmax.reduce(later[pos] / earlier[pos] - 1.0, initial=0.0))
+    rises = np.flatnonzero(later > earlier * (1.0 + MONOTONE_SLACK))
+    return (int(rises[0]) if rises.size else None), worst
 
 
 def check_monotone_decay(records):
-    """E(t_{i+1}) <= E(t_i) * (1 + 1e-9) across consecutive records."""
-    e = [r.energy for r in records]
-    i, worst = _first_rise(zip(e, e[1:]))
+    """E(t_{i+1}) <= E(t_i) * (1 + 1e-9) across consecutive records of a
+    ``RecordTable``."""
+    e = records.column("energy")
+    i, worst = _first_rise(e[:-1], e[1:])
     first = None if i is None else (i + 1, records[i + 1].t)
     return DecayVerdict(i is None, first, worst, len(records))
 
@@ -162,8 +215,8 @@ def check_exponential_decay(records, params):
     if len(records) < MIN_FIT_RECORDS:
         raise ValueError(f"need at least {MIN_FIT_RECORDS} records, "
                          f"got {len(records)}")
-    t = np.array([r.t for r in records])
-    a0 = np.array([r.norms[0] for r in records])
+    t = records.column("t")
+    a0 = records.column("a0")
     if np.all(a0 == 0.0):
         return RateReport(0.0, bound, True, None, True)
     if np.any(a0 <= 0.0):
@@ -182,24 +235,32 @@ def check_a0_dyadic_trend(records):
 
     The lam = 0 theory only gives decay to zero, with no rate; the testable
     discrete statement is that sup ||h||_{A0} over [T/2^{j+1}, T/2^j] does
-    not increase as the windows move later in time.  Returns a DecayVerdict
-    whose first_violation indexes the offending window.
+    not increase as the windows move later in time.  The records must be
+    in time order, as a trajectory's are; each window is found by
+    bisection.  Returns a DecayVerdict whose first_violation indexes the
+    offending window.
     """
     if len(records) < 4:
         raise ValueError("need at least 4 records for a windowed trend")
-    T = records[-1].t
+    t = records.column("t")
+    if np.any(t[1:] < t[:-1]):
+        raise ValueError("record times are not in increasing order")
+    a0 = records.column("a0")
+    T = t[-1]
     sups = []  # sups[j]: window (T/2^{j+1}, T/2^j], later windows first
     j = 0
     while True:
         lo, hi = T / 2 ** (j + 1), T / 2**j
-        window = [r.norms[0] for r in records if lo < r.t <= hi]
-        if not window:
+        window = a0[np.searchsorted(t, lo, "right"):
+                    np.searchsorted(t, hi, "right")]
+        if not window.size:
             break
-        sups.append(max(window))
-        if lo <= records[1].t:
+        sups.append(window.max())
+        if lo <= t[1]:
             break
         j += 1
-    j, worst = _first_rise(zip(sups[1:], sups))
+    sups = np.array(sups)
+    j, worst = _first_rise(sups[1:], sups[:-1])
     first = None if j is None else (j, None)
     return DecayVerdict(j is None, first, worst, len(records))
 
@@ -334,8 +395,8 @@ def write_run(out_dir, config, params, records, snapshots, rejected_steps,
             os.remove(path)
     with open(os.path.join(out_dir, ENERGY_FILE), "w") as fh:
         fh.write(ENERGY_HEADER + "\n")
-        for r in records:
-            fh.write(r.csv_row() + "\n")
+        for row in records.rows():
+            fh.write(_CSV_ROW % row + "\n")
     meta = {
         "version": PACKAGE_VERSION,
         # the params the run used, also where a library caller left those
@@ -358,7 +419,9 @@ def read_meta(out_dir):
 
 
 def read_energy_csv(path):
-    records = []
+    """The ``RecordTable`` of an energy.csv; ValueError on a wrong header
+    or a malformed row."""
+    records = RecordTable()
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ENERGY_HEADER:
@@ -366,7 +429,11 @@ def read_energy_csv(path):
         for line in fh:
             line = line.strip()
             if line:
-                records.append(EnergyRecord.from_csv_row(line))
+                parts = line.split(",")
+                if len(parts) != 11:
+                    raise ValueError(f"expected 11 columns, got {len(parts)}")
+                f = [float(v) for v in parts[:10]]
+                records.append(f[0], f[1:7], *f[7:], int(parts[10]))
     return records
 
 

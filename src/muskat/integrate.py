@@ -16,7 +16,9 @@ one sweep when their first increment is within tol.  A step is rejected,
 and dt halved, whenever a later stage solve fails to contract or the step
 produces non-finite values; dt recovers by a factor 1.2 every 10 accepted
 steps up to the configured value.  The mean mode is pinned to zero after
-every accepted step.
+every accepted step.  A run whose dt times the largest linear rate it can
+reach is past the scheme's real-axis stability limit (Euler 2, RK4 2.785)
+is refused before its first step (``check_step_size``).
 """
 
 import math
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, models
-from .config import SCHEMES
+from .config import SCHEMES, ConfigError
 from .elliptic import (
     DEFAULT_MAX_ITER,
     MaxIterationsError,
@@ -43,6 +45,10 @@ DT_FLOOR = 1e-14
 _RECOVER_EVERY = 10
 _RECOVER_FACTOR = 1.2
 
+# Real-axis stability limits: a scheme keeps the linear modes dh/dt = -m h
+# bounded for dt*m up to its limit (RK4's is 2.7853)
+STABILITY_LIMITS = {"euler": 2.0, "rk4": 2.785}
+
 
 class StepSizeUnderflowError(SolverError):
     def __init__(self, dt, t, rejected_steps):
@@ -50,6 +56,25 @@ class StepSizeUnderflowError(SolverError):
         self.dt = dt
         self.t = t
         self.rejected_steps = rejected_steps  # trajectory total, this one included
+
+
+def check_step_size(h0, params, dt, scheme):
+    """ConfigError when dt times the largest linear decay rate of the modes
+    a run from h0 can reach is past the scheme's real-axis stability
+    limit: such a run grows those modes until its solve fails to contract.
+    A coupled run reaches every mode 1..N; an uncoupled one (sigma, thin
+    film eps, zero) moves only the modes h0 holds, each on its own."""
+    tab = _table(h0.n_modes, params)
+    rates = -tab.lin
+    if not tab.force_active:
+        rates = rates[h0.coeffs != 0]
+    rate = float(rates.max(initial=0.0))
+    limit = STABILITY_LIMITS[scheme]
+    if dt * rate > limit:
+        raise ConfigError(
+            f"dt = {dt:.6g} is past the {scheme} stability limit: dt * max_k "
+            f"rate(k) = {dt * rate:.4g} > {limit} (largest rate {rate:.6g}, "
+            f"so dt <= {limit / rate:.6g})")
 
 
 @dataclass(slots=True)
@@ -201,9 +226,10 @@ def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
 
 @dataclass(slots=True)
 class Trajectory:
-    """The records, final field and rejected steps of one run."""
+    """The records (a ``diagnostics.RecordTable``), final field and
+    rejected steps of one run."""
 
-    records: list
+    records: diagnostics.RecordTable
     final_h: SpectralField
     rejected_steps: int
 
@@ -211,16 +237,20 @@ class Trajectory:
 def run(h0, params, config):
     """Integrate to config.t_end, emitting records and snapshot files.
 
-    A step that would pass t_end is shortened to land on it.  Records are
-    taken every output_cadence-th step (the step's starting point, whose
-    stage-1 solve provides the logged dh/dt at no extra cost) plus the
-    final state.  Deterministic: identical config and initial data
-    produce identical bytes on disk.  If the run fails, whatever the error,
+    Before anything is written, ``check_step_size`` rejects a config.dt
+    past the scheme's stability limit (ConfigError).  A step that would
+    pass t_end is shortened to land on it.  Records are taken every
+    output_cadence-th step (the step's starting point, whose stage-1 solve
+    provides the logged dh/dt at no extra cost) plus the final state, each
+    a row that ``diagnostics.make_record`` appends to the run's
+    ``diagnostics.RecordTable``.  Deterministic: identical config and
+    initial data produce identical bytes on disk.  If the run fails, whatever the error,
     the records so far are written (``diagnostics.write_run``, with
     "failed") before the exception propagates.  ``write_run`` also deletes
     the snapshot files an earlier run left in the directory that this run
     did not rewrite, so snapshots/ holds exactly meta.json's list.
     """
+    check_step_size(h0, params, config.dt, config.scheme)
     out_dir = config.output_dir
     if out_dir:
         os.makedirs(os.path.join(out_dir, diagnostics.SNAPSHOT_DIR), exist_ok=True)
@@ -231,11 +261,11 @@ def run(h0, params, config):
     # whole number keeps its last step whole
     slack = 1e-9 * max(1.0, config.t_end)
 
-    records = []
+    records = diagnostics.RecordTable()
     snap_indices = []
 
     def record(t, h, dth, iters):
-        records.append(diagnostics.make_record(t, h, dth, iters, params))
+        diagnostics.make_record(records, t, h, dth, iters, params)
 
     def snapshot(h):
         idx = len(records) - 1

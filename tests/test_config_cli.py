@@ -422,6 +422,21 @@ def test_verify_dtn_modes_past_n_modes_exit_1(tmp_path, capsys):
     assert not (out / "dtn_report.json").exists()
 
 
+def test_euler_past_its_stability_limit_exit_1(tmp_path, capsys):
+    # configs/verify.cfg's dt is set for RK4 (dt * max_k rate(k) = 2.66 <
+    # 2.785); Euler's limit is 2, so the sweep stops before any cell runs
+    # and names dt, the largest rate and the limit
+    cfg = os.path.join(REPO, "configs", "verify.cfg")
+    out = tmp_path / "sweep"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--sweep", "scheme=euler,rk4"]) == 1
+    err = capsys.readouterr().err
+    assert ("dt = 0.0026 is past the euler stability limit: dt * max_k "
+            "rate(k) = 2.662 > 2.0 (largest rate 1024, so dt <= 0.00195313)"
+            in err)
+    assert not out.exists()
+
+
 def test_verify_dtn_passes_on_a_fine_grid(tmp_path, capsys):
     # the default sigmas on a 256 x 128 strip: the quadratic remainder stands
     # clear of the discretization floor, and its slope is 2
@@ -626,10 +641,10 @@ def test_sweep_cell_error_keeps_every_cell(tmp_path, monkeypatch, capsys,
     monkeypatch.setenv("MUSKAT_THREADS", threads)
     real = diagnostics.make_record
 
-    def broken(t, h, dth, iters, params):
+    def broken(table, t, h, dth, iters, params):
         if params.sigma == 0.1 and t > 0.015:
             raise KeyError("injected")
-        return real(t, h, dth, iters, params)
+        return real(table, t, h, dth, iters, params)
 
     monkeypatch.setattr(diagnostics, "make_record", broken)
     path, _ = write_cfg(tmp_path)

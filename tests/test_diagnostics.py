@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muskat.config import SolverConfig
 from muskat.diagnostics import (
+    FLOAT_COLUMNS,
     EnergyRecord,
+    RecordTable,
     check_a0_dyadic_trend,
     check_exponential_decay,
     check_monotone_decay,
@@ -15,6 +21,7 @@ from muskat.diagnostics import (
     make_record,
     read_energy_csv,
     verify_trajectory_dir,
+    write_run,
 )
 from muskat.elliptic import NotContractingError
 from muskat.integrate import run
@@ -23,6 +30,14 @@ from muskat.params import ModelParams
 from muskat.spectral import SpectralField, random_decay_field
 
 SQ2PI = math.sqrt(2 * math.pi)
+
+
+def _table(recs):
+    """A RecordTable of the EnergyRecords recs, in order."""
+    tab = RecordTable()
+    for r in recs:
+        tab.append(r.t, r.norms, r.energy, r.dth_a0, r.dth_high, r.iters)
+    return tab
 
 
 def wnl(sigma=0.0, lam=0.0, theta=1.0, chi=1, depth="finite", model="wnl1"):
@@ -42,14 +57,17 @@ def test_energy_values():
     assert e2 == pytest.approx(17 * SQ2PI, rel=1e-14)
 
 
-def test_record_consistency(rng):
+def test_record_consistency(rng, tmp_path):
     p = wnl(lam=1.0)
     h = random_decay_field(32, 3, rng)
-    rec = make_record(0.5, h, SpectralField.zeros(32), 4, p)
+    tab = RecordTable()
+    make_record(tab, 0.5, h, SpectralField.zeros(32), 4, p)
+    rec = tab[0]
     expect = rec.norms[0] + p.theta * math.tanh(1.0) * rec.norms[3]
     assert rec.energy == pytest.approx(expect, rel=1e-12)
-    row = rec.csv_row()
-    back = EnergyRecord.from_csv_row(row)
+    (tmp_path / "snapshots").mkdir()
+    write_run(str(tmp_path), SolverConfig(), p, tab, [], 0, None)
+    back = read_energy_csv(tmp_path / "energy.csv")[0]
     assert back.energy == rec.energy and back.t == rec.t
 
 
@@ -58,17 +76,17 @@ def test_monotone_decay_verdicts():
         return EnergyRecord(t, [e] * 6, e, 0.0, 0.0, 0)
 
     good = [rec(t, math.exp(-t)) for t in np.linspace(0, 1, 20)]
-    v = check_monotone_decay(good)
+    v = check_monotone_decay(_table(good))
     assert v.passed and v.first_violation is None
 
     bad = list(good)
     bad[10] = rec(bad[10].t, bad[9].energy * 1.001)
-    v2 = check_monotone_decay(bad)
+    v2 = check_monotone_decay(_table(bad))
     assert not v2.passed
     assert v2.first_violation[0] == 10
 
     zero = [rec(t, 0.0) for t in np.linspace(0, 1, 5)]
-    assert check_monotone_decay(zero).passed
+    assert check_monotone_decay(_table(zero)).passed
 
 
 def test_exponential_decay_fit_linear_run(tmp_path):
@@ -100,9 +118,11 @@ def test_dyadic_trend_for_rateless_decay():
         return EnergyRecord(t, [a] * 6, a, 0.0, 0.0, 0)
     rising = [rec(t, math.exp(-t)) for t in np.linspace(0.01, 4.0, 50)]
     rising[-1] = rec(4.0, 5.0)
-    assert not check_a0_dyadic_trend(rising).passed
+    assert not check_a0_dyadic_trend(_table(rising)).passed
     with pytest.raises(ValueError):
-        check_a0_dyadic_trend(rising[:3])
+        check_a0_dyadic_trend(_table(rising[:3]))
+    with pytest.raises(ValueError, match="order"):  # windows need sorted t
+        check_a0_dyadic_trend(_table(rising[::-1]))
 
 
 def test_sign_part_two_mode_pair_frozen_values():
@@ -134,12 +154,12 @@ def test_sign_part_two_mode_pair_frozen_values():
 
 def test_exponential_decay_guards():
     p = wnl(lam=1.0)
-    recs = [EnergyRecord(t, [0.0] * 6, 0.0, 0.0, 0.0, 0)
-            for t in np.linspace(0, 1, 25)]
+    recs = _table(EnergyRecord(t, [0.0] * 6, 0.0, 0.0, 0.0, 0)
+                  for t in np.linspace(0, 1, 25))
     rep = check_exponential_decay(recs, p)
     assert rep.degenerate and rep.passed
     with pytest.raises(ValueError, match="20 records"):
-        check_exponential_decay(recs[:5], p)
+        check_exponential_decay(_table(list(recs)[:5]), p)
     with pytest.raises(ValueError, match="chi"):
         check_exponential_decay(recs, wnl(lam=1.0, chi=-1))
     with pytest.raises(ValueError, match="lam"):
@@ -147,8 +167,8 @@ def test_exponential_decay_guards():
 
 
 def _decaying_records(rate, n=40, t_end=10.0):
-    return [EnergyRecord(t, [math.exp(-rate * t)] + [0.0] * 5, 0.0, 0.0, 0.0, 0)
-            for t in np.linspace(0.0, t_end, n)]
+    return _table(EnergyRecord(t, [math.exp(-rate * t)] + [0.0] * 5, 0.0, 0.0,
+                               0.0, 0) for t in np.linspace(0.0, t_end, n))
 
 
 def test_decay_bound_per_model():
@@ -311,3 +331,54 @@ def test_thin_film_rate_owed_only_where_rate1_bounds_every_mode():
     assert set(rated) == {"monotone_energy", "exponential_decay"}
     assert rated["monotone_energy"]["passed"]
     assert not rated["exponential_decay"]["passed"]
+
+
+# ---------------------------------------------------------------------------
+# RecordTable: the one representation of a run's records, in memory and on
+# disk
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    """Every column of RecordTables a and b equal bit for bit."""
+    assert len(a) == len(b)
+    for name in (*FLOAT_COLUMNS, "iters"):
+        assert np.array_equal(a.column(name).view(np.int64),
+                              b.column(name).view(np.int64)), name
+
+
+_record_floats = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf])
+_record_rows = st.lists(
+    st.tuples(st.lists(_record_floats, min_size=10, max_size=10),
+              st.integers(0, 2**63 - 1)), max_size=20)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_record_rows)
+@example([([-0.0, 5e-324, -5e-324, 0.0, 1e-310, -2.5e-320, 1.0, -1.0,
+            1.7976931348623157e308, -0.0], 0)])
+def test_record_table_round_trips_through_energy_csv(rows):
+    # write_run prints each column with %.17g and read_energy_csv parses it
+    # back: every bit returns, signed zeros and subnormals included
+    tab = RecordTable()
+    for floats, iters in rows:
+        tab.append(floats[0], floats[1:7], *floats[7:], iters)
+    with tempfile.TemporaryDirectory() as out:
+        os.mkdir(os.path.join(out, "snapshots"))
+        write_run(out, SolverConfig(), wnl(lam=1.0), tab, [], 0, None)
+        back = read_energy_csv(os.path.join(out, "energy.csv"))
+    _same_bits(tab, back)
+    assert [tuple(r.norms) for r in back] == [tuple(f[1:7]) for f, _ in rows]
+    with pytest.raises(ValueError, match="6 values"):  # no partial row
+        tab.append(0.0, [1.0] * 5, 0.0, 0.0, 0.0, 0)
+    assert len(tab.column("t")) == len(tab.column("dth_high")) == len(rows)
+
+
+def test_run_records_equal_their_energy_csv(tmp_path):
+    p = wnl(sigma=0.3, lam=1.0)
+    cfg = SolverConfig(model="wnl1", lam=1.0, sigma=0.3, n_modes=32,
+                       dt=0.005, t_end=0.3, output_cadence=3,
+                       snapshot_cadence=0, output_dir=str(tmp_path))
+    traj = run(random_decay_field(32, 3, np.random.default_rng(5)), p, cfg)
+    assert len(traj.records) == 21
+    _same_bits(traj.records, read_energy_csv(tmp_path / "energy.csv"))

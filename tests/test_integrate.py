@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from muskat.config import SolverConfig
+from muskat.config import ConfigError, SolverConfig
 from muskat.elliptic import NotContractingError
 from muskat.integrate import (
     IntegratorState,
@@ -140,6 +140,66 @@ def test_stability_at_configured_margin():
     assert traj.rejected_steps == 0
     assert np.all(np.isfinite(traj.final_h.coeffs))
     assert traj.records[-1].energy <= traj.records[0].energy
+
+
+@pytest.mark.parametrize("scheme, dt_rate, passes", [
+    ("euler", 1.99, True), ("euler", 2.01, False),
+    ("rk4", 2.78, True), ("rk4", 2.79, False),
+])
+def test_step_size_guard_at_the_stability_limit(tmp_path, scheme, dt_rate,
+                                                 passes):
+    # a coupled run reaches every mode: dt * rate(N) is held to the
+    # scheme's limit, and past it nothing is written
+    p = wnl(sigma=0.1, lam=1.0)
+    dt = dt_rate / float(linear_decay_rate(32, p))
+    out = tmp_path / "run"
+    cfg = config(dt=dt, t_end=dt, scheme=scheme, output_dir=str(out))
+    h0 = SpectralField.cosine(1, 1e-3, 32)
+    if passes:
+        run(h0, p, cfg)
+        return
+    with pytest.raises(ConfigError, match=f"{scheme} stability limit"):
+        run(h0, p, cfg)
+    assert not out.exists()
+
+
+def test_step_size_guard_counts_only_reachable_modes():
+    # uncoupled (sigma = 0), mode k moves alone: a single low mode steps
+    # stably at a dt far past rate(N)'s limit, and a datum holding mode N
+    # is rejected at that dt
+    p = wnl(lam=4.0)
+    cfg = config(dt=0.04, t_end=0.08, scheme="euler")
+    assert 0.04 * linear_decay_rate(32, p) > 2.0
+    run(SpectralField.cosine(1, 1.0, 32), p, cfg)
+    with pytest.raises(ConfigError, match="largest rate"):
+        run(SpectralField.cosine(32, 1e-3, 32), p, cfg)
+
+
+def _traced_peak(records):
+    """(records kept, tracemalloc peak) of a coupled N = 32 run recording
+    every step."""
+    import tracemalloc
+
+    p = wnl(sigma=0.1, lam=1.0)
+    dt = 2.5 / float(linear_decay_rate(32, p))
+    cfg = config(dt=dt, t_end=(records - 1) * dt, output_cadence=1,
+                 snapshot_cadence=0)
+    tracemalloc.start()
+    try:
+        traj = run(SpectralField.cosine(1, 1e-3, 32), p, cfg)
+        return len(traj.records), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_per_record_is_bounded():
+    # a run keeps its records as packed columns (88 bytes a record plus
+    # growth slack) and nothing else per step: the traced peak grows by at
+    # most 120 bytes a record (per-record objects took 432)
+    _traced_peak(10)  # op table and weight caches
+    (n1, peak1), (n2, peak2) = _traced_peak(201), _traced_peak(2201)
+    assert (n1, n2) == (201, 2201)
+    assert (peak2 - peak1) / (n2 - n1) <= 120.0
 
 
 def test_spectral_tail_stays_clean(tmp_path):
