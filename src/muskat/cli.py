@@ -207,23 +207,6 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _snapshot_indices(out_dir):
-    """meta.json's "snapshots" list; ConfigError if missing or ill-typed."""
-    name = diagnostics.META_FILE
-    try:
-        meta = diagnostics.read_meta(out_dir)
-    except ValueError as exc:
-        raise ConfigError(f"corrupt {name}: {exc}")
-    if not isinstance(meta, dict) or "snapshots" not in meta:
-        raise ConfigError(f'corrupt {name}: no "snapshots" entry')
-    snaps = meta["snapshots"]
-    if not (isinstance(snaps, list)
-            and all(type(i) is int and i >= 0 for i in snaps)):
-        raise ConfigError(f'corrupt {name}: "snapshots" is {snaps!r}, not a '
-                          "list of record indices")
-    return snaps
-
-
 def _load_profile(out_dir, idx):
     """(label, x, h(x)) of snapshot idx; ConfigError if missing or corrupt."""
     path = diagnostics.snapshot_path(out_dir, idx)
@@ -251,7 +234,11 @@ def cmd_plot(args):
     if not records:
         raise ConfigError(f"{energy_path}: no records")
     # the snapshot list and every profile drawn are read before any chart
-    snaps = _snapshot_indices(out_dir)
+    try:
+        meta = diagnostics.read_meta(out_dir)
+    except ValueError as exc:
+        raise ConfigError(f"corrupt {diagnostics.META_FILE}: {exc}")
+    snaps = diagnostics.snapshot_indices(meta)
     profiles = [_load_profile(out_dir, idx)
                 for idx in ((snaps[0], snaps[-1]) if len(snaps) > 1 else snaps)]
     t = records.column("t").tolist()

@@ -33,7 +33,7 @@ import numpy as np
 import numpy.random  # np.random: loaded here, not at its first use
 
 from . import models
-from .config import PACKAGE_VERSION, load_config
+from .config import PACKAGE_VERSION, ConfigError, load_config
 from .spectral import SpectralField, load_spectrum_csv, random_decay_field
 from .spectral import wiener_norm
 
@@ -418,48 +418,68 @@ def read_meta(out_dir):
         return json.load(fh)
 
 
+def snapshot_indices(meta):
+    """meta["snapshots"] of a run's meta.json; ConfigError if ill-typed."""
+    if not isinstance(meta, dict) or "snapshots" not in meta:
+        raise ConfigError(f'corrupt {META_FILE}: no "snapshots" entry')
+    snaps = meta["snapshots"]
+    if not (isinstance(snaps, list)
+            and all(type(i) is int and i >= 0 for i in snaps)):
+        raise ConfigError(f'corrupt {META_FILE}: "snapshots" is {snaps!r}, '
+                          "not a list of record indices")
+    return snaps
+
+
 def read_energy_csv(path):
     """The ``RecordTable`` of an energy.csv; ValueError on a wrong header
-    or a malformed row."""
+    or a malformed row, naming the file and the row's line."""
     records = RecordTable()
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ENERGY_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if line:
-                parts = line.split(",")
+        for lineno, line in enumerate(fh, start=2):
+            if line.isspace():
+                continue
+            parts = line.split(",")
+            try:
                 if len(parts) != 11:
                     raise ValueError(f"expected 11 columns, got {len(parts)}")
                 f = [float(v) for v in parts[:10]]
                 records.append(f[0], f[1:7], *f[7:], int(parts[10]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return records
 
 
 def verify_trajectory_dir(out_dir):
     """Recompute all verdicts of a run directory from its files alone.
 
-    Returns the checks dict; also validates that energies recomputed from
-    snapshot spectra agree with the logged column to 1e-12 relative, and
-    (``run_complete``) that the run did not fail and that energy.csv holds
-    as many rows as meta.json counts records.
+    Returns the checks dict; also validates that every listed snapshot
+    has its file and row and that its recomputed energy agrees with the
+    logged column to 1e-12 relative, and (``run_complete``) that the run
+    did not fail and that energy.csv holds as many rows as meta.json counts
+    records.  ConfigError for a malformed snapshot list.
     """
     meta = read_meta(out_dir)
+    snaps = snapshot_indices(meta)
     _, params = load_config(meta["params"])
     records = read_energy_csv(os.path.join(out_dir, ENERGY_FILE))
     checks = decay_checks(records, params)
     worst = 0.0
-    for idx in meta["snapshots"]:
-        if idx >= len(records):
-            continue  # no row to compare: run_complete fails on the count
-        e = energy(load_spectrum_csv(snapshot_path(out_dir, idx)), params)
+    unmatched = []
+    for idx in snaps:
+        path = snapshot_path(out_dir, idx)
+        if idx >= len(records) or not os.path.isfile(path):
+            unmatched.append(idx)
+            continue
+        e = energy(load_spectrum_csv(path), params)
         logged = records[idx].energy
-        err = abs(e - logged) / max(1.0, abs(logged))
-        worst = max(worst, err)
+        worst = max(worst, abs(e - logged) / max(1.0, abs(logged)))
     checks["energy_consistency"] = {
-        "passed": worst <= 1e-12,
+        "passed": worst <= 1e-12 and not unmatched,
         "max_relative_error": worst,
+        "unmatched_snapshots": unmatched,
     }
     checks["run_complete"] = {
         "passed": "failed" not in meta and meta["records"] == len(records),

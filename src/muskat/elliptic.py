@@ -130,11 +130,8 @@ def _solve_raw(tab, V, a, pre, c, hphys, tol, max_iter):
     the scheme norm against tol, the stall rule and max_iter.  So a guess
     whose first increment is <= tol costs one sweep, and the a-posteriori
     bound q/(1-q) times the last increment holds from any guess.  With
-    h = 0 the sweep is exactly zero; with the quadratic terms off T is
-    constant and the solve returns a at once, reading neither c nor hphys.
+    h = 0, or the quadratic terms off, the sweep is exactly zero.
     """
-    if not tab.force_active:
-        return a, 1, [0.0]
     increments = []
     stall = 0
     prev = None

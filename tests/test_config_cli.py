@@ -733,12 +733,16 @@ def test_plot_corrupt_csv_names_row(tmp_path, capsys):
     assert main(["simulate", "--config", path]) == 0
     energy = tmp_path / "traj" / "energy.csv"
     lines = energy.read_text().splitlines()
-    lines[3] = lines[3].replace(",", ",bogus_", 1)
-    energy.write_text("\n".join(lines) + "\n")
-    rc = main(["plot", out])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "energy.csv" in err
+    damages = {
+        "could not convert": lines[3].replace(",", ",bogus_", 1),
+        "expected 11 columns, got 12": lines[3] + ",1",
+    }
+    for reason, bad in damages.items():
+        energy.write_text("\n".join(lines[:3] + [bad] + lines[4:]) + "\n")
+        rc = main(["plot", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"corrupt energy.csv: {energy}, line 4: {reason}" in err
 
 
 def test_plot_missing_dir(tmp_path, capsys):

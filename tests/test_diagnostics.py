@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muskat.config import SolverConfig
+from muskat.config import ConfigError, SolverConfig
 from muskat.diagnostics import (
     FLOAT_COLUMNS,
     EnergyRecord,
@@ -262,16 +262,28 @@ def test_trajectory_dir_self_describing(tmp_path):
     assert recs[5].energy == traj.records[5].energy
 
 
-def test_reverification_reads_only_the_params(tmp_path):
-    # a run directory whose meta.json "config" holds a key load_config no
-    # longer accepts, as initial_condition.seed of runs made before rng_seed
-    # seeded random_decay, re-verifies from its params
-    out = tmp_path / "run"
+def _small_run(out):
+    """A finished wnl1 run into out with snapshots [0, 5, 10]."""
     cfg = SolverConfig(model="wnl1", lam=1.0, sigma=0.1, n_modes=32,
                        dt=0.005, t_end=0.1, output_cadence=2,
                        snapshot_cadence=5, output_dir=str(out))
     run(SpectralField.cosine(1, 1e-3, 32), wnl(sigma=0.1, lam=1.0), cfg)
     meta = json.loads((out / "meta.json").read_text())
+    assert meta["snapshots"] == [0, 5, 10]
+    return meta
+
+
+def _set_snapshots(out, meta, snaps):
+    meta["snapshots"] = snaps
+    (out / "meta.json").write_text(json.dumps(meta))
+
+
+def test_reverification_reads_only_the_params(tmp_path):
+    # a run directory whose meta.json "config" holds a key load_config no
+    # longer accepts, as initial_condition.seed of runs made before rng_seed
+    # seeded random_decay, re-verifies from its params
+    out = tmp_path / "run"
+    meta = _small_run(out)
     meta["config"]["initial_condition"] = {"kind": "random_decay", "p": 3.0,
                                            "amplitude": 1e-3, "seed": 1}
     (out / "meta.json").write_text(json.dumps(meta))
@@ -294,16 +306,49 @@ def test_failed_or_truncated_run_fails_reverification(tmp_path):
     assert verdict["records"] == verdict["energy_rows"] == 0
     # a finished run whose energy.csv lost its last two rows
     out = tmp_path / "truncated"
-    cfg = SolverConfig(model="wnl1", lam=1.0, sigma=0.1, n_modes=32,
-                       dt=0.005, t_end=0.1, output_cadence=2,
-                       snapshot_cadence=5, output_dir=str(out))
-    run(SpectralField.cosine(1, 1e-3, 32), wnl(sigma=0.1, lam=1.0), cfg)
+    _small_run(out)
     energy_csv = out / "energy.csv"
     energy_csv.write_text(
         "".join(energy_csv.read_text().splitlines(True)[:-2]))
-    verdict = verify_trajectory_dir(str(out))["run_complete"]
+    checks = verify_trajectory_dir(str(out))
+    verdict = checks["run_complete"]
     assert not verdict["passed"] and verdict["failed"] is None
     assert (verdict["records"], verdict["energy_rows"]) == (11, 9)
+    # snapshot 10 has no row left to compare
+    assert not checks["energy_consistency"]["passed"]
+    assert checks["energy_consistency"]["unmatched_snapshots"] == [10]
+
+
+@pytest.mark.parametrize("snaps", [[-1], "0", [0, "3"]],
+                         ids=["negative", "not_a_list", "not_indices"])
+def test_reverification_rejects_a_malformed_snapshot_list(tmp_path, snaps):
+    # the list is read as `muskat plot` reads it
+    out = tmp_path / "run"
+    _set_snapshots(out, _small_run(out), snaps)
+    with pytest.raises(ConfigError, match='corrupt meta.json: "snapshots"'):
+        verify_trajectory_dir(str(out))
+
+
+def _list_a_snapshot_without_a_row(out, meta):
+    _set_snapshots(out, meta, [0, 5, 1000000])
+    return 1000000
+
+
+def _delete_a_snapshot_file(out, meta):
+    (out / "snapshots" / "t_000005.csv").unlink()
+    return 5
+
+
+@pytest.mark.parametrize("damage", [_list_a_snapshot_without_a_row,
+                                    _delete_a_snapshot_file],
+                         ids=["no_row", "no_file"])
+def test_reverification_fails_an_unmatched_snapshot(tmp_path, damage):
+    out = tmp_path / "run"
+    idx = damage(out, _small_run(out))
+    checks = verify_trajectory_dir(str(out))
+    assert not checks["energy_consistency"]["passed"]
+    assert checks["energy_consistency"]["unmatched_snapshots"] == [idx]
+    assert checks["run_complete"]["passed"]
 
 
 def test_thin_film_rate_owed_only_where_rate1_bounds_every_mode():

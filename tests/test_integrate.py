@@ -429,31 +429,67 @@ def test_lub_rhs_single_inverse_before_solve(monkeypatch):
 
 
 def test_rk4_stages_in_place_match_textbook_and_keep_inputs():
-    # _try_advance combines the stages in place; the bits must equal the
-    # textbook expression with the same warm starts and stage 1's tol, and
-    # neither c nor k1 may be written
+    # the bits of _try_advance's RK4 step must equal the textbook expression
+    # with the same warm starts and stage 1's tol, in the same operation
+    # order, for each model; neither c nor k1 may be written
     from muskat.integrate import _rhs_raw, _try_advance
     from muskat.models import _table
 
-    p = wnl(sigma=0.1, lam=1.0)
-    tab = _table(64, p)
-    c = random_field(64, np.random.default_rng(3), p=3.0, amplitude=1e-3).coeffs
-    k1, _, tol = _rhs_raw(tab, c, None, 200)
-    c0, k10 = c.copy(), k1.copy()
-    dt = 2.0 / float(linear_decay_rate(64, p))
-    got, _ = _try_advance(tab, c, k1, dt, "rk4", tol, 200)
-    # each later stage starts from the one before, moved on by -rate
-    lin = tab.lin
-    k2, _, _ = _rhs_raw(tab, c + 0.5 * dt * k1, tol, 200,
-                        k1 + lin * (0.5 * dt * k1))
-    k3, _, _ = _rhs_raw(tab, c + 0.5 * dt * k2, tol, 200,
-                        k2 + lin * (0.5 * dt * (k2 - k1)))
-    k4, _, _ = _rhs_raw(tab, c + dt * k3, tol, 200,
-                        k3 + lin * (dt * k3 - 0.5 * dt * k2))
-    ref = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    ref[0] = 0.0
-    assert got.tobytes() == ref.tobytes()
-    assert c.tobytes() == c0.tobytes() and k1.tobytes() == k10.tobytes()
+    for p in (wnl(sigma=0.1, lam=1.0), wnl(sigma=0.1, lam=1.0, model="wnl2"),
+              ModelParams.lubrication(lam=1.0, theta=1.0, delta=0.5,
+                                      epsilon=0.1)):
+        tab = _table(64, p)
+        c = random_field(64, np.random.default_rng(3), p=3.0,
+                         amplitude=1e-3).coeffs
+        k1, _, tol = _rhs_raw(tab, c, None, 200)
+        c0, k10 = c.copy(), k1.copy()
+        dt = 2.0 / float(linear_decay_rate(64, p))
+        got, _ = _try_advance(tab, c, k1, dt, "rk4", tol, 200)
+        # each later stage starts from the one before, moved on by -rate
+        lin = tab.lin
+        k2, _, _ = _rhs_raw(tab, c + 0.5 * dt * k1, tol, 200,
+                            k1 + lin * (0.5 * dt * k1))
+        k3, _, _ = _rhs_raw(tab, c + 0.5 * dt * k2, tol, 200,
+                            k2 + lin * (0.5 * dt * (k2 - k1)))
+        k4, _, _ = _rhs_raw(tab, c + dt * k3, tol, 200,
+                            k3 + lin * (dt * k3 - 0.5 * dt * k2))
+        ref = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ref[0] = 0.0
+        assert got.tobytes() == ref.tobytes(), p.model
+        assert c.tobytes() == c0.tobytes() and k1.tobytes() == k10.tobytes()
+
+
+@pytest.mark.parametrize("p", [
+    wnl(lam=1.0), wnl(lam=1.0, depth="infinite"),
+    wnl(lam=1.0, model="wnl2"), wnl(lam=1.0, model="wnl2", depth="infinite"),
+    ModelParams.lubrication(lam=1.0, theta=1.0, delta=0.5, epsilon=0.0),
+], ids=["wnl1_finite", "wnl1_infinite", "wnl2_finite", "wnl2_infinite",
+        "lubrication"])
+def test_uncoupled_operations_run_no_transform(monkeypatch, p):
+    # sigma = 0 (thin film eps = 0): the sweep returns B = 0 itself, so
+    # every operation is its linear part exactly and transforms nothing
+    from muskat import models
+    from muskat.elliptic import solve_quasilinear
+
+    n = 32
+    tab = models._table(n, p)
+    h = random_field(n, np.random.default_rng(7), p=3.0, amplitude=1e-3)
+    U = random_field(n, np.random.default_rng(8), p=3.0, amplitude=1e-3)
+    lin = tab.lin * h.coeffs
+    lin[0] = 0.0
+    calls = _transform_calls(monkeypatch)
+    F = models.forcing(h, p)
+    assert np.array_equal(F.coeffs, tab.base * lin)
+    LU = models.apply_quasilinear(h, U, p)
+    assert np.array_equal(LU.coeffs, tab.base * U.coeffs)
+    assert np.array_equal(models.rhs_wnl2(h, p).coeffs, lin)
+    V, rep = solve_quasilinear(h, F, p)
+    assert np.array_equal(V.coeffs, F.coeffs / tab.base)
+    assert rep.iterations == 1 and rep.increments == (0.0,)
+    dt = 1.0 / float(linear_decay_rate(n, p))
+    _, k1, _ = step(IntegratorState(h=h, dt=dt), p)
+    assert np.array_equal(k1.coeffs, lin)
+    assert calls == []
 
 
 def test_concurrent_runs_write_sequential_bytes(tmp_path):
