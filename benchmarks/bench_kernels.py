@@ -5,10 +5,12 @@ Times the direct-summation kernels (truncated convolution from
 ``tests/oracles.py``, commutator sign/tanh split) with the FFT product
 oracle shown for scale, then one transform batch of the op table
 (``_OpTable.phys_stack`` with 3 rows, ``prods`` with 2 rows) next to the
-same ``numpy.fft`` call, and
-one right-hand-side evaluation (``integrate._rhs_raw``: forcing plus
-fixed-point solve) per model, and one RK4 ``integrate.step`` (wnl1 at
-criterion 2's dt) next to the same step with every stage started cold,
+same ``numpy.fft`` call, one cold and one warm sweep (``models._sweep``,
+wnl1, N = 64 and 256) and ``diagnostics.check_operator_bounds`` at 500
+samples, N = 64, then one right-hand-side evaluation
+(``integrate._rhs_raw``: forcing plus fixed-point solve) per model, and
+one RK4 ``integrate.step`` (wnl1 at criterion 2's dt) next to the same
+step with every stage started cold,
 all at N = 64 and 256, the sweeps per RK4 stage of wnl1 at N = 256 and of
 ``configs/verify.cfg``'s trajectory, then the strip solve
 (``strip.solve_strip``: stencil build plus preconditioned CG) next to the
@@ -16,8 +18,7 @@ sparse LU of the oracle's CSR matrix (``tests/oracles.py``), with the
 stencil build (``strip.assemble_system``) alone and the ``tracemalloc``
 peaks of the build and of the solve, and the
 set-up and one application of its preconditioner
-(``strip.flat_preconditioner``: DCT in z, rfft in x),
-``diagnostics.check_operator_bounds`` at 500 samples, N = 64, the bytes
+(``strip.flat_preconditioner``: DCT in z, rfft in x), the bytes
 per record of a run's ``diagnostics.RecordTable`` and the ``tracemalloc``
 peak of a ``wnl1_n256``-sized run (criterion 2 at t_end = 1, every step
 recorded), and last
@@ -44,7 +45,7 @@ from muskat import _kernels, integrate, strip
 from muskat.config import SolverConfig, load_config, make_initial_condition
 from muskat.diagnostics import check_operator_bounds
 from muskat.integrate import IntegratorState, _rhs_raw, step
-from muskat.models import _table, linear_decay_rate
+from muskat.models import _sweep, _table, linear_decay_rate
 from muskat.params import ModelParams
 from muskat.spectral import SpectralField, tanh_clamped
 
@@ -89,10 +90,12 @@ def transform_rows(rng, rounds=9):
     for n in (64, 256):
         tab = _table(n, p)
         spec = np.stack([_random_field(n, rng) for _ in range(3)])
+        pad = np.zeros((3, 2 * n + 1), complex)
+        pad[:, : n + 1] = spec
         rows_phys = rng.standard_normal((2, 4 * n))
         hphys = rng.standard_normal(4 * n)
         cases = (
-            ("phys_stack 3 rows", lambda: tab.phys_stack(spec),
+            ("phys_stack 3 rows", lambda: tab.phys_stack(pad),
              lambda: np.fft.irfft(spec, n=4 * n, axis=1)),
             ("prods 2 rows", lambda: tab.prods(hphys, rows_phys),
              lambda: np.fft.rfft(rows_phys * hphys, axis=1)[:, : n + 1]),
@@ -102,6 +105,28 @@ def transform_rows(rng, rounds=9):
                      for _ in range(rounds)]
             t_ours, t_ref = np.median(times, axis=0)
             print(f"{n:>6} {name:<18} {t_ours * 1e6:>14.1f} {t_ref * 1e6:>15.1f}")
+
+
+def sweep_layer_rows(rng, rounds=9):
+    """The layers the traced benchmark cannot split: one sweep of wnl1
+    (``models._sweep``) cold, transforming h with its batch (3 + 2 rows),
+    and warm, from a known physical h (2 + 2 rows), median over rounds of
+    2000 calls, and ``check_operator_bounds`` at 500 samples, N = 64,
+    median of 9 calls."""
+    print(f"\n{'N':>6} {'sweep':<6} {'median [us]':>12}")
+    p = _rhs_params("wnl1")
+    for n in (64, 256):
+        tab = _table(n, p)
+        c = 1e-3 * _random_field(n, rng)
+        psi = tab.w * c
+        _, hphys = _sweep(tab, c, None, psi)
+        for name, args in (("cold", (c, None)), ("warm", (None, hphys))):
+            times = [_timeit(_sweep, tab, *args, psi, repeat=2000)
+                     for _ in range(rounds)]
+            print(f"{n:>6} {name:<6} {np.median(times) * 1e6:>12.2f}")
+    t, rep = _median_time(check_operator_bounds, 500, p, 2024, 64, rounds=9)
+    print(f"check_operator_bounds(500, N=64): {t * 1e3:.1f} ms "
+          f"(passed={rep.passed})")
 
 
 def rhs_rows(rng, rounds=9):
@@ -290,13 +315,6 @@ def strip_rows():
         print(f"{nx:>4}x{nz:<3} {t_setup * 1e3:>20.3f} {t_apply * 1e3:>11.3f}")
 
 
-def bounds_row():
-    p = ModelParams(lam=1.0, theta=1.0, sigma=0.1)
-    t, rep = _median_time(check_operator_bounds, 500, p, 2024, 64)
-    print(f"\ncheck_operator_bounds(500, N=64): {t:.3f} s "
-          f"(passed={rep.passed})")
-
-
 def records_row():
     """The wnl1_n256 benchmark body's run (N = 256, dt = 2.7/m(N), t_end = 1,
     tol = 3e-7, a record every step) under tracemalloc: records kept, the
@@ -340,11 +358,11 @@ def main():
         t_fft = _timeit(pointwise_product, f, g, repeat=200)
         print(f"{n:>6} {'fft product':<12} {t_fft * 1e3:>12.3f}")
     transform_rows(rng)
+    sweep_layer_rows(rng)
     rhs_rows(rng)
     step_rows(rng)
     sweep_rows()
     strip_rows()
-    bounds_row()
     records_row()
     import_row()
 

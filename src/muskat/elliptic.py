@@ -114,7 +114,7 @@ def default_tolerance(c):
 
 def _norm_raw(tab, c):
     """Scheme norm (A^3 small slope, A^4 thin film) of a coefficient array."""
-    return 2.0 * float((tab.norm_k * np.abs(c)).sum())
+    return 2.0 * float(np.add.reduce(tab.norm_k * np.abs(c)))
 
 
 def _solve_raw(tab, V, a, pre, c, hphys, tol, max_iter):

@@ -143,12 +143,14 @@ def _try_advance(tab, c, k1, dt, scheme, tol, max_iter):
         iters = 0
     else:
         half, lin = 0.5 * dt, tab.lin
-        k2, n2, _ = _rhs_raw(tab, c + half * k1, tol, max_iter,
-                             k1 + lin * (half * k1))
-        k3, n3, _ = _rhs_raw(tab, c + half * k2, tol, max_iter,
+        hk1 = half * k1
+        k2, n2, _ = _rhs_raw(tab, c + hk1, tol, max_iter, k1 + lin * hk1)
+        hk2 = half * k2
+        k3, n3, _ = _rhs_raw(tab, c + hk2, tol, max_iter,
                              k2 + lin * (half * (k2 - k1)))
-        k4, n4, _ = _rhs_raw(tab, c + dt * k3, tol, max_iter,
-                             k3 + lin * (dt * k3 - half * k2))
+        dk3 = dt * k3
+        k4, n4, _ = _rhs_raw(tab, c + dk3, tol, max_iter,
+                             k3 + lin * (dk3 - hk2))
         cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         iters = n2 + n3 + n4
     cn[0] = 0.0

@@ -52,13 +52,19 @@ through ``spectral.irfft``/``rfft``, the binding that numpy.fft and
 scipy.fft both wrap, loaded from its file without scipy's package init.
 A batch of 2-3 rows of 4N = 1024 points is mostly per-call overhead, and
 ``numpy.fft.irfft``/``rfft`` add about 5-12 us per call on top of the
-C++ work (``benchmarks/bench_kernels.py``).  The inverse input is
-zero-padded from N+1 to 2N+1 modes in a fresh array, and the forward
-input is the product of the factor rows and h.  The results are bitwise
-equal to ``numpy.fft.irfft(., n=4N)`` and ``numpy.fft.rfft``, which
+C++ work (``benchmarks/bench_kernels.py``).  So a sweep builds its
+batches in place: stack psi, and on a cold sweep h h_scale, are written
+straight into a pad of 2N+1 modes whose modes N+1..2N stay zero, a warm
+inverse batch and the forward batch are transformed into buffers kept
+for the purpose, and the product with h is formed in place (``_Scratch``,
+``_sweep``).  ``phys_stack`` takes that padded batch.  The results are
+bitwise equal to ``numpy.fft.irfft(., n=4N)`` and ``numpy.fft.rfft``,
+given buffers or not, which
 ``tests/test_properties.py::test_transform_binding_bitwise_equals_numpy_fft``
 checks at random N and row counts, so a change of the binding fails the
-tests instead of changing the outputs.
+tests instead of changing the outputs.  The sign split of the bounds
+check runs the same way on batches of pairs (``_sign_split``): two
+transform calls per batch instead of three per pair.
 
 One description per model.  ``model_spec(params)`` is the one place the
 model and depth names are read: it decides the thin film against the
@@ -80,10 +86,14 @@ sigma = 1, the one evaluation of B that the commutator I(h, V) = B(h, dxx V)
 (the perturbation at sigma = theta = 1) and strip's surface-map check use.
 
 Memory and threads.  The module keeps an immutable per-(n_modes, params)
-table of symbol arrays, shared by every caller.  Each transform batch
-allocates its own pad and product arrays (reused per-thread buffers saved
-no measurable time) and no input array is written, so all operations are
-safe to use from multiple threads.
+table of symbol arrays, shared by every caller, and with each table one
+set of sweep buffers per thread that uses it (a ``threading.local``, 14 KB
+at N = 64 and 56 KB at N = 256).  Only ``_sweep`` writes them, nothing
+returned is a view of them (a cold sweep's physical h is a new array),
+and no input array is written, so all operations are safe to use from
+multiple threads.  Against per-call arrays, taking turns in one process
+(2-CPU VM), a sweep took 10-14% less time and an RK4 step of wnl1 11% less
+at N = 64 and 9% less at N = 256.
 
 Imports.  ``import muskat`` loads numpy (with ``numpy.random``) and the
 package, and no scipy module: the FFT binding is one extension file
@@ -93,6 +103,7 @@ In a fresh interpreter ``import muskat.cli`` takes about 0.2 s, against
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -216,6 +227,22 @@ def model_spec(params):
     )
 
 
+class _Scratch(threading.local):
+    """One thread's sweep buffers for one op table.  ``pad`` holds the
+    inverse batch [h, stack psi] on 2N+1 modes, of which only 0..N are
+    written (``pad_h``, ``pad_rows``), so N+1..2N stay zero; ``warm`` is
+    its stack rows.  ``phys`` takes a warm inverse batch, ``spec`` the
+    forward batch."""
+
+    def __init__(self, n, rows):
+        self.pad = np.zeros((rows + 1, 2 * n + 1), complex)
+        self.pad_h = self.pad[0, : n + 1]
+        self.pad_rows = self.pad[1:, : n + 1]
+        self.warm = self.pad[1:]
+        self.phys = np.empty((rows, 4 * n))
+        self.spec = np.empty((rows, 2 * n + 1), complex)
+
+
 class _OpTable:
     """Per-(n_modes, params) constant arrays for the FFT pipeline.
 
@@ -226,7 +253,8 @@ class _OpTable:
     nonzero) switches the quadratic terms on.  The split rows depend on
     the depth only.
 
-    Immutable after construction.  Scaling conventions: rows of *stack are
+    The arrays are immutable after construction; ``scratch`` is each
+    thread's own ``_Scratch``.  Scaling conventions: rows of *stack are
     premultiplied so that irfft gives physical samples directly, rows of
     *out fold in the inverse-transform normalization of the 4N product
     grid.
@@ -263,8 +291,11 @@ class _OpTable:
         self.w = p.chi + (p.lam / 4.0) * k**4
         self.tk2 = p.theta * k**2
         self.norm_k = k**spec.norm_order
+        self.scratch = _Scratch(n, len(rows))
 
-    # -- transforms: pocketfft's c2r/r2c on the 4N grid (module docstring)
+    # -- transforms: pocketfft's c2r/r2c on the 4N grid (module docstring).
+    # The tracer counts the rows of a batch as shape[0] of the last
+    # positional argument, so ``out`` is passed last and has one per row.
 
     def phys(self, c):
         # its own pad, not phys_stack: the tracer counts each batch once
@@ -272,13 +303,21 @@ class _OpTable:
         np.multiply(c, self.h_scale, out=pad[: self.n + 1])
         return irfft(pad, self.m, 0)
 
-    def phys_stack(self, rows):
-        pad = np.zeros((rows.shape[0], 2 * self.n + 1), complex)
-        pad[:, : self.n + 1] = rows
-        return irfft(pad, self.m, 1)
+    def phys_stack(self, pad, out=None):
+        """The inverse transform of each row of pad, rows already scaled
+        and zero-padded to 2N+1 modes: into out if given, else new."""
+        return irfft(pad, self.m, 1, out)
 
-    def prods(self, hphys, rows_phys):
-        return rfft(rows_phys * hphys, 1)[:, : self.n + 1]
+    def prods(self, hphys, rows_phys, out=None):
+        """Modes 0..N of P[hphys * row] for each row of rows_phys (hphys
+        one row, or one per row).  Given out (one row per row of
+        rows_phys, 2N+1 modes), the product is formed in rows_phys itself
+        and transformed into out; else both are new arrays."""
+        if out is None:
+            rows_phys = rows_phys * hphys
+        else:
+            rows_phys *= hphys
+        return rfft(rows_phys, 1, out)[:, : self.n + 1]
 
 
 @lru_cache(maxsize=64)
@@ -307,19 +346,21 @@ def _sweep(tab, c, hphys, psi):
     c is row 0 of the inverse batch, so the same call yields the physical
     h that later sweeps of this h reuse (3 + 2 rows small slope, 2 + 1 thin
     film); given hphys, c is not read (2 + 2, 1 + 1).  With the quadratic
-    terms off, B = 0 exactly and no transform runs.
+    terms off, B = 0 exactly and no transform runs.  The batches are
+    built in the thread's ``_Scratch`` (module docstring), except a cold
+    inverse batch, a new array: the hphys returned is never scratch.
     """
     if not tab.force_active:
         return np.zeros(tab.n + 1, complex), hphys
+    s = tab.scratch
+    np.multiply(tab.stack, psi, out=s.pad_rows)
     if hphys is None:
-        rows = np.empty((len(tab.stack) + 1, tab.n + 1), complex)
-        np.multiply(c, tab.h_scale, out=rows[0])
-        np.multiply(tab.stack, psi, out=rows[1:])
-        ph = tab.phys_stack(rows)
+        np.multiply(c, tab.h_scale, out=s.pad_h)
+        ph = tab.phys_stack(s.pad)
         hphys, ph = ph[0], ph[1:]
     else:
-        ph = tab.phys_stack(tab.stack * psi)
-    out = _weighted_sum(tab.out, tab.prods(hphys, ph))
+        ph = tab.phys_stack(s.warm, s.phys)
+    out = _weighted_sum(tab.out, tab.prods(hphys, ph, s.spec))
     out[0] = 0.0
     return out, hphys
 
@@ -414,18 +455,33 @@ def commutator_sign_split(h, V, params):
         I_B = Lam(h Lam^3 V) + G(h G dxx V)
 
     Returns (I_A, I_B); I_A + I_B reproduces ``commutator``.  For the
-    unbounded depth symbol I_B is identically zero.
+    unbounded depth symbol I_B is identically zero.  The evaluation is
+    ``_sign_split`` on a batch of one pair.
     """
     check_same_grid(h, V)
-    tab = _table(h.n_modes, params)
-    hphys = tab.phys(h.coeffs)
-    rows = tab.phys_stack(tab.split_stack * V.coeffs)
-    pr = tab.prods(hphys, rows)
-    ia = _weighted_sum(tab.split_outA, pr[:2])
-    ib = _weighted_sum(tab.split_outB, pr[1:])
-    ia[0] = 0.0
-    ib[0] = 0.0
-    return SpectralField(ia, copy=False), SpectralField(ib, copy=False)
+    ia, ib = _sign_split(_table(h.n_modes, params), h.coeffs[None],
+                         V.coeffs[None])
+    return SpectralField(ia[0], copy=False), SpectralField(ib[0], copy=False)
+
+
+def _sign_split(tab, h, v):
+    """(I_A, I_B) of ``commutator_sign_split`` for the B pairs (h[b], v[b])
+    of two (B, N+1) coefficient arrays, as two (B, N+1) arrays.
+
+    One inverse batch of 4B rows, h then the three split rows of every
+    V (row order j*B + b), and one forward batch of 3B products.
+    """
+    b, n1 = h.shape[0], tab.n + 1
+    pad = np.zeros((4, b, 2 * tab.n + 1), complex)
+    np.multiply(h, tab.h_scale, out=pad[0, :, :n1])
+    np.multiply(tab.split_stack[:, None], v, out=pad[1:, :, :n1])
+    ph = tab.phys_stack(pad.reshape(4 * b, -1))
+    pr = tab.prods(np.tile(ph[:b], (3, 1)), ph[b:]).reshape(3, b, n1)
+    ia = _weighted_sum(tab.split_outA[:, None], pr[:2])
+    ib = _weighted_sum(tab.split_outB[:, None], pr[1:])
+    ia[:, 0] = 0.0
+    ib[:, 0] = 0.0
+    return ia, ib
 
 
 def leading_velocity_wnl2(h, params):

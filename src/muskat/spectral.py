@@ -71,17 +71,19 @@ pocketfft = _load_pocketfft()
 # the binding holds an allocation that grows to about 2 MB over the first
 # 1e5 calls.
 
-def rfft(x, axis=-1):
+def rfft(x, axis=-1, out=None):
     """Unnormalized forward real FFT along ``axis``: the bits of
-    ``scipy.fft.rfft(x, axis=axis)`` for a float64 array x."""
-    return pocketfft.r2c(x, (axis,), True, 0, None, 1)
+    ``scipy.fft.rfft(x, axis=axis)`` for a float64 array x.  Written into
+    ``out`` (complex128, not overlapping x) when given, which is returned."""
+    return pocketfft.r2c(x, (axis,), True, 0, out, 1)
 
 
-def irfft(F, n, axis=-1):
+def irfft(F, n, axis=-1, out=None):
     """Inverse real FFT of length n along ``axis``, divided by n: the bits
     of ``scipy.fft.irfft(F, n=n, axis=axis)`` for a complex128 array F
-    with n // 2 + 1 entries along ``axis``."""
-    return pocketfft.c2r(F, (axis,), n, False, 2, None, 1)
+    with n // 2 + 1 entries along ``axis``.  Written into ``out`` (float64,
+    not overlapping F) when given, which is returned."""
+    return pocketfft.c2r(F, (axis,), n, False, 2, out, 1)
 
 
 def dct(x, type, axis=-1):
@@ -211,8 +213,14 @@ def wiener_norm(f, s):
     """sum over k != 0 of |k|^s |fhat(k)|.  The k=0 term is always excluded."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    k = np.arange(1, f.n_modes + 1, dtype=float)
-    return 2.0 * float(np.sum(k**s * np.abs(f.coeffs[1:])))
+    return float(wiener_norms(f.coeffs, s))
+
+
+def wiener_norms(c, s):
+    """``wiener_norm`` of each half spectrum along the last axis of the
+    coefficient array c, with the same bits."""
+    k = np.arange(1, c.shape[-1], dtype=float)
+    return 2.0 * np.add.reduce(k**s * np.abs(c[..., 1:]), axis=-1)
 
 
 def check_same_grid(f, g):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muskat.config import ConfigError, SolverConfig
+from muskat import models
+from muskat.cli import main
+from muskat.config import ConfigError, SolverConfig, load_config
 from muskat.diagnostics import (
     FLOAT_COLUMNS,
     EnergyRecord,
@@ -16,6 +18,9 @@ from muskat.diagnostics import (
     check_a0_dyadic_trend,
     check_exponential_decay,
     check_monotone_decay,
+    BOUNDS_CHUNK,
+    bound_ratios,
+    bound_samples,
     check_operator_bounds,
     energy,
     make_record,
@@ -25,9 +30,9 @@ from muskat.diagnostics import (
 )
 from muskat.elliptic import NotContractingError
 from muskat.integrate import run
-from muskat.models import linear_decay_rate
+from muskat.models import commutator_sign_split, linear_decay_rate
 from muskat.params import ModelParams
-from muskat.spectral import SpectralField, random_decay_field
+from muskat.spectral import SpectralField, random_decay_field, wiener_norm
 
 SQ2PI = math.sqrt(2 * math.pi)
 
@@ -229,6 +234,60 @@ def test_operator_bounds_exact_and_deterministic():
 def test_operator_bounds_need_two_samples(samples):
     with pytest.raises(ValueError, match="sample_count"):
         check_operator_bounds(samples, wnl(sigma=1.0, lam=1.0, theta=1.0), 0)
+
+
+@pytest.mark.parametrize("samples", [2, BOUNDS_CHUNK + 1, 500])
+@pytest.mark.parametrize("depth", ["finite", "infinite"])
+def test_bounds_batches_repeat_the_per_sample_path(samples, depth):
+    # the check draws and evaluates its pairs in chunks; the pairs are
+    # random_decay_field's, drawn in order from the same stream, and every
+    # ratio has the bits of commutator_sign_split on its pair
+    p, n, seed = wnl(sigma=1.0, lam=1.0, theta=1.0, depth=depth), 32, 17
+    rng = np.random.default_rng(seed)
+    chunks = list(bound_samples(samples, n, rng))
+    assert [len(h) for h, _ in chunks] == [
+        min(BOUNDS_CHUNK, samples - i) for i in range(0, samples, BOUNDS_CHUNK)]
+    pairs = [pair for h, v in chunks for pair in zip(h, v)]
+    ia_ratios, full_ratios = bound_ratios(samples, p,
+                                          np.random.default_rng(seed), n)
+    ref = np.random.default_rng(seed)
+    for i, (h, v) in enumerate(pairs):
+        hr = random_decay_field(n, (2, 3, 4)[i % 3], ref)
+        vr = random_decay_field(n, (2, 3, 4)[(i + 1) % 3], ref)
+        assert h.tobytes() == hr.coeffs.tobytes()
+        assert v.tobytes() == vr.coeffs.tobytes()
+        ia, ib = commutator_sign_split(hr, vr, p)
+        ha1, va3 = wiener_norm(hr, 1), wiener_norm(vr, 3)
+        ia_a0 = wiener_norm(ia, 0)
+        i_a0 = wiener_norm(SpectralField(ia.coeffs + ib.coeffs), 0)
+        assert ia_ratios[i] == ia_a0 / (2.0 * ha1 * va3)
+        assert full_ratios[i] == i_a0 / (ha1 * va3)
+    assert len(ia_ratios) == len(full_ratios) == samples
+    assert rng.random() == ref.random()  # the stream is left where it was
+
+
+def test_bounds_batch_reads_the_live_split_rows(tmp_path, monkeypatch):
+    # verify bounds at 500 samples, N = 64 (16 chunks) with mode 2 of I_A's
+    # dx row times 100 in the cached op table itself: the batches read the
+    # table's rows at call time, so the check fails; restored, it passes
+    text = ("theta = 1.0\nlambda = 1.0\nsigma = 1.0\n"
+            "verify.bounds.samples = 500\nverify.bounds.n_modes = 64\n")
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(text)
+    tab = models._table(64, load_config(str(cfg))[1])
+    scaled = tab.split_outA.copy()
+    scaled[0, 2] *= 100.0
+
+    def verify(tag):
+        out = tmp_path / tag
+        rc = main(["verify", "bounds", "--config", str(cfg), "--out", str(out)])
+        rep = json.loads((out / "bounds_report.json").read_text())
+        return rc, rep["checks"]["sign_part_factor_two"]["passed"]
+
+    monkeypatch.setattr(tab, "split_outA", scaled)
+    assert verify("mutated") == (2, False)
+    monkeypatch.undo()
+    assert verify("restored") == (0, True)
 
 
 def test_random_decay_field_profile(rng):

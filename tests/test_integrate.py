@@ -531,3 +531,53 @@ def test_concurrent_runs_write_sequential_bytes(tmp_path):
     for name in names:
         assert contents(name) == alone
         assert os.path.isfile(tmp_path / name / "meta.json")
+
+
+def test_threads_step_their_trajectories_on_one_table():
+    # each thread's sweeps build their batches in its own scratch of the
+    # shared op table: three trajectories stepped at once, in more threads
+    # than cores with a tiny switch interval so that their sweeps
+    # interleave, give the bits of the same trajectories stepped one after
+    # the other
+    import sys
+    import threading
+
+    from muskat.models import _table
+
+    p = wnl(sigma=0.1, lam=1.0)
+    n, steps = 32, 60
+    dt = 2.0 / float(linear_decay_rate(n, p))
+    starts = [random_field(n, np.random.default_rng(s), p=3.0,
+                           amplitude=1e-3) for s in (21, 22, 23)]
+    tab = _table(n, p)
+
+    def walk(h, out, pads):
+        state = IntegratorState(h=h, dt=dt)
+        for _ in range(steps):
+            state, k1, _ = step(state, p)
+            out.append(state.h.coeffs.tobytes() + k1.coeffs.tobytes())
+        pads.append(tab.scratch.pad)
+
+    alone = []
+    for h in starts:
+        alone.append([])
+        walk(h, alone[-1], [])
+    together = [[] for _ in starts]
+    pads = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(h, out, pads))
+                   for h, out in zip(starts, together)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone and alone[0] != alone[1]
+    assert _table(n, p) is tab and len(pads) == len(starts)
+    pads.append(tab.scratch.pad)
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(pads) for b in pads[i + 1:])

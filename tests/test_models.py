@@ -425,21 +425,36 @@ def test_all_operations_preserve_mean_zero_and_finiteness(rng):
 
 
 def test_transform_batches_leave_inputs_unchanged():
-    # phys/phys_stack/prods pad and multiply in reused scratch buffers,
-    # never in the arrays they are given
-    from muskat.models import _table
+    # phys/phys_stack/prods write only into new arrays, and _sweep only into
+    # the thread's scratch and new arrays, never into the arrays they are
+    # given; no array they return shares memory with that scratch
+    from muskat.models import _sweep, _table
 
     n = 48
     tab = _table(n, ModelParams(lam=1.0, theta=1.0, sigma=0.1))
     rng = np.random.default_rng(8)
     spec = rng.standard_normal((3, n + 1)) + 1j * rng.standard_normal((3, n + 1))
+    pad = np.zeros((3, 2 * n + 1), complex)
+    pad[:, : n + 1] = spec
     phys = rng.standard_normal((2, 4 * n))
     hphys = rng.standard_normal(4 * n)
-    saved = [a.copy() for a in (spec, phys, hphys)]
-    first = (tab.phys(spec[0]), tab.phys_stack(spec), tab.prods(hphys, phys))
-    again = (tab.phys(spec[0]), tab.phys_stack(spec), tab.prods(hphys, phys))
-    for a, b in zip((spec, phys, hphys), saved):
+    inputs = (spec, pad, phys, hphys)
+    saved = [a.copy() for a in inputs]
+
+    def batches():
+        cold, h_cold = _sweep(tab, spec[0], None, spec[1])
+        warm, h_warm = _sweep(tab, None, hphys, spec[2])
+        assert h_warm is hphys
+        return (tab.phys(spec[0]), tab.phys_stack(pad), tab.prods(hphys, phys),
+                cold, h_cold, warm)
+
+    first, again = batches(), batches()
+    for a, b in zip(inputs, saved):
         assert a.tobytes() == b.tobytes()
     # a result is never a view of a buffer the next call overwrites
+    scratch = [a for a in vars(tab.scratch).values()
+               if isinstance(a, np.ndarray)]
+    assert scratch
     for a, b in zip(first, again):
         assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+        assert not any(np.shares_memory(a, buf) for buf in scratch)

@@ -96,12 +96,20 @@ def test_transform_binding_bitwise_equals_numpy_fft(n, rows, seed):
             + 1j * rng.standard_normal((rows, n + 1)))
     phys = rng.standard_normal((rows, 4 * n))
     hphys = rng.standard_normal(4 * n)
+    pad = np.zeros((rows, 2 * n + 1), complex)
+    pad[:, : n + 1] = spec
+    inverse = np.fft.irfft(spec, n=4 * n, axis=1)
+    forward = np.fft.rfft(phys * hphys, axis=1)[:, : n + 1]
     assert np.array_equal(tab.phys(spec[0]),
                           np.fft.irfft(spec[0] * tab.h_scale, n=4 * n))
-    assert np.array_equal(tab.phys_stack(spec),
-                          np.fft.irfft(spec, n=4 * n, axis=1))
-    assert np.array_equal(tab.prods(hphys, phys),
-                          np.fft.rfft(phys * hphys, axis=1)[:, : n + 1])
+    assert np.array_equal(tab.phys_stack(pad), inverse)
+    assert np.array_equal(tab.prods(hphys, phys), forward)
+    # the same bits written into given buffers, the product in place
+    assert np.array_equal(tab.phys_stack(pad, np.empty((rows, 4 * n))),
+                          inverse)
+    assert np.array_equal(
+        tab.prods(hphys, phys.copy(), np.empty((rows, 2 * n + 1), complex)),
+        forward)
 
 
 def direct_product(a, b):
