@@ -5,8 +5,10 @@ refactor must leave byte-identical:
 
 * ``simulate`` of configs/{decay,lubrication,verify}.cfg, and ``plot`` of
   those runs (``--log`` for decay);
-* ``verify bounds|flux|dtn|decay`` on configs/verify.cfg and ``verify
-  decay`` on configs/lubrication.cfg;
+* ``verify bounds|flux|dtn|decay`` on configs/verify.cfg, ``verify
+  flux`` on it with ``verify.flux.h_mode = 1`` (the mobility path; a
+  derived config written into the run root) and ``verify decay`` on
+  configs/lubrication.cfg;
 * the sweeps ``model=wnl1,wnl2``, ``model=wnl1,wnl2`` x ``sigma=0,0.1``,
   ``depth=infinite`` x ``sigma=0,0.3`` and ``scheme=euler,rk4`` at
   ``dt=1.5e-3`` on configs/verify.cfg, and ``epsilon=0,0.2`` on
@@ -36,15 +38,18 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
 
-def commands():
+def commands(root):
     """[(name, argv)] of the CLI command set; each name is its output
-    directory under the run root."""
+    directory under the run root.  Writes the derived configs into root."""
     decay, lub, ver = (str(CONFIGS / f"{n}.cfg")
                        for n in ("decay", "lubrication", "verify"))
+    flux_h1 = os.path.join(root, "verify_flux_h1.cfg")
+    Path(flux_h1).write_text(Path(ver).read_text() + "verify.flux.h_mode = 1\n")
     cmds = [(f"simulate_{Path(c).stem}", ["simulate", "--config", c])
             for c in (decay, lub, ver)]
     cmds += [(f"verify_{kind}", ["verify", kind, "--config", ver])
              for kind in ("bounds", "flux", "dtn", "decay")]
+    cmds.append(("verify_flux_h1", ["verify", "flux", "--config", flux_h1]))
     cmds.append(("verify_decay_lubrication", ["verify", "decay", "--config", lub]))
     sweeps = {
         "sweep_model": (ver, ["model=wnl1,wnl2"]),
@@ -66,7 +71,7 @@ def run_all(root):
     from muskat import cli
 
     codes = []
-    for name, argv in commands():
+    for name, argv in commands(root):
         out = os.path.join(root, name)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):

@@ -173,13 +173,12 @@ def cmd_verify(args):
         return EXIT_OK if rep.passed else EXIT_NUMERICAL
 
     grid = StripGrid(s["n_x"], s["n_z"])
-    n_modes = s["n_modes"]
-    if n_modes is None:
-        n_modes = min(64, s["n_x"] // 2 - 1)
-
+    # flux: every mode the grid resolves; dtn truncates B, by default at 64
+    n_modes = s["n_x"] // 2 - 1
     # amplitude 1: sigmas and epsilon scale h, and each check is linear in
     # its datum (psi, f)
     if args.kind == "dtn":
+        n_modes = min(64, n_modes) if s["n_modes"] is None else s["n_modes"]
         h = SpectralField.cosine(s["h_mode"], 1.0, n_modes)
         psi = SpectralField.cosine(s["psi_mode"], 1.0, n_modes)
         p = replace(params, delta=1.0, sigma=params.epsilon * 1.0)
@@ -251,7 +250,7 @@ def cmd_plot(args):
             series = [(lbl, xs, ys) for lbl, xs, ys in series
                       if all(y > 0 for y in ys)]
         if len(records) >= diagnostics.MIN_FIT_RECORDS and (a0 > 0).all():
-            rate = -np.polyfit(t, np.log(a0), 1)[0]
+            rate = diagnostics.fitted_decay_rate(t, a0)
             annotations.append(f"fitted A0 decay rate: {rate:.4f}")
         if not series:
             raise ConfigError("log scale requested but no positive series")

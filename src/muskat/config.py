@@ -88,13 +88,14 @@ _IC_KINDS = {
 }
 
 # verify.<suite>.<key> -> its default; None where `muskat verify` derives it
-# (n_modes from n_x; flux without h_mode: a flat h).  Others are rejected.
+# (dtn's n_modes from n_x; flux without h_mode: a flat h).  Others are
+# rejected; flux takes every mode its n_x resolves, so it has no n_modes.
 VERIFY_DEFAULTS = {
     "bounds": {"samples": 500, "n_modes": 64},
     "dtn": {"n_x": 512, "n_z": 256, "sigmas": "0.2,0.1,0.05", "n_modes": None,
             "h_mode": 1, "psi_mode": 2},
     "flux": {"n_x": 256, "n_z": 65, "deltas": "0.04,0.02,0.01",
-             "n_modes": None, "f_mode": 1, "h_mode": None},
+             "f_mode": 1, "h_mode": None},
 }
 _VERIFY_KEYS = {f"{suite}.{key}" for suite, keys in VERIFY_DEFAULTS.items()
                 for key in keys}

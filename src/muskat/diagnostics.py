@@ -34,7 +34,8 @@ import numpy.random  # np.random: loaded here, not at its first use
 
 from . import models
 from .config import PACKAGE_VERSION, ConfigError, load_config
-from .spectral import load_spectrum_csv, wiener_norm, wiener_norms
+from .spectral import (load_spectrum_csv, random_decay_coeffs, wiener_norm,
+                       wiener_norms)
 
 ENERGY_HEADER = "t,a0,a1,a2,a3,a4,a5,energy,dth_a0,dth_high,iters"
 
@@ -222,13 +223,16 @@ def check_exponential_decay(records, params):
         return RateReport(0.0, bound, True, None, True)
     if np.any(a0 <= 0.0):
         raise ValueError("A0 norm vanished mid-run; cannot fit a rate")
-    logs = np.log(a0)
-    rate = -np.polyfit(t, logs, 1)[0]
+    rate = fitted_decay_rate(t, a0)
     mid = len(records) // 2
-    halves = []
-    for sl in (slice(0, mid + 1), slice(mid, None)):
-        halves.append(-np.polyfit(t[sl], logs[sl], 1)[0])
+    halves = [fitted_decay_rate(t[sl], a0[sl])
+              for sl in (slice(0, mid + 1), slice(mid, None))]
     return RateReport(float(rate), bound, bool(rate >= bound), halves, False)
+
+
+def fitted_decay_rate(t, a0):
+    """Minus the least-squares slope of log a0 against t (a0 > 0)."""
+    return -np.polyfit(t, np.log(a0), 1)[0]
 
 
 def check_a0_dyadic_trend(records):
@@ -304,7 +308,8 @@ class BoundReport:
 
 
 def check_operator_bounds(sample_count, params, rng_seed, n_modes=64):
-    """Evaluate the operator inequalities on seeded random fields.
+    """Evaluate the operator inequalities on the seeded random pairs of
+    ``bound_samples`` (|k|^-p fields, p cycling through 2, 3, 4).
 
     Asserted exactly (they hold mode by mode or term by term):
       * base-symbol inversion: 1/ell(k) <= 1;
@@ -351,26 +356,14 @@ def check_operator_bounds(sample_count, params, rng_seed, n_modes=64):
 
 def bound_samples(sample_count, n_modes, rng):
     """The bounds check's random pairs, in chunks of at most BOUNDS_CHUNK:
-    yields (h, V) coefficient arrays of shape (B, n_modes + 1).
-
-    Sample i is h = ``random_decay_field(n_modes, p, rng)`` then V with the
-    next power, p cycling through _BOUND_POWERS, with the same draws and
-    bits: a chunk's uniforms come from one ``rng.random((B, 4, N))``, in
-    the order h's moduli, h's phases, V's moduli, V's phases, and take
-    ``uniform``'s affine maps.
-    """
-    k = np.arange(1, n_modes + 1, dtype=float)
-    decay = np.stack([k ** (-float(p)) for p in _BOUND_POWERS])
+    yields (h, V) coefficient arrays of shape (B, n_modes + 1), each chunk
+    one ``random_decay_coeffs`` draw of h_0, V_0, h_1, V_1, ..."""
     for start in range(0, sample_count, BOUNDS_CHUNK):
-        i = np.arange(start, min(start + BOUNDS_CHUNK, sample_count))
-        u = rng.random((i.size, 4, n_modes))
-        mag = 0.5 + 0.5 * u[:, 0::2]
-        mag[:, 0] *= decay[i % 3]
-        mag[:, 1] *= decay[(i + 1) % 3]
-        c = np.zeros((2, i.size, n_modes + 1), complex)
-        c[:, :, 1:] = (mag * np.exp(1j * ((2.0 * np.pi) * u[:, 1::2]))
-                       ).transpose(1, 0, 2)
-        yield c[0], c[1]
+        powers = [_BOUND_POWERS[(i + j) % 3]
+                  for i in range(start, min(start + BOUNDS_CHUNK, sample_count))
+                  for j in (0, 1)]
+        c = random_decay_coeffs(n_modes, powers, rng)
+        yield c[0::2], c[1::2]
 
 
 def bound_ratios(sample_count, params, rng, n_modes):

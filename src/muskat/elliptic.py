@@ -31,7 +31,7 @@ import numpy.random  # np.random: loaded here, not at its first use
 
 from . import models
 from .models import _sweep, _table
-from .spectral import SpectralField, check_same_grid, random_decay_field
+from .spectral import SpectralField, check_same_grid, random_decay_coeffs
 from .spectral import wiener_norm
 
 DEFAULT_MAX_ITER = 200
@@ -209,8 +209,7 @@ def solve_quasilinear(h, F, params, tol=None, max_iter=DEFAULT_MAX_ITER):
     tab = _table(h.n_modes, params)
     if tol is None:
         tol = default_tolerance(F.coeffs)
-    V0 = F.coeffs / tab.base
-    V0[0] = 0.0
+    V0 = models.invert_base(F, params).coeffs
     U_raw, iters, increments = _solve_raw(tab, V0, V0, np.zeros_like(V0),
                                           h.coeffs, None, tol, max_iter)
     U = SpectralField(U_raw, copy=False)
@@ -281,14 +280,14 @@ def certify_smallness(h, params):
 
     The map is affine, so the factor is the spectral radius of S =
     base^{-1} perturbation(h, .): ``_stall_ratio``'s power iteration from
-    the random probe (``random_decay_field``, |k|^-4 moduli) of largest
-    gain, as probes alone miss the dominant modes.  Pass requires < 1.
+    the largest-gain of _PROBES random probes (one ``random_decay_coeffs``
+    draw, |k|^-4 moduli), as probes alone miss the dominant modes.  Pass
+    requires < 1.
     """
     tab = _table(h.n_modes, params)
     hphys = tab.phys(h.coeffs)
-    rng = np.random.default_rng(_PROBE_SEED)
-    probes = [random_decay_field(h.n_modes, 4, rng).coeffs
-              for _ in range(_PROBES)]
+    probes = random_decay_coeffs(h.n_modes, (4,) * _PROBES,
+                                 np.random.default_rng(_PROBE_SEED))
     ratios = [_gain(tab, hphys, w)[1] for w in probes]
     factor = _stall_ratio(tab, hphys, probes[int(np.argmax(ratios))])
     return SmallnessReport(

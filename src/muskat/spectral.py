@@ -176,15 +176,25 @@ class SpectralField:
         return f"SpectralField(n_modes={self.n_modes})"
 
 
-def random_decay_field(n_modes, p, rng, amplitude=1.0):
-    """Mean-zero field with |hhat(k)| = amplitude * |k|^{-p} * U(1/2, 1) and
-    uniform random phases, drawn from the numpy Generator rng."""
+def random_decay_coeffs(n_modes, powers, rng, amplitude=1.0):
+    """Half spectra, shape (len(powers), n_modes + 1), of mean-zero fields:
+    row r has |hhat(k)| = amplitude * |k|^{-powers[r]} * U(1/2, 1) and
+    uniform random phases, from one ``rng.random((R, 2, n_modes))`` of the
+    numpy Generator rng, taken row by row, the moduli then the phases."""
     k = np.arange(1, n_modes + 1, dtype=float)
-    mag = amplitude * k ** (-float(p)) * rng.uniform(0.5, 1.0, size=n_modes)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
-    c = np.zeros(n_modes + 1, dtype=complex)
-    c[1:] = mag * np.exp(1j * phase)
-    return SpectralField(c, copy=False)
+    decay = {p: amplitude * k ** (-float(p)) for p in set(powers)}
+    u = rng.random((len(powers), 2, n_modes))
+    c = np.zeros((len(powers), n_modes + 1), dtype=complex)
+    c[:, 1:] = (np.array([decay[p] for p in powers]) * (0.5 + 0.5 * u[:, 0])
+                * np.exp(1j * ((2.0 * np.pi) * u[:, 1])))
+    return c
+
+
+def random_decay_field(n_modes, p, rng, amplitude=1.0):
+    """The one field of ``random_decay_coeffs`` at the power p: R calls on
+    one Generator draw what one call on R powers draws."""
+    return SpectralField(random_decay_coeffs(n_modes, (p,), rng, amplitude)[0],
+                         copy=False)
 
 
 # Fourier multipliers are callables k -> m(k) on k >= 0; realness needs

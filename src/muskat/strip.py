@@ -44,8 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import _bilinear_form
-from .spectral import (GridMismatchError, SpectralField, check_same_grid, dct,
-                       depth_symbol, derivative_symbol, irfft, rfft)
+from .spectral import (SpectralField, check_same_grid, dct, depth_symbol,
+                       derivative_symbol, irfft, rfft)
 
 DEGENERACY_FLOOR = 0.05
 # CG stops once ||r|| <= CG_RTOL * ||rhs||, and fails after CG_MAXITER steps
@@ -99,14 +99,6 @@ class StripSolution:
     phi: np.ndarray
     residual_norm: float
     iterations: int
-
-
-def _field_values(field, n_x):
-    if n_x < 2 * field.n_modes + 2:
-        raise GridMismatchError(
-            f"strip n_x={n_x} cannot resolve a field with {field.n_modes} modes"
-        )
-    return field.values(n_x)
 
 
 def _x_multiplier(vals, symbol):
@@ -179,7 +171,7 @@ def assemble_system(h, grid, params):
     == C[-d](n + d) bit for bit.
     """
     nx, nu = grid.n_x, grid.n_z - 1
-    hv = _field_values(h, nx)
+    hv = h.values(nx)
     _check_degeneracy(hv, params.epsilon)
     hx = _x_multiplier(hv, DX)
     # cell midpoints
@@ -321,7 +313,7 @@ def solve_strip(h, psi, grid, params):
     """
     nx, nu = grid.n_x, grid.n_z - 1
     C, top = assemble_system(h, grid, params)
-    psi_vals = _field_values(psi, nx)
+    psi_vals = psi.values(nx)
     # rhs: minus the couplings of the top unknown row to the datum
     rhs = np.zeros((nx, nu))
     rhs[:, nu - 1] = -(top[0] * np.roll(psi_vals, 1) + top[1] * psi_vals
@@ -345,7 +337,7 @@ def surface_normal_velocity(sol, h, grid, params):
     Chain rule through the lifting; 3-point one-sided z-derivative at z=0.
     """
     phi = sol.phi
-    hv = _field_values(h, grid.n_x)
+    hv = h.values(grid.n_x)
     hx = _x_multiplier(hv, DX)
     phiz = (3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]) / (2.0 * grid.dz)
     phix = _x_multiplier(phi[:, -1], DX)
@@ -446,7 +438,7 @@ def verify_dtn_expansion(h, psi, sigmas, grid, params):
     if top > h.n_modes:
         raise ValueError(f"h's top mode plus psi's, {top}, exceeds n_modes")
     nx = grid.n_x
-    g0_psi = _x_multiplier(_field_values(psi, nx), G0)
+    g0_psi = _x_multiplier(psi.values(nx), G0)
     taylor1 = -SpectralField(_bilinear_form(h.coeffs, psi.coeffs, "finite"),
                              copy=False).values(nx)
     h0 = SpectralField.zeros(h.n_modes)
@@ -507,9 +499,9 @@ def verify_lub_flux(h, f, deltas, grid, params):
     dts = _order_values(deltas, "deltas")
     nx, dz, z = grid.n_x, grid.dz, grid.z
     eps = params.epsilon
-    hv = _field_values(h, nx)
+    hv = h.values(nx)
     hx = _x_multiplier(hv, DX)
-    fv = _field_values(f, nx)
+    fv = f.values(nx)
     fx = _x_multiplier(fv, DX)
     fxx = _x_multiplier(fv, derivative_symbol(2))
     mob = 1.0 + eps * hv

@@ -312,7 +312,7 @@ def test_seed_draws_the_random_initial_condition(tmp_path, monkeypatch):
 
 RETIRED_KEYS = ["initial_condition.seed = 1", "verify.dtn.h_amplitude = 2",
                 "verify.dtn.psi_amplitude = 2", "verify.flux.f_amplitude = 2",
-                "verify.flux.h_amplitude = 2"]
+                "verify.flux.h_amplitude = 2", "verify.flux.n_modes = 8"]
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["verify", "bounds"],
@@ -321,8 +321,9 @@ RETIRED_KEYS = ["initial_condition.seed = 1", "verify.dtn.h_amplitude = 2",
                          ids=["simulate", "bounds", "dtn", "flux", "decay"])
 @pytest.mark.parametrize("line", RETIRED_KEYS)
 def test_retired_keys_exit_1(tmp_path, capsys, command, line):
-    # rng_seed seeds random_decay, and sigmas / epsilon with a linear datum
-    # cover the amplitudes of the strip checks' cosines
+    # rng_seed seeds random_decay, sigmas / epsilon with a linear datum
+    # cover the amplitudes of the strip checks' cosines, and verify flux
+    # takes every mode its n_x resolves
     text = open(os.path.join(REPO, "configs", "verify.cfg")).read()
     single = "initial_condition = single_mode\ninitial_condition.k = 1\n"
     assert single in text
@@ -333,7 +334,11 @@ def test_retired_keys_exit_1(tmp_path, capsys, command, line):
     out = tmp_path / "res"
     assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "unknown" in err and line.split(" ")[0].rpartition(".")[2] in err
+    key = line.split(" ")[0]
+    # verify.* keys are named in full, initial_condition.* ones by their
+    # last part
+    assert "unknown" in err
+    assert (key if key.startswith("verify.") else key.rpartition(".")[2]) in err
     assert not out.exists()
 
 
@@ -509,7 +514,7 @@ def test_verify_flux_solve_failure_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(strip_mod, "CG_MAXITER", 0)
     p = tmp_path / "f.cfg"
     p.write_text("theta = 1.0\nepsilon = 0.1\nverify.flux.n_x = 32\n"
-                 "verify.flux.n_z = 17\nverify.flux.n_modes = 8\n")
+                 "verify.flux.n_z = 17\n")
     rc = main(["verify", "flux", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "strip CG solve failed" in capsys.readouterr().err
@@ -921,8 +926,7 @@ def test_output_key_sets(tmp_path):
     path, _ = write_cfg(tmp_path, t_end=0.4, extra=(
         "verify.bounds.samples = 10\nverify.bounds.n_modes = 32\n"
         "verify.dtn.n_x = 64\nverify.dtn.n_z = 20\nverify.dtn.n_modes = 16\n"
-        "verify.flux.n_x = 32\nverify.flux.n_z = 17\n"
-        "verify.flux.n_modes = 8\n"))
+        "verify.flux.n_x = 32\nverify.flux.n_z = 17\n"))
     out = tmp_path / "rep"
     for kind in ("bounds", "dtn", "flux", "decay"):
         main(["verify", kind, "--config", path, "--out", str(out)])

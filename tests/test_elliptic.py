@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from muskat import elliptic
 from muskat.elliptic import (
     NotContractingError,
     MaxIterationsError,
@@ -147,6 +148,29 @@ def test_certify_smallness_cases():
     b = certify_smallness(SpectralField.cosine(1, 0.02, 32), p)
     assert b.contraction_factor == pytest.approx(2 * a.contraction_factor, rel=1e-10)
     assert b.contraction_factor >= a.contraction_factor
+
+
+def test_certify_smallness_probes_are_sequential_draws(monkeypatch):
+    # the five probes are one random_decay_coeffs draw: the fields of five
+    # random_decay_field calls on the seeded generator, in order; the
+    # power iteration starts from the one of largest gain
+    seen = []
+    gain = elliptic._gain
+
+    def spy(tab, hphys, w):
+        seen.append(w.copy())
+        return gain(tab, hphys, w)
+
+    monkeypatch.setattr(elliptic, "_gain", spy)
+    rep = certify_smallness(SpectralField.cosine(2, 0.3, 32), wnl())
+    ref = np.random.default_rng(elliptic._PROBE_SEED)
+    probes = [random_decay_field(32, 4, ref).coeffs for _ in range(5)]
+    assert [w.tobytes() for w in seen[:5]] == [w.tobytes() for w in probes]
+    start = probes[int(np.argmax(rep.probe_ratios))]
+    assert seen[5].tobytes() == start.tobytes()
+    tab = _table(32, wnl())
+    hphys = tab.phys(SpectralField.cosine(2, 0.3, 32).coeffs)
+    assert rep.probe_ratios == tuple(gain(tab, hphys, w)[1] for w in probes)
 
 
 def _dense_update_radius(h, p):

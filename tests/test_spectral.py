@@ -13,6 +13,8 @@ from muskat.spectral import (
     depth_symbol,
     derivative_symbol,
     load_spectrum_csv,
+    random_decay_coeffs,
+    random_decay_field,
     save_spectrum_csv,
     wiener_norm,
 )
@@ -46,6 +48,29 @@ def test_from_values_round_trip():
         f = random_field(24, rng)
         g = SpectralField.from_values(f.values(96), n_modes=24)
         assert np.abs(g.coeffs - f.coeffs).max() <= 1e-12 * np.abs(f.coeffs).max()
+
+
+@pytest.mark.parametrize("n", [32, 257])
+@pytest.mark.parametrize("amplitude", [1e-3, 2.0])
+def test_random_decay_coeffs_rows_are_sequential_fields(n, amplitude):
+    # one call on R powers draws what R random_decay_field calls draw from
+    # one generator, bit for bit, and leaves the generator where they do;
+    # both follow the law as uniforms: moduli U(1/2, 1), then phases
+    # U(0, 2 pi), for each field in turn
+    powers = [2, 3, 4, 4, 2, 3, 3]
+    rng, ref, law = (np.random.default_rng(11) for _ in range(3))
+    rows = random_decay_coeffs(n, powers, rng, amplitude)
+    assert rows.shape == (len(powers), n + 1)
+    k = np.arange(1, n + 1, dtype=float)
+    for row, p in zip(rows, powers):
+        f = random_decay_field(n, p, ref, amplitude)
+        assert row.tobytes() == f.coeffs.tobytes()
+        mag = amplitude * k ** (-float(p)) * law.uniform(0.5, 1.0, size=n)
+        phase = law.uniform(0.0, 2.0 * np.pi, size=n)
+        assert row[0] == 0.0
+        assert row[1:].tobytes() == (mag * np.exp(1j * phase)).tobytes()
+    assert (rng.bit_generator.state == ref.bit_generator.state
+            == law.bit_generator.state)
 
 
 def test_from_values_needs_2n_plus_1_samples():

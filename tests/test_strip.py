@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from muskat.params import ModelParams
 from muskat.spectral import (
     COS_MODE,
+    GridMismatchError,
     SpectralField,
     apply_multiplier,
     derivative_symbol,
@@ -289,6 +291,33 @@ def test_lub_flux_second_order_with_profile():
     flux_rep, phi_rep = verify_lub_flux(h, f, [0.04, 0.02, 0.01], g, p)
     assert 1.8 <= flux_rep.slope <= 2.2
     assert 1.8 <= phi_rep.slope <= 2.2
+
+
+def test_flux_check_is_the_same_at_every_truncation_that_holds_its_cosines():
+    # the strip samples f and h on n_x points, padded to n_x/2 + 1 modes,
+    # so the reports at n_modes 8 and at n_x/2 - 1 (what `verify flux`
+    # takes) are equal
+    g = StripGrid(32, 17)
+
+    def reports(n):
+        h = SpectralField.cosine(1, 1.0, n)
+        f = SpectralField.cosine(1, 1.0, n)
+        return json.dumps([rep.as_dict() for rep in verify_lub_flux(
+            h, f, [0.04, 0.02, 0.01], g, p_of(eps=0.1))])
+
+    assert reports(8) == reports(g.n_x // 2 - 1)
+
+
+def test_solve_strip_rejects_fields_finer_than_its_grid():
+    # an even n_x resolves n_x/2 - 1 modes: 32 points hold 15, not 16
+    g, p = StripGrid(32, 17), p_of(eps=0.1)
+    h15 = SpectralField.cosine(1, 0.1, 15)
+    psi15 = SpectralField.cosine(1, 1.0, 15)
+    with pytest.raises(GridMismatchError):
+        solve_strip(SpectralField.cosine(1, 0.1, 16), psi15, g, p)
+    with pytest.raises(GridMismatchError):
+        solve_strip(h15, SpectralField.cosine(1, 1.0, 16), g, p)
+    assert solve_strip(h15, psi15, g, p).phi.shape == (32, 17)
 
 
 def _scaled(field, factor):
