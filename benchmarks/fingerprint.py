@@ -4,11 +4,13 @@ Runs, into a temporary directory, the ``muskat`` commands whose outputs a
 refactor must leave byte-identical:
 
 * ``simulate`` of configs/{decay,lubrication,verify}.cfg, and ``plot`` of
-  those runs (``--log`` for decay);
-* ``verify bounds|flux|dtn|decay`` on configs/verify.cfg, ``verify
-  flux`` on it with ``verify.flux.h_mode = 1`` (the mobility path; a
-  derived config written into the run root) and ``verify decay`` on
-  configs/lubrication.cfg;
+  those runs (``--log`` for decay); ``simulate --seed 5`` of
+  configs/lubrication.cfg; ``simulate`` of configs/verify.cfg with
+  ``initial_condition = from_file``, reading a spectrum file written into
+  the run root;
+* ``verify bounds|flux|dtn|decay`` on configs/verify.cfg, ``verify bounds
+  --seed 7`` and ``verify flux`` with ``verify.flux.h_mode = 1`` (the
+  mobility path) on it, and ``verify decay`` on configs/lubrication.cfg;
 * the sweeps ``model=wnl1,wnl2``, ``model=wnl1,wnl2`` x ``sigma=0,0.1``,
   ``depth=infinite`` x ``sigma=0,0.3`` and ``scheme=euler,rk4`` at
   ``dt=1.5e-3`` on configs/verify.cfg, and ``epsilon=0,0.2`` on
@@ -16,14 +18,16 @@ refactor must leave byte-identical:
 * the body of the benchmark's ``wnl1_n256`` workload at seed 0.
 
 Prints one ``sha256  relative/path`` line per output file, sorted by path,
-then one line per command with its exit code.  A ``meta.json`` is hashed
-as written, with the run root's path (written in its ``config.output_dir``)
-replaced by ``<root>``.  Run it in each tree and diff the two outputs:
+then one line per command with its exit code.  Each file is hashed as
+written, with the run root's path replaced by ``<root>``: a ``meta.json``
+names it in its ``config.output_dir`` and ``initial_condition.path``, the
+derived from_file config in its ``initial_condition.path``.  Run it in
+each tree and diff the two outputs:
 
     PYTHONPATH=src python benchmarks/fingerprint.py > digests.txt
 
 Sweep cells run one at a time (``MUSKAT_THREADS`` defaults to 1 here); the
-whole set took about 16 s on a 2-CPU VM.
+whole set took about 15 s on a 2-CPU VM.
 """
 
 import contextlib
@@ -43,12 +47,30 @@ def commands(root):
     directory under the run root.  Writes the derived configs into root."""
     decay, lub, ver = (str(CONFIGS / f"{n}.cfg")
                        for n in ("decay", "lubrication", "verify"))
+    ver_text = Path(ver).read_text()
     flux_h1 = os.path.join(root, "verify_flux_h1.cfg")
-    Path(flux_h1).write_text(Path(ver).read_text() + "verify.flux.h_mode = 1\n")
+    Path(flux_h1).write_text(ver_text + "verify.flux.h_mode = 1\n")
+    # a |k|^-3 spectrum of configs/verify.cfg's 64 modes, with a mean the
+    # reader drops, as the initial condition of a derived config
+    spectrum = os.path.join(root, "h0.csv")
+    Path(spectrum).write_text("k,re,im\n0,0.25,0\n" + "".join(
+        f"{k},{1e-3 / k**3!r},{-5e-4 / k**3!r}\n" for k in range(1, 65)))
+    single = ("initial_condition = single_mode\ninitial_condition.k = 1\n"
+              "initial_condition.amplitude = 1e-3\n")
+    assert single in ver_text
+    from_file = os.path.join(root, "verify_from_file.cfg")
+    Path(from_file).write_text(ver_text.replace(single, (
+        "initial_condition = from_file\n"
+        f"initial_condition.path = {spectrum}\n")))
     cmds = [(f"simulate_{Path(c).stem}", ["simulate", "--config", c])
             for c in (decay, lub, ver)]
+    cmds.append(("simulate_lubrication_seed5",
+                 ["simulate", "--config", lub, "--seed", "5"]))
+    cmds.append(("simulate_from_file", ["simulate", "--config", from_file]))
     cmds += [(f"verify_{kind}", ["verify", kind, "--config", ver])
              for kind in ("bounds", "flux", "dtn", "decay")]
+    cmds.append(("verify_bounds_seed7",
+                 ["verify", "bounds", "--config", ver, "--seed", "7"]))
     cmds.append(("verify_flux_h1", ["verify", "flux", "--config", flux_h1]))
     cmds.append(("verify_decay_lubrication", ["verify", "decay", "--config", lub]))
     sweeps = {
@@ -96,9 +118,7 @@ def run_all(root):
 
 
 def digest(path, root):
-    data = path.read_bytes()
-    if path.name == "meta.json":
-        data = data.replace(str(root).encode(), b"<root>")
+    data = path.read_bytes().replace(str(root).encode(), b"<root>")
     return hashlib.sha256(data).hexdigest()
 
 

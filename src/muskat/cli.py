@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 usage or configuration errors, 2 numerical
 failures (solver breakdown, grid-limited verification, failed checks).
-Sweep cells run in a worker pool capped by the MUSKAT_THREADS environment
+Every cell of a sweep is loaded by ``config.load_config`` and set up before
+the first one runs; two cells whose configs load equal are rejected.  The
+cells run in a worker pool capped by the MUSKAT_THREADS environment
 variable; every cell writes only inside its own directory, and a cell that
 fails for any reason keeps its partial output while the other cells run
-on (exit code 2).
+on (exit code 2).  ``--seed`` is the config's rng_seed, set before a
+command reads it.
 """
 
 import argparse
@@ -20,11 +23,11 @@ import numpy as np
 
 from . import diagnostics, integrate, strip
 from .config import (
+    VERIFY_DEFAULTS,
     ConfigError,
     load_config,
     make_initial_condition,
     parse_config_text,
-    parse_value,
     verify_settings,
 )
 from .elliptic import SolverError
@@ -52,9 +55,9 @@ def _workers(n_jobs):
 def _sweep_cells(specs):
     """--sweep KEY=V1,V2,... specs -> [(overrides, directory name)]: the
     cross product of at most two keys, named k1=a__k2=b; no specs give one
-    unnamed cell.  A repeated key or value, which would run one cell twice
-    or into one directory, is rejected; values compare as ``config``
-    parses them, so dt=1e-3,0.001 repeats a value.  So is output_dir."""
+    unnamed cell.  A repeated key, which would run every cell at its last
+    value, is rejected, and so is output_dir; repeated values are left to
+    ``cmd_simulate``, which compares the cells' loaded configs."""
     axes = {}  # key -> its values
     for spec in specs or []:
         if "=" not in spec:
@@ -68,9 +71,6 @@ def _sweep_cells(specs):
             raise ConfigError(f"--sweep {key}: key given twice")
         if key == "output_dir":
             raise ConfigError("--sweep output_dir: the sweep names the cells")
-        parsed = [parse_value(key, v) for v in values]
-        if any(v in parsed[:i] for i, v in enumerate(parsed)):
-            raise ConfigError(f"--sweep {key}: a value given twice")
         axes[key] = values
     if len(axes) > 2:
         raise ConfigError("--sweep supports at most 2 keys")
@@ -80,12 +80,10 @@ def _sweep_cells(specs):
             for cell in cells]
 
 
-def _prepare_cell(source, out_dir, seed):
-    """(h0, params, config) of a sweep cell or `verify decay`'s run;
-    ConfigError for a dt past the scheme's stability limit."""
-    config, params = load_config(source)
-    if seed is not None:
-        config.rng_seed = seed
+def _prepare_cell(config, params, out_dir):
+    """(h0, params, config) of a loaded sweep cell or `verify decay`'s run,
+    its config now writing into out_dir; ConfigError for a dt past the
+    scheme's stability limit."""
     config.output_dir = out_dir
     h0 = make_initial_condition(config)
     integrate.check_step_size(h0, params, config.dt, config.scheme)
@@ -111,7 +109,9 @@ def _run_cell(h0, params, config):
 def cmd_simulate(args):
     with open(args.config) as fh:
         raw = parse_config_text(fh.read())
-    config, _params = load_config(dict(raw))  # validate before spawning work
+    if args.seed is not None:
+        raw["rng_seed"] = args.seed
+    config, _params = load_config(raw)  # validate before spawning work
     base_out = args.out or config.output_dir
     if not base_out:
         raise ConfigError("no output directory (set output_dir or pass --out)")
@@ -119,13 +119,19 @@ def cmd_simulate(args):
     if args.seed is not None and any("rng_seed" in o for o, _ in cells):
         raise ConfigError("--seed would override --sweep rng_seed in every "
                           "cell")
-    # every cell is validated and set up before the first one starts
-    jobs = [
-        _prepare_cell({**raw, **overrides},
-                      os.path.join(base_out, name) if name else base_out,
-                      args.seed)
-        for overrides, name in cells
-    ]
+    # every cell is loaded, compared and set up before the first one
+    # starts; two cells whose configs are equal (verify.* compared as the
+    # suites parse it) would run one config twice
+    loaded = [load_config({**raw, **overrides}) for overrides, _ in cells]
+    runs = [replace(c, verify={s: verify_settings(c.verify, s)
+                               for s in VERIFY_DEFAULTS}) for c, _ in loaded]
+    for i, run in enumerate(runs):
+        if run in runs[:i]:
+            raise ConfigError(f"--sweep {cells[i][1]}: a value given twice "
+                              "repeats an earlier cell")
+    jobs = [_prepare_cell(config, params,
+                          os.path.join(base_out, name) if name else base_out)
+            for (config, params), (_, name) in zip(loaded, cells)]
     workers = _workers(len(jobs))
     if workers == 1 or len(jobs) == 1:
         results = [_run_cell(*j) for j in jobs]
@@ -147,10 +153,12 @@ def _write_report(out_dir, name, payload):
 
 def cmd_verify(args):
     config, params = load_config(args.config)
+    if args.seed is not None:
+        config.rng_seed = args.seed
     out_dir = args.out or config.output_dir or "."
     if args.kind == "decay":  # run the configured trajectory, then check it
         h0, params, config = _prepare_cell(
-            args.config, os.path.join(out_dir, "trajectory"), args.seed)
+            config, params, os.path.join(out_dir, "trajectory"))
         try:
             traj = integrate.run(h0, params, config)
         except SolverError as exc:
@@ -165,9 +173,8 @@ def cmd_verify(args):
 
     s = verify_settings(config.verify, args.kind)
     if args.kind == "bounds":
-        seed = args.seed if args.seed is not None else config.rng_seed
-        rep = diagnostics.check_operator_bounds(s["samples"], params, seed,
-                                                s["n_modes"])
+        rep = diagnostics.check_operator_bounds(s["samples"], params,
+                                                config.rng_seed, s["n_modes"])
         path = _write_report(out_dir, "bounds_report.json", rep.as_dict())
         print(f"bounds report: {path} passed={rep.passed}")
         return EXIT_OK if rep.passed else EXIT_NUMERICAL
@@ -213,8 +220,8 @@ def _load_profile(out_dir, idx):
         raise ConfigError(f"missing snapshot {path}")
     try:
         h = load_spectrum_csv(path)
-    except ValueError as exc:
-        raise ConfigError(f"corrupt snapshot {path}: {exc}")
+    except ValueError as exc:  # its message starts with the path
+        raise ConfigError(f"corrupt snapshot {exc}")
     vals = h.values(max(4 * h.n_modes, 64))
     x = np.linspace(0.0, 2.0 * math.pi, len(vals), endpoint=False)
     label = os.path.basename(path).removesuffix(".csv")
@@ -226,17 +233,11 @@ def cmd_plot(args):
     energy_path = os.path.join(out_dir, diagnostics.ENERGY_FILE)
     if not os.path.isfile(energy_path):
         raise ConfigError(f"missing {energy_path}")
-    try:
-        records = diagnostics.read_energy_csv(energy_path)
-    except ValueError as exc:
-        raise ConfigError(f"corrupt {diagnostics.ENERGY_FILE}: {exc}")
+    records = diagnostics.read_energy_csv(energy_path)
     if not records:
         raise ConfigError(f"{energy_path}: no records")
     # the snapshot list and every profile drawn are read before any chart
-    try:
-        meta = diagnostics.read_meta(out_dir)
-    except ValueError as exc:
-        raise ConfigError(f"corrupt {diagnostics.META_FILE}: {exc}")
+    meta = diagnostics.read_meta(out_dir)
     snaps = diagnostics.snapshot_indices(meta)
     profiles = [_load_profile(out_dir, idx)
                 for idx in ((snaps[0], snaps[-1]) if len(snaps) > 1 else snaps)]
@@ -310,9 +311,6 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_plot(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except LinearSolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -194,20 +194,6 @@ _TOP_PARSERS = {KEY_NAMES.get(f.name, f.name): (f.name, _PARSERS[f.type])
 _DEFAULTED = {"sigma": ("",), "tol": ("", "auto")}
 
 
-def parse_value(key, value):
-    """The value of one dotted config key as ``load_config`` parses it:
-    None for a value that stands for the default, and the text itself for
-    a key that takes text or that ``load_config`` rejects."""
-    section, _, sub = key.partition(".")
-    if section in ("initial_condition", "verify") and sub:
-        parser = _KEY_PARSERS.get(sub.rpartition(".")[2])
-    elif value in _DEFAULTED.get(key, ()):
-        return None
-    else:
-        parser = _TOP_PARSERS.get(key, (None, None))[1]
-    return value if parser is None else parser(key, value)
-
-
 def load_config(source):
     """Path, text-parsed dict, or meta-style dict -> (SolverConfig, ModelParams)."""
     if isinstance(source, (str, os.PathLike)):

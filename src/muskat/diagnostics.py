@@ -161,12 +161,10 @@ class DecayVerdict:
     n_records: int
 
     def as_dict(self):
-        return {
-            "passed": self.passed,
-            "first_violation": self.first_violation,
-            "max_relative_uptick": self.max_uptick,
-            "records": self.n_records,
-        }
+        d = asdict(self)
+        d["max_relative_uptick"] = d.pop("max_uptick")
+        d["records"] = d.pop("n_records")
+        return d
 
 
 def _first_rise(earlier, later):
@@ -328,6 +326,8 @@ def check_operator_bounds(sample_count, params, rng_seed, n_modes=64):
     """
     if sample_count < 2:
         raise ValueError(f"sample_count must be at least 2, got {sample_count}")
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     rng = np.random.default_rng(rng_seed)
     rep = BoundReport()
     spec = models.model_spec(params)
@@ -435,8 +435,13 @@ def write_run(out_dir, config, params, records, snapshots, rejected_steps,
 
 
 def read_meta(out_dir):
+    """The parsed meta.json of run directory out_dir; ConfigError if it is
+    not JSON."""
     with open(os.path.join(out_dir, META_FILE)) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"corrupt {META_FILE}: {exc}") from None
 
 
 def snapshot_indices(meta):
@@ -452,13 +457,15 @@ def snapshot_indices(meta):
 
 
 def read_energy_csv(path):
-    """The ``RecordTable`` of an energy.csv; ValueError on a wrong header
-    or a malformed row, naming the file and the row's line."""
+    """The ``RecordTable`` of an energy.csv; ValueError ("corrupt
+    energy.csv: ...") on a wrong header or a malformed row, naming the file
+    and the row's line."""
     records = RecordTable()
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ENERGY_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
+            raise ValueError(f"corrupt {ENERGY_FILE}: {path}: unexpected "
+                             f"header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             if line.isspace():
                 continue
@@ -469,7 +476,8 @@ def read_energy_csv(path):
                 f = [float(v) for v in parts[:10]]
                 records.append(f[0], f[1:7], *f[7:], int(parts[10]))
             except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                raise ValueError(f"corrupt {ENERGY_FILE}: {path}, line "
+                                 f"{lineno}: {exc}") from None
     return records
 
 

@@ -256,6 +256,10 @@ def save_spectrum_csv(f, path):
 
 
 def load_spectrum_csv(path):
+    """The field of a ``save_spectrum_csv`` file.  ValueError, naming the
+    file and, where there is one, the row, for a wrong header, a row that
+    is malformed, unparsable, non-finite or out of order, or a file without
+    the rows of modes 0 and 1."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "k,re,im":
@@ -266,10 +270,17 @@ def load_spectrum_csv(path):
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: row {lineno}: expected 3 columns")
-            k, re, im = int(parts[0]), float(parts[1]), float(parts[2])
-            if k != len(coeffs):
-                raise ValueError(f"{path}: row {lineno}: modes out of order")
+            try:
+                if len(parts) != 3:
+                    raise ValueError("expected 3 columns")
+                k, re, im = int(parts[0]), float(parts[1]), float(parts[2])
+                if k != len(coeffs):
+                    raise ValueError("modes out of order")
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ValueError("non-finite coefficient")
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {lineno}: {exc}") from None
             coeffs.append(complex(re, im))
+    if len(coeffs) < 2:
+        raise ValueError(f"{path}: {len(coeffs)} rows, modes 0 and 1 need 2")
     return SpectralField(np.asarray(coeffs, dtype=complex), copy=False)

@@ -39,7 +39,7 @@ coupled back through the time derivative.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -392,17 +392,10 @@ class OrderReport:
                 <= self.expected_slope + 0.2)
 
     def as_dict(self):
-        return {
-            "parameter": self.parameter,
-            "values": self.values,
-            "remainders": self.remainders,
-            "slope": self.slope,
-            "correlation": self.correlation,
-            "expected_slope": self.expected_slope,
-            "discretization_floor": self.floor,
-            "grid_limited": self.grid_limited,
-            **self.extra,
-        }
+        d = asdict(self)
+        d["discretization_floor"] = d.pop("floor")
+        d.update(d.pop("extra"))
+        return d
 
 
 def _a0_of_values(vals):

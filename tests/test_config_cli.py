@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -368,7 +369,8 @@ def test_sweep_too_many_keys(tmp_path, capsys):
 @pytest.mark.parametrize("sweeps", [["dt=1e-3,2e-3", "dt=5e-4"],
                                     ["dt=1e-3,1e-3"], ["dt=1e-3,0.001"],
                                     ["initial_condition.k=2,02"],
-                                    ["verify.dtn.sigmas=0.1,1e-1"]])
+                                    ["verify.dtn.sigmas=0.1,1e-1"],
+                                    ["dt=1e-3,0.001", "sigma=0,0.1"]])
 def test_sweep_repeated_key_or_value_runs_no_cell(tmp_path, monkeypatch,
                                                   capsys, sweeps):
     # a key swept twice would run every cell at its last value, a value
@@ -393,6 +395,67 @@ def test_verify_bounds_cli(tmp_path):
     assert main(["verify", "bounds", "--config", str(p), "--out", out]) == 0
     rep = json.loads((tmp_path / "rep" / "bounds_report.json").read_text())
     assert rep["passed"]
+
+
+def _seeded_reports(tmp_path, kind, text, seed, *names):
+    """The bytes of names under kind's report directory, three ways: the
+    config text (whose rng_seed is not seed) as given, run with --seed
+    seed, and with rng_seed = seed written into it."""
+    assert "rng_seed" not in text
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text(text + "rng_seed = 0\n")
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(text + f"rng_seed = {seed}\n")
+    runs = [(cfg, []), (cfg, ["--seed", str(seed)]), (seeded, [])]
+    reports = []
+    for path, extra in runs:
+        out = tmp_path / "rep"  # one directory: meta.json names it
+        assert main(["verify", kind, "--config", str(path), "--out", str(out),
+                     *extra]) == 0
+        reports.append([(out / name).read_bytes() for name in names])
+        shutil.rmtree(out)
+    return reports
+
+
+def test_verify_bounds_seed_is_rng_seed(tmp_path):
+    plain, flag, config = _seeded_reports(
+        tmp_path, "bounds", "theta = 1.0\nlambda = 1.0\nsigma = 1.0\n"
+        "verify.bounds.samples = 30\nverify.bounds.n_modes = 32\n", 7,
+        "bounds_report.json")
+    assert flag == config != plain
+
+
+def test_verify_decay_seed_is_rng_seed(tmp_path):
+    text = BASE_CFG.format(t_end=0.1, out="unused").replace(
+        "rng_seed = 7\n", "").replace(
+        "initial_condition = single_mode\ninitial_condition.k = 1\n",
+        "initial_condition = random_decay\n")
+    plain, flag, config = _seeded_reports(
+        tmp_path, "decay", text, 5, "decay_report.json",
+        "trajectory/energy.csv", "trajectory/meta.json")
+    assert flag == config
+    assert plain[1] != config[1]
+
+
+@pytest.mark.parametrize("n_modes", [0, -3])
+def test_verify_bounds_without_modes_exit_1(tmp_path, n_modes):
+    # a usage error, not a division by zero or numpy's empty-array error
+    import subprocess
+    import sys
+
+    import muskat
+
+    p = tmp_path / "b.cfg"
+    p.write_text(f"theta = 1.0\nverify.bounds.n_modes = {n_modes}\n")
+    out = tmp_path / "rep"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(muskat.__file__)))
+    res = subprocess.run(
+        [sys.executable, "-m", "muskat.cli", "verify", "bounds", "--config",
+         str(p), "--out", str(out)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert res.returncode == 1
+    assert "n_modes" in res.stderr and "Traceback" not in res.stderr
+    assert not (out / "bounds_report.json").exists()
 
 
 def test_verify_dtn_grid_limited_exit_2(tmp_path, capsys):
@@ -814,6 +877,27 @@ def test_from_file_round_trip_through_cli(tmp_path):
     first = load_spectrum_csv(tmp_path / "follow" / "snapshots" / "t_000000.csv")
     orig = load_spectrum_csv(snap)
     assert np.all(first.coeffs == orig.coeffs)
+
+
+@pytest.mark.parametrize("rows, where", [
+    ("0,0,0\n1,abc,0\n", "row 3: could not convert"),
+    ("0,0,0\n1,0.5,nan\n", "row 3: non-finite"),
+    ("0,0,0\n1,0.5,inf\n", "row 3: non-finite"),
+    ("0,0,0\n1.0,0.5,0\n", "row 3: invalid literal"),
+    ("", "0 rows"),
+    ("0,0,0\n", "1 rows"),
+], ids=["unparsable", "nan", "inf", "mode_not_int", "no_rows", "one_row"])
+def test_from_file_damage_names_file_and_row(tmp_path, capsys, rows, where):
+    spectrum = tmp_path / "h0.csv"
+    spectrum.write_text("k,re,im\n" + rows)
+    cfg = tmp_path / "follow.cfg"
+    cfg.write_text(
+        f"n_modes = 32\ntheta = 1.0\noutput_dir = {tmp_path / 'follow'}\n"
+        "initial_condition = from_file\n"
+        f"initial_condition.path = {spectrum}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert f"error: {spectrum}: {where}" in capsys.readouterr().err
+    assert not (tmp_path / "follow").exists()
 
 
 @pytest.mark.parametrize("key, value, message", [

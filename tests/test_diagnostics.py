@@ -236,6 +236,14 @@ def test_operator_bounds_need_two_samples(samples):
         check_operator_bounds(samples, wnl(sigma=1.0, lam=1.0, theta=1.0), 0)
 
 
+@pytest.mark.parametrize("n_modes", [0, -3])
+def test_operator_bounds_need_a_mode(n_modes):
+    # 0 divided by zero in the op table, -3 met an empty array
+    with pytest.raises(ValueError, match="n_modes must be at least 1"):
+        check_operator_bounds(4, wnl(sigma=1.0, lam=1.0, theta=1.0), 0,
+                              n_modes)
+
+
 @pytest.mark.parametrize("samples", [2, BOUNDS_CHUNK + 1, 500])
 @pytest.mark.parametrize("depth", ["finite", "infinite"])
 def test_bounds_batches_repeat_the_per_sample_path(samples, depth):
@@ -385,6 +393,22 @@ def test_reverification_rejects_a_malformed_snapshot_list(tmp_path, snaps):
     out = tmp_path / "run"
     _set_snapshots(out, _small_run(out), snaps)
     with pytest.raises(ConfigError, match='corrupt meta.json: "snapshots"'):
+        verify_trajectory_dir(str(out))
+
+
+def test_reverification_names_a_corrupt_file(tmp_path):
+    # energy.csv and meta.json give the messages `muskat plot` prints
+    out = tmp_path / "run"
+    _small_run(out)
+    energy_csv = out / "energy.csv"
+    lines = energy_csv.read_text().splitlines(True)
+    energy_csv.write_text("".join(lines[:3] + ["0.1,bogus\n"] + lines[4:]))
+    with pytest.raises(ValueError) as err:
+        verify_trajectory_dir(str(out))
+    assert str(err.value).startswith(f"corrupt energy.csv: {energy_csv}, "
+                                     "line 4: expected 11 columns, got 2")
+    (out / "meta.json").write_text("{not json")
+    with pytest.raises(ConfigError, match="^corrupt meta.json: "):
         verify_trajectory_dir(str(out))
 
 

@@ -13,7 +13,12 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
   the small-slope perturbation composed term by term
   (``oracles.naive_commutator``, not the sweep under test);
 * ``integrate._rhs_raw`` agrees with the public forcing + solve route
-  (model 2's perturbation again from ``oracles.naive_commutator``);
+  (model 2's perturbation again from ``oracles.naive_commutator``), and
+  for all three models and both depths it keeps the equation's exact
+  symmetries: a translation of h translates dh/dt, a reflection reflects
+  it, and (h, sigma) -> (a h, sigma/a), the thin film's (h, eps) -> (a h,
+  eps/a), scales it by a, because the coupling is sigma times a bilinear
+  form;
 * for all three models, one sweep of the fixed-point map T equals
   base^{-1} N(h) + S U; a solve started from any guess lands within its
   a-posteriori bound of the cold solve and of the dense solve; and a warm
@@ -43,12 +48,14 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
 """
 
 import contextlib
+import dataclasses
 import functools
 import math
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +204,35 @@ def test_rhs_raw_matches_public_route(n, seed, depth, sigma, amplitude, model):
     scale = wiener_norm(ref, 0)
     assert math.isfinite(scale)
     assert a0_dist(SpectralField(got), ref) <= 1e-12 * max(scale, 1e-30)
+
+
+@pytest.mark.parametrize("depth", ["finite", "infinite"])
+@pytest.mark.parametrize("model", ["wnl1", "wnl2", "lubrication"])
+@PROPS
+@given(seed=seeds, sigma=st.floats(0.0, 0.5),
+       amplitude=st.floats(1e-4, 1e-2), shift=st.floats(0.0, 2.0 * math.pi),
+       a=st.floats(0.25, 4.0))
+def test_rhs_raw_symmetries(model, depth, seed, sigma, amplitude, shift, a):
+    # tol is passed: the default one, 1e-11 max(1, ||N(h)||), does not
+    # scale with h; the scaled solve gets a times it
+    n, tol = 64, 1e-14
+
+    def rhs(c, sigma, tol):
+        p = model_params(model, depth, sigma)
+        if model == "lubrication":
+            p = dataclasses.replace(p, depth=depth)
+        return integrate._rhs_raw(_table(n, p), c, tol, 200)[0]
+
+    c = field(n, seed, amplitude).coeffs
+    U = rhs(c, sigma, tol)
+    turn = np.exp(1j * np.arange(n + 1) * shift)
+    cases = [(rhs(turn * c, sigma, tol), turn * U),
+             (rhs(c.conj(), sigma, tol), U.conj()),
+             (rhs(a * c, sigma / a, a * tol), a * U)]
+    for got, want in cases:
+        want = SpectralField(want)
+        assert (a0_dist(SpectralField(got), want)
+                <= 1e-13 * wiener_norm(want, 0))
 
 
 @PROPS
