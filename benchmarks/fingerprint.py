@@ -15,7 +15,10 @@ refactor must leave byte-identical:
   ``depth=infinite`` x ``sigma=0,0.3`` and ``scheme=euler,rk4`` at
   ``dt=1.5e-3`` on configs/verify.cfg, and ``epsilon=0,0.2`` on
   configs/lubrication.cfg;
-* the body of the benchmark's ``wnl1_n256`` workload at seed 0.
+* the body of the benchmark's ``wnl1_n256`` workload at seed 0;
+* ``diagnostics.verify_trajectory_dir`` of every ``simulate_*`` run, its
+  result written as sorted-key JSON to ``reverify_<run>.json`` in the run
+  root.
 
 Prints one ``sha256  relative/path`` line per output file, sorted by path,
 then one line per command with its exit code.  Each file is hashed as
@@ -90,14 +93,20 @@ def commands(root):
 
 def run_all(root):
     """Run the command set under root; returns [(name, exit code)]."""
-    from muskat import cli
+    from muskat import cli, diagnostics
 
     codes = []
-    for name, argv in commands(root):
+    cmds = commands(root)
+    for name, argv in cmds:
         out = os.path.join(root, name)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             codes.append((name, cli.main(argv + ["--out", out])))
+    for name, _ in cmds:
+        if name.startswith("simulate_"):
+            diagnostics.write_json(
+                os.path.join(root, f"reverify_{name}.json"),
+                diagnostics.verify_trajectory_dir(os.path.join(root, name)))
     for name, extra in (("simulate_decay", ["--log"]),
                         ("simulate_lubrication", [])):
         with contextlib.redirect_stdout(io.StringIO()):

@@ -27,12 +27,12 @@ from .config import (
     ConfigError,
     load_config,
     make_initial_condition,
-    parse_config_text,
+    read_config,
     verify_settings,
 )
 from .elliptic import SolverError
 from .plots import svg_line_chart
-from .spectral import SpectralField, load_spectrum_csv
+from .spectral import SpectralField
 from .strip import LinearSolveError, StripGrid
 
 EXIT_OK = 0
@@ -107,8 +107,7 @@ def _run_cell(h0, params, config):
 
 
 def cmd_simulate(args):
-    with open(args.config) as fh:
-        raw = parse_config_text(fh.read())
+    raw = read_config(args.config)
     if args.seed is not None:
         raw["rng_seed"] = args.seed
     config, _params = load_config(raw)  # validate before spawning work
@@ -215,30 +214,20 @@ def cmd_verify(args):
 
 def _load_profile(out_dir, idx):
     """(label, x, h(x)) of snapshot idx; ConfigError if missing or corrupt."""
-    path = diagnostics.snapshot_path(out_dir, idx)
-    if not os.path.isfile(path):
-        raise ConfigError(f"missing snapshot {path}")
-    try:
-        h = load_spectrum_csv(path)
-    except ValueError as exc:  # its message starts with the path
-        raise ConfigError(f"corrupt snapshot {exc}")
+    h = diagnostics.read_snapshot(out_dir, idx)
     vals = h.values(max(4 * h.n_modes, 64))
     x = np.linspace(0.0, 2.0 * math.pi, len(vals), endpoint=False)
-    label = os.path.basename(path).removesuffix(".csv")
-    return label, list(x), list(vals)
+    label = os.path.basename(diagnostics.snapshot_path(out_dir, idx))
+    return label.removesuffix(".csv"), list(x), list(vals)
 
 
 def cmd_plot(args):
     out_dir = args.trajectory
-    energy_path = os.path.join(out_dir, diagnostics.ENERGY_FILE)
-    if not os.path.isfile(energy_path):
-        raise ConfigError(f"missing {energy_path}")
-    records = diagnostics.read_energy_csv(energy_path)
+    # the run and every profile drawn are read before any chart
+    meta, records = diagnostics.read_run(out_dir)
     if not records:
-        raise ConfigError(f"{energy_path}: no records")
-    # the snapshot list and every profile drawn are read before any chart
-    meta = diagnostics.read_meta(out_dir)
-    snaps = diagnostics.snapshot_indices(meta)
+        raise ConfigError(f"{out_dir}: no records")
+    snaps = meta["snapshots"]
     profiles = [_load_profile(out_dir, idx)
                 for idx in ((snaps[0], snaps[-1]) if len(snaps) > 1 else snaps)]
     t = records.column("t").tolist()

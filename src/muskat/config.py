@@ -2,8 +2,8 @@
 
 The format is one `key = value` per line, `#` comments, keys dotted for
 nesting (`initial_condition.k = 1`, `verify.dtn.n_z = 256`).  Flat text
-diffs cleanly across sweep matrices, which is why it is preferred over
-nested formats here.  See README for the full schema.
+diffs cleanly across sweep matrices, hence no nested format.  Only
+``read_config`` reads a config file.  See README for the full schema.
 """
 
 import math
@@ -44,6 +44,15 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = val
     return out
+
+
+def read_config(path):
+    """The flat dict of the config file at path; ConfigError naming path."""
+    try:
+        with open(path) as fh:
+            return parse_config_text(fh.read())
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, ConfigError
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
 def _as_float(key, v):
@@ -197,11 +206,7 @@ _DEFAULTED = {"sigma": ("",), "tol": ("", "auto")}
 def load_config(source):
     """Path, text-parsed dict, or meta-style dict -> (SolverConfig, ModelParams)."""
     if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source) as fh:
-                raw = parse_config_text(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
+        raw = read_config(source)
     elif isinstance(source, dict):
         raw = dict(source)
     else:

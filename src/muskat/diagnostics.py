@@ -18,8 +18,8 @@ A trajectory's records are one ``RecordTable``: packed columns that
 ``make_record`` appends a row to, that the checks read whole and that
 ``write_run`` and ``read_energy_csv`` carry to and from energy.csv bit for
 bit.  This module alone knows the layout of a run directory: its file
-names, its writer and the readers that re-verify a run from its files
-alone.
+names, its writer ``write_run`` and its readers ``read_run`` and
+``read_snapshot``, which ``muskat plot`` and re-verification share.
 """
 
 import json
@@ -435,8 +435,7 @@ def write_run(out_dir, config, params, records, snapshots, rejected_steps,
 
 
 def read_meta(out_dir):
-    """The parsed meta.json of run directory out_dir; ConfigError if it is
-    not JSON."""
+    """meta.json of run directory out_dir; ConfigError if it is not JSON."""
     with open(os.path.join(out_dir, META_FILE)) as fh:
         try:
             return json.load(fh)
@@ -444,24 +443,42 @@ def read_meta(out_dir):
             raise ConfigError(f"corrupt {META_FILE}: {exc}") from None
 
 
-def snapshot_indices(meta):
-    """meta["snapshots"] of a run's meta.json; ConfigError if ill-typed."""
-    if not isinstance(meta, dict) or "snapshots" not in meta:
-        raise ConfigError(f'corrupt {META_FILE}: no "snapshots" entry')
-    snaps = meta["snapshots"]
-    if not (isinstance(snaps, list)
-            and all(type(i) is int and i >= 0 for i in snaps)):
-        raise ConfigError(f'corrupt {META_FILE}: "snapshots" is {snaps!r}, '
-                          "not a list of record indices")
-    return snaps
+def read_run(out_dir):
+    """(meta, records) of run directory out_dir, meta.json's entries checked."""
+    meta = read_meta(out_dir)
+    for key, valid, what in (
+            ("params", lambda v: isinstance(v, dict), "a dict"),
+            ("records", lambda v: type(v) is int, "an int"),
+            ("snapshots", lambda v: isinstance(v, list) and all(
+                type(i) is int and i >= 0 for i in v),
+             "a list of record indices")):
+        if not (isinstance(meta, dict) and key in meta and valid(meta[key])):
+            raise ConfigError(f'corrupt {META_FILE}: "{key}" is missing or '
+                              f"not {what}")
+    path = os.path.join(out_dir, ENERGY_FILE)
+    if not os.path.isfile(path):
+        raise ConfigError(f"missing {path}")
+    return meta, read_energy_csv(path)
+
+
+def read_snapshot(out_dir, idx):
+    """The field of snapshot idx of run directory out_dir; ConfigError
+    ("missing snapshot <path>", "corrupt snapshot <path>: row N: ...")."""
+    path = snapshot_path(out_dir, idx)
+    if not os.path.isfile(path):
+        raise ConfigError(f"missing snapshot {path}")
+    try:
+        return load_spectrum_csv(path)
+    except ValueError as exc:  # its message starts with the path
+        raise ConfigError(f"corrupt snapshot {exc}") from None
 
 
 def read_energy_csv(path):
     """The ``RecordTable`` of an energy.csv; ValueError ("corrupt
     energy.csv: ...") on a wrong header or a malformed row, naming the file
-    and the row's line."""
+    and the row's line (a byte that is not UTF-8 fails its row)."""
     records = RecordTable()
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != ENERGY_HEADER:
             raise ValueError(f"corrupt {ENERGY_FILE}: {path}: unexpected "
@@ -487,22 +504,19 @@ def verify_trajectory_dir(out_dir):
     Returns the checks dict; also validates that every listed snapshot
     has its file and row and that its recomputed energy agrees with the
     logged column to 1e-12 relative, and (``run_complete``) that the run
-    did not fail and that energy.csv holds as many rows as meta.json counts
-    records.  ConfigError for a malformed snapshot list.
+    did not fail and that energy.csv has meta.json's count of records.
     """
-    meta = read_meta(out_dir)
-    snaps = snapshot_indices(meta)
+    meta, records = read_run(out_dir)
     _, params = load_config(meta["params"])
-    records = read_energy_csv(os.path.join(out_dir, ENERGY_FILE))
     checks = decay_checks(records, params)
     worst = 0.0
     unmatched = []
-    for idx in snaps:
+    for idx in meta["snapshots"]:
         path = snapshot_path(out_dir, idx)
         if idx >= len(records) or not os.path.isfile(path):
             unmatched.append(idx)
             continue
-        e = energy(load_spectrum_csv(path), params)
+        e = energy(read_snapshot(out_dir, idx), params)
         logged = records[idx].energy
         worst = max(worst, abs(e - logged) / max(1.0, abs(logged)))
     checks["energy_consistency"] = {

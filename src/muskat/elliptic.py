@@ -89,7 +89,9 @@ class MaxIterationsError(SolverError):
 
 @dataclass(slots=True)
 class FixedPointReport:
-    """Iteration diagnostics of one quasilinear solve."""
+    """Iteration diagnostics of one quasilinear solve.  contraction_estimate,
+    the largest ratio of successive increments, is a one-step gain: it can
+    exceed the spectral radius ``NotContractingError`` reports."""
 
     iterations: int
     final_residual: float
@@ -166,7 +168,7 @@ def _contraction_estimate(increments):
 
 def _gain(tab, hphys, w):
     """The update S w and its gain ||S w|| / ||w|| in the scheme norm."""
-    img = models._solve_update(tab, hphys, w)
+    img, _ = _sweep(tab, None, hphys, tab.tk2 * w)
     return img, _norm_raw(tab, img) / _norm_raw(tab, w)
 
 

@@ -80,10 +80,10 @@ base) and ``lin`` = -rate, so each operation is one function for all
 three models.  The benchmark's tracer (``perfbench/spans.py``) wraps
 attributes by name, so the old per-model names stay bound as aliases
 until the program counts its own layers (ROADMAP item 1): the forcing
-names to ``_sweep``, the thin-film perturbation name to ``_perturb_raw``,
-``_commutator_raw`` to ``_bilinear_form``: the sweep on the wnl1 table at
-sigma = 1, the one evaluation of B that the commutator I(h, V) = B(h, dxx V)
-(the perturbation at sigma = theta = 1) and strip's surface-map check use.
+and thin-film perturbation names to ``_sweep``, ``_commutator_raw`` to
+``_bilinear_form``: the sweep on the wnl1 table at sigma = 1, the one
+evaluation of B that the commutator I(h, V) = B(h, dxx V) (the
+perturbation at sigma = theta = 1) and strip's surface-map check use.
 
 Memory and threads.  The module keeps an immutable per-(n_modes, params)
 table of symbol arrays, shared by every caller, and with each table one
@@ -365,19 +365,6 @@ def _sweep(tab, c, hphys, psi):
     return out, hphys
 
 
-def _solve_update(tab, hphys, v):
-    """S v = base^{-1} B(h, theta k^2 v) = -base^{-1} perturbation(h, v):
-    the fixed-point map minus its value at 0."""
-    return _sweep(tab, None, hphys, tab.tk2 * v)[0]
-
-
-def _perturb_raw(tab, c, v):
-    """The perturbation of L_h, -base S v, from one sweep of the profile c."""
-    out, _ = _sweep(tab, c, None, tab.tk2 * v)
-    out *= -tab.base
-    return out
-
-
 def _bilinear_form(c, psi, depth):
     """G(h*G psi) + dx(h*dx psi), G of ``depth``: B(h, psi) at sigma = 1, one
     sweep on the wnl1 table times its base; truncated at c's N modes."""
@@ -389,7 +376,7 @@ def _bilinear_form(c, psi, depth):
 
 # names perfbench/spans.py wraps, kept until ROADMAP item 1 retires it
 _forcing_wnl_with_h = _forcing_wnl_raw = _forcing_lub_raw = _sweep
-_lub_perturb_raw, _commutator_raw = _perturb_raw, _bilinear_form
+_lub_perturb_raw, _commutator_raw = _sweep, _bilinear_form
 
 
 def _rhs_wnl2_raw(tab, c):
@@ -418,11 +405,11 @@ def forcing(h, params):
 
 
 def apply_quasilinear(h, U, params):
-    """L_h U = base U + perturbation(h, U)."""
+    """L_h U = base U + perturbation(h, U), the perturbation -base S U."""
     check_same_grid(h, U)
     tab = _table(h.n_modes, params)
     out = tab.base * U.coeffs
-    out += _perturb_raw(tab, h.coeffs, U.coeffs)
+    out -= tab.base * _sweep(tab, h.coeffs, None, tab.tk2 * U.coeffs)[0]
     out[0] = 0.0
     return SpectralField(out, copy=False)
 

@@ -259,8 +259,8 @@ def load_spectrum_csv(path):
     """The field of a ``save_spectrum_csv`` file.  ValueError, naming the
     file and, where there is one, the row, for a wrong header, a row that
     is malformed, unparsable, non-finite or out of order, or a file without
-    the rows of modes 0 and 1."""
-    with open(path) as fh:
+    the rows of modes 0 and 1.  A byte that is not UTF-8 fails its row."""
+    with open(path, errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != "k,re,im":
             raise ValueError(f"{path}: expected header 'k,re,im', got {header!r}")

@@ -362,7 +362,10 @@ def dtn_apply(h, psi, grid, params):
 
 @dataclass(slots=True)
 class OrderReport:
-    """Remainder-vs-parameter fit: log-log slope and correlation."""
+    """Remainder-vs-parameter fit: log-log slope and correlation.  The
+    surface-map and flux remainders (dtn's floor and first-order errors too)
+    are 2 sum_{k>=1} |F_k| / m over the rfft of m samples (``_a0_of_values``):
+    A0 / sqrt(2 pi), the Nyquist bin twice (cos x: 1); phi's a max norm."""
 
     parameter: str
     values: list

@@ -854,6 +854,102 @@ def test_plot_bad_snapshot_writes_no_chart(tmp_path, capsys, damage):
     assert not (tmp_path / "traj" / "profiles.svg").exists()
 
 
+def _edit_meta(edit):
+    def damage(run):
+        meta = json.loads((run / "meta.json").read_text())
+        edit(meta)
+        (run / "meta.json").write_text(json.dumps(meta))
+    return damage
+
+
+def _last_snapshot(run):
+    return sorted((run / "snapshots").iterdir())[-1]
+
+
+def _break_row(run):
+    lines = (run / "energy.csv").read_text().splitlines(True)
+    (run / "energy.csv").write_text("".join(lines[:3] + ["0.1,bogus\n"]
+                                            + lines[4:]))
+
+
+def _append_bytes(path, data):
+    with open(path, "ab") as fh:
+        fh.write(data)
+
+
+RUN_DAMAGES = {
+    "no_energy_csv": lambda run: (run / "energy.csv").unlink(),
+    "unparsable_row": _break_row,
+    "energy_bad_byte": lambda run: _append_bytes(run / "energy.csv",
+                                                 b"\xff\xfe"),
+    "meta_not_json": lambda run: (run / "meta.json").write_text("{not json"),
+    "no_params": _edit_meta(lambda m: m.pop("params")),
+    "params_not_dict": _edit_meta(lambda m: m.update(params=[0.1])),
+    "no_records": _edit_meta(lambda m: m.pop("records")),
+    "records_not_int": _edit_meta(lambda m: m.update(records="11")),
+    "no_snapshots": _edit_meta(lambda m: m.pop("snapshots")),
+    "snapshots_not_list": _edit_meta(lambda m: m.update(snapshots=3)),
+    "corrupt_snapshot": lambda run: _last_snapshot(run).write_text(
+        "k,re,im\n0,zero,0\n"),
+    "snapshot_bad_byte": lambda run: _append_bytes(_last_snapshot(run),
+                                                   b"\xff\xfe"),
+}
+
+
+@pytest.mark.parametrize("damage", RUN_DAMAGES.values(), ids=RUN_DAMAGES)
+def test_plot_and_reverification_refuse_a_damaged_run_alike(
+        tmp_path, capsys, damage):
+    # plot and verify_trajectory_dir read a run through the same readers,
+    # so each damage gives one message, and plot writes no chart
+    from muskat.diagnostics import verify_trajectory_dir
+
+    path, out = write_cfg(tmp_path, t_end=0.05)
+    assert main(["simulate", "--config", path]) == 0
+    damage(tmp_path / "traj")
+    with pytest.raises(ValueError) as exc:
+        verify_trajectory_dir(out)
+    assert main(["plot", out]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not list((tmp_path / "traj").glob("*.svg"))
+
+
+@pytest.mark.parametrize("name", ["energy.csv", "snapshot"])
+def test_plot_names_the_file_and_row_of_a_bad_byte(tmp_path, capsys, name):
+    path, out = write_cfg(tmp_path, t_end=0.05)
+    assert main(["simulate", "--config", path]) == 0
+    run = tmp_path / "traj"
+    bad = run / "energy.csv" if name == "energy.csv" else _last_snapshot(run)
+    n_lines = len(bad.read_text().splitlines())
+    _append_bytes(bad, b"\xff\xfe")
+    assert main(["plot", out]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    assert re.search(rf"(line|row) {n_lines + 1}: expected \d+ columns", err)
+
+
+@pytest.mark.parametrize("damage", ["missing", "malformed_line", "bad_byte"])
+def test_simulate_and_verify_refuse_a_bad_config_alike(tmp_path, capsys,
+                                                       damage):
+    # both commands read the file through config.read_config
+    cfg = tmp_path / "bad.cfg"
+    reason = {"missing": "No such file or directory",
+              "malformed_line": "line 2: expected 'key = value', got "
+                                "'bogus line'",
+              "bad_byte": "'utf-8' codec can't decode byte 0xff"}[damage]
+    if damage != "missing":
+        cfg.write_bytes(b"model = wnl1\n" + (b"bogus line\n"
+                        if damage == "malformed_line" else b"\xff\n"))
+    errs = []
+    for argv in (["simulate"], ["verify", "bounds"]):
+        assert main(argv + ["--config", str(cfg),
+                            "--out", str(tmp_path / "out")]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"error: cannot read config {cfg}: ")
+    assert reason in errs[0] and "Traceback" not in errs[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_snapshot_mean_mode_zero_in_files(tmp_path):
     path, out = write_cfg(tmp_path, t_end=0.05)
     assert main(["simulate", "--config", path]) == 0

@@ -11,7 +11,7 @@ from muskat.elliptic import (
     dense_solve,
     solve_quasilinear,
 )
-from muskat.models import _solve_update, _table, apply_quasilinear, forcing
+from muskat.models import _sweep, _table, apply_quasilinear, forcing
 from muskat.params import ModelParams
 from muskat.spectral import (COS_MODE, SpectralField, random_decay_field,
                              wiener_norm)
@@ -183,7 +183,7 @@ def _dense_update_radius(h, p):
     for j in range(2 * n):
         e = np.zeros(n + 1, complex)
         e[1 + j % n] = 1.0 if j < n else 1j
-        col = _solve_update(tab, hphys, e)
+        col, _ = _sweep(tab, None, hphys, tab.tk2 * e)
         S[:, j] = np.concatenate([col[1:].real, col[1:].imag])
     return float(np.abs(np.linalg.eigvals(S)).max())
 

@@ -167,8 +167,8 @@ def test_folded_update_matches_perturbation(n, seed, depth, sigma, theta, lub):
         p = ModelParams(lam=1.0, theta=theta, sigma=sigma, depth=depth)
     tab = _table(n, p)
     h, F, V = (field(n, seed + j) for j in range(3))
-    folded = F.coeffs / tab.base + models._solve_update(
-        tab, tab.phys(h.coeffs), V.coeffs)
+    folded = F.coeffs / tab.base + models._sweep(
+        tab, None, tab.phys(h.coeffs), tab.tk2 * V.coeffs)[0]
     folded[0] = 0.0
     if lub:
         pert = models.apply_quasilinear(h, V, p).coeffs - tab.base * V.coeffs
@@ -464,7 +464,8 @@ def test_sweep_equals_base_inverse_forcing_plus_update(n, seed, depth, model,
     cases = [(one_sweep(tab, c, U.coeffs), U.coeffs),
              (models._rhs_wnl2_raw(tab, c), mu)]
     for got, v in cases:
-        ref = SpectralField(f0 + models._solve_update(tab, hphys, v))
+        update, _ = models._sweep(tab, None, hphys, tab.tk2 * v)
+        ref = SpectralField(f0 + update)
         assert a0_dist(SpectralField(got), ref) <= (
             1e-13 * max(wiener_norm(ref, 0), 1e-300))
 
