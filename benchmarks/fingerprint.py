@@ -15,6 +15,10 @@ refactor must leave byte-identical:
   ``depth=infinite`` x ``sigma=0,0.3`` and ``scheme=euler,rk4`` at
   ``dt=1.5e-3`` on configs/verify.cfg, and ``epsilon=0,0.2`` on
   configs/lubrication.cfg;
+* ``simulate`` and ``verify decay`` of configs/verify.cfg with ``sigma =
+  1.0``, ``initial_condition.k = 3`` and ``initial_condition.amplitude =
+  5``, whose first step's stage-1 solve raises ``NotContractingError``:
+  both exit 2 and keep their partial output;
 * the body of the benchmark's ``wnl1_n256`` workload at seed 0;
 * ``diagnostics.verify_trajectory_dir`` of every ``simulate_*`` run, its
   result written as sorted-key JSON to ``reverify_<run>.json`` in the run
@@ -65,6 +69,16 @@ def commands(root):
     Path(from_file).write_text(ver_text.replace(single, (
         "initial_condition = from_file\n"
         f"initial_condition.path = {spectrum}\n")))
+    # outside the contraction regime: the first solve fails
+    steep = os.path.join(root, "verify_steep.cfg")
+    steep_text = ver_text
+    for line, new in (("sigma = 0.1", "sigma = 1.0"),
+                      ("initial_condition.k = 1", "initial_condition.k = 3"),
+                      ("initial_condition.amplitude = 1e-3",
+                       "initial_condition.amplitude = 5")):
+        assert f"\n{line}\n" in steep_text
+        steep_text = steep_text.replace(f"\n{line}\n", f"\n{new}\n")
+    Path(steep).write_text(steep_text)
     cmds = [(f"simulate_{Path(c).stem}", ["simulate", "--config", c])
             for c in (decay, lub, ver)]
     cmds.append(("simulate_lubrication_seed5",
@@ -76,6 +90,8 @@ def commands(root):
                  ["verify", "bounds", "--config", ver, "--seed", "7"]))
     cmds.append(("verify_flux_h1", ["verify", "flux", "--config", flux_h1]))
     cmds.append(("verify_decay_lubrication", ["verify", "decay", "--config", lub]))
+    cmds.append(("steep_simulate", ["simulate", "--config", steep]))
+    cmds.append(("steep_verify_decay", ["verify", "decay", "--config", steep]))
     sweeps = {
         "sweep_model": (ver, ["model=wnl1,wnl2"]),
         "sweep_model_sigma": (ver, ["model=wnl1,wnl2", "sigma=0,0.1"]),

@@ -1,14 +1,15 @@
 """Command-line surface: simulate / verify / plot.
 
 Exit codes: 0 success, 1 usage or configuration errors, 2 numerical
-failures (solver breakdown, grid-limited verification, failed checks).
-Every cell of a sweep is loaded by ``config.load_config`` and set up before
+failures (a solver breakdown, always an ``elliptic.SolverError``;
+grid-limited verification; failed checks).  Every cell of a sweep is
+loaded by ``config.load_config``, set up and given its directory before
 the first one runs; two cells whose configs load equal are rejected.  The
 cells run in a worker pool capped by the MUSKAT_THREADS environment
-variable; every cell writes only inside its own directory, and a cell that
-fails for any reason keeps its partial output while the other cells run
-on (exit code 2).  ``--seed`` is the config's rng_seed, set before a
-command reads it.
+variable; every cell writes only inside its own directory, and from then
+on a cell that fails for any reason keeps its partial output while the
+other cells run on (exit code 2).  ``--seed`` is the config's rng_seed,
+set before a command reads it.
 """
 
 import argparse
@@ -22,18 +23,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics, integrate, strip
-from .config import (
-    VERIFY_DEFAULTS,
-    ConfigError,
-    load_config,
-    make_initial_condition,
-    read_config,
-    verify_settings,
-)
+from .config import (ConfigError, load_config, make_initial_condition,
+                     read_config, verify_settings)
 from .elliptic import SolverError
 from .plots import svg_line_chart
 from .spectral import SpectralField
-from .strip import LinearSolveError, StripGrid
+from .strip import StripGrid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,8 +51,9 @@ def _sweep_cells(specs):
     """--sweep KEY=V1,V2,... specs -> [(overrides, directory name)]: the
     cross product of at most two keys, named k1=a__k2=b; no specs give one
     unnamed cell.  A repeated key, which would run every cell at its last
-    value, is rejected, and so is output_dir; repeated values are left to
-    ``cmd_simulate``, which compares the cells' loaded configs."""
+    value, is rejected, and so are output_dir and the verify.* keys that
+    simulate never reads; repeated values are left to ``cmd_simulate``,
+    which compares the cells' loaded configs."""
     axes = {}  # key -> its values
     for spec in specs or []:
         if "=" not in spec:
@@ -71,6 +67,8 @@ def _sweep_cells(specs):
             raise ConfigError(f"--sweep {key}: key given twice")
         if key == "output_dir":
             raise ConfigError("--sweep output_dir: the sweep names the cells")
+        if key.startswith("verify."):
+            raise ConfigError(f"--sweep {key}: simulate reads no verify.* key")
         axes[key] = values
     if len(axes) > 2:
         raise ConfigError("--sweep supports at most 2 keys")
@@ -94,8 +92,9 @@ def _run_cell(h0, params, config):
     """Run one cell; returns None, or a line naming its failure.
 
     Any exception is caught here, inside the worker, so one failing cell
-    never loses the results of the others; ``integrate.run`` has already
-    written that cell's partial output.
+    never loses the results of the others, and a line returns where the
+    exception might not unpickle; ``integrate.run`` has already written
+    that cell's partial output.
     """
     try:
         integrate.run(h0, params, config)
@@ -118,21 +117,21 @@ def cmd_simulate(args):
     if args.seed is not None and any("rng_seed" in o for o, _ in cells):
         raise ConfigError("--seed would override --sweep rng_seed in every "
                           "cell")
-    # every cell is loaded, compared and set up before the first one
-    # starts; two cells whose configs are equal (verify.* compared as the
-    # suites parse it) would run one config twice
+    # every cell is loaded, compared, set up and given its directory
+    # before the first one starts; two equal configs would run one twice
     loaded = [load_config({**raw, **overrides}) for overrides, _ in cells]
-    runs = [replace(c, verify={s: verify_settings(c.verify, s)
-                               for s in VERIFY_DEFAULTS}) for c, _ in loaded]
-    for i, run in enumerate(runs):
-        if run in runs[:i]:
+    for i, cell in enumerate(loaded):
+        if cell in loaded[:i]:
             raise ConfigError(f"--sweep {cells[i][1]}: a value given twice "
                               "repeats an earlier cell")
     jobs = [_prepare_cell(config, params,
                           os.path.join(base_out, name) if name else base_out)
             for (config, params), (_, name) in zip(loaded, cells)]
+    for _, _, config in jobs:
+        os.makedirs(os.path.join(config.output_dir, diagnostics.SNAPSHOT_DIR),
+                    exist_ok=True)
     workers = _workers(len(jobs))
-    if workers == 1 or len(jobs) == 1:
+    if workers == 1:
         results = [_run_cell(*j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -158,11 +157,7 @@ def cmd_verify(args):
     if args.kind == "decay":  # run the configured trajectory, then check it
         h0, params, config = _prepare_cell(
             config, params, os.path.join(out_dir, "trajectory"))
-        try:
-            traj = integrate.run(h0, params, config)
-        except SolverError as exc:
-            print(f"solver failure: {exc} (partial output retained)", file=sys.stderr)
-            return EXIT_NUMERICAL
+        traj = integrate.run(h0, params, config)
         checks = diagnostics.decay_checks(traj.records, params)
         ok = all(c["passed"] for c in checks.values())
         diagnostics.append_checks_to_meta(config.output_dir, checks)
@@ -300,7 +295,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_plot(args)
-    except LinearSolveError as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

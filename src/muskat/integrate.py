@@ -216,19 +216,23 @@ class Trajectory:
 def run(h0, params, config):
     """Integrate to config.t_end, emitting records and snapshot files.
 
-    Before anything is written, ``check_step_size`` rejects a config.dt
-    past the scheme's stability limit (ConfigError).  A step that would
-    pass t_end is shortened to land on it.  Records are taken every
-    output_cadence-th step (the step's starting point, whose stage-1 solve
-    provides the logged dh/dt at no extra cost) plus the final state, each
-    a row that ``diagnostics.make_record`` appends to the run's
-    ``diagnostics.RecordTable``.  Deterministic: identical config and
-    initial data produce identical bytes on disk.  If the run fails, whatever the error,
-    the records so far are written (``diagnostics.write_run``, with
-    "failed") before the exception propagates.  ``write_run`` also deletes
-    the snapshot files an earlier run left in the directory that this run
-    did not rewrite, so snapshots/ holds exactly meta.json's list.
+    Before anything is written, an h0 whose n_modes is not config.n_modes
+    (ValueError: config sets the grid) and a config.dt past the scheme's
+    stability limit (``check_step_size``, ConfigError) are rejected.  A
+    step that would pass t_end is shortened to land on it.  Records are
+    taken every output_cadence-th step (the step's starting point, whose
+    stage-1 solve provides the logged dh/dt at no extra cost) plus the
+    final state, each a row that ``diagnostics.make_record`` appends to
+    the run's ``diagnostics.RecordTable``.  Deterministic: identical
+    config and initial data produce identical bytes on disk.  If the run
+    fails, whatever the error, the records so far are written
+    (``diagnostics.write_run``, with "failed") before the exception
+    propagates.  ``write_run`` also deletes the snapshot files an earlier
+    run left in the directory that this run did not rewrite, so
+    snapshots/ holds exactly meta.json's list.
     """
+    if h0.n_modes != config.n_modes:
+        raise ValueError(f"h0 has {h0.n_modes} modes, config {config.n_modes}")
     check_step_size(h0, params, config.dt, config.scheme)
     out_dir = config.output_dir
     if out_dir:

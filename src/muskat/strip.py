@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .elliptic import SolverError
 from .models import _bilinear_form
 from .spectral import (SpectralField, check_same_grid, dct, depth_symbol,
                        derivative_symbol, irfft, rfft)
@@ -62,8 +63,8 @@ class DegenerateLiftError(ValueError):
     """min(1 + eps*h) fell at or below the non-degeneracy floor."""
 
 
-class LinearSolveError(RuntimeError):
-    pass
+class LinearSolveError(SolverError):
+    """CG did not converge on the strip; a SolverError (CLI exit code 2)."""
 
 
 @dataclass(frozen=True)

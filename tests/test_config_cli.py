@@ -181,10 +181,13 @@ def test_final_evaluation_failure_exit_2(tmp_path, capsys, command):
     path = _steep_cfg(tmp_path)
     out = tmp_path / "res"
     assert main(command + ["--config", path, "--out", str(out)]) == 2
-    assert "not contracting" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "not contracting" in err
     traj = out if command == ["simulate"] else out / "trajectory"
     meta = json.loads((traj / "meta.json").read_text())
     assert "not contracting" in meta["failed"]
+    if command != ["simulate"]:  # main reports it, as any SolverError
+        assert err == f"solver failure: {meta['failed']}\n"
     assert meta["records"] == 0
     assert (traj / "energy.csv").read_text().startswith("t,a0")
 
@@ -272,18 +275,26 @@ def test_sweep_bad_value_runs_no_cell(tmp_path, monkeypatch, threads, sweep):
     assert not out.exists() or os.listdir(out) == []
 
 
-@pytest.mark.parametrize("argv", [["--sweep", "output_dir=x,y"],
-                                  ["--seed", "3", "--sweep", "rng_seed=1,2"]],
-                         ids=["output_dir", "seed_and_rng_seed"])
+@pytest.mark.parametrize("argv, message", [
+    (["--sweep", "output_dir=x,y"],
+     "--sweep output_dir: the sweep names the cells"),
+    (["--seed", "3", "--sweep", "rng_seed=1,2"], "--seed would override"),
+    (["--sweep", "verify.dtn.sigmas=0.1,1e-1"],
+     "--sweep verify.dtn.sigmas: simulate reads no verify.* key"),
+    (["--sweep", "verify.bounds.samples=100,200"],
+     "--sweep verify.bounds.samples: simulate reads no verify.* key"),
+], ids=["output_dir", "seed_and_rng_seed", "verify_dtn_sigmas",
+        "verify_bounds_samples"])
 def test_sweep_of_an_overridden_key_runs_no_cell(tmp_path, monkeypatch,
-                                                 capsys, argv):
-    # the sweep names each cell's directory, and --seed sets every cell's
-    # rng_seed: sweeping either would write identical cells
+                                                 capsys, argv, message):
+    # the sweep names each cell's directory, --seed sets every cell's
+    # rng_seed, and simulate reads no verify.* key: sweeping any of them
+    # would write identical cells
     monkeypatch.setenv("MUSKAT_THREADS", "1")
     path, _ = write_cfg(tmp_path)
     out = tmp_path / "sweep"
     assert main(["simulate", "--config", path, "--out", str(out)] + argv) == 1
-    assert "error: " in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -369,7 +380,6 @@ def test_sweep_too_many_keys(tmp_path, capsys):
 @pytest.mark.parametrize("sweeps", [["dt=1e-3,2e-3", "dt=5e-4"],
                                     ["dt=1e-3,1e-3"], ["dt=1e-3,0.001"],
                                     ["initial_condition.k=2,02"],
-                                    ["verify.dtn.sigmas=0.1,1e-1"],
                                     ["dt=1e-3,0.001", "sigma=0,0.1"]])
 def test_sweep_repeated_key_or_value_runs_no_cell(tmp_path, monkeypatch,
                                                   capsys, sweeps):
@@ -572,15 +582,21 @@ def test_rejected_verify_config_creates_no_out_dir(tmp_path, capsys, kind,
 
 
 def test_verify_flux_solve_failure_exit_2(tmp_path, monkeypatch, capsys):
+    # a strip solve failure is a SolverError, which main maps to exit 2,
+    # in either strip check
     import muskat.strip as strip_mod
 
     monkeypatch.setattr(strip_mod, "CG_MAXITER", 0)
     p = tmp_path / "f.cfg"
     p.write_text("theta = 1.0\nepsilon = 0.1\nverify.flux.n_x = 32\n"
-                 "verify.flux.n_z = 17\n")
-    rc = main(["verify", "flux", "--config", str(p), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "strip CG solve failed" in capsys.readouterr().err
+                 "verify.flux.n_z = 17\nverify.dtn.n_x = 32\n"
+                 "verify.dtn.n_z = 17\n")
+    for kind in ("flux", "dtn"):
+        out = tmp_path / kind
+        assert main(["verify", kind, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: strip CG solve failed"), kind
+        assert not out.exists()
 
 
 def test_verify_decay_cli(tmp_path):
@@ -686,6 +702,24 @@ def test_plot_log_chart_annotates_fitted_rate(tmp_path):
     assert main(["plot", out, "--log"]) == 0
     svg = (tmp_path / "traj" / "norms.svg").read_text()
     assert "fitted A0 decay rate" in svg
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "sigma=0.05,0.1"]],
+                         ids=["single", "two_cells"])
+def test_uncreatable_output_dir_exit_1_before_any_cell(tmp_path, monkeypatch,
+                                                       capsys, sweep):
+    # every cell's directory is made before the first cell runs, so a path
+    # under a regular file is a usage error, not a failure of each cell
+    monkeypatch.setenv("MUSKAT_THREADS", "2")
+    path, _ = write_cfg(tmp_path)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "res")
+    for command in (["simulate", *sweep], ["verify", "decay"]):
+        assert main(command + ["--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert "partial output retained" not in err
+        assert "Traceback" not in err
 
 
 def test_sweep_process_pool(tmp_path, monkeypatch):

@@ -287,6 +287,16 @@ def test_rejected_step_still_reaches_t_end(monkeypatch):
     assert got == pytest.approx(COS_MODE * math.exp(-m1 * 0.1), rel=1e-6)
 
 
+def test_grid_other_than_the_configs_writes_nothing(tmp_path):
+    # the config sets the grid: an h0 on another one would run on its own
+    # modes and record the config's in meta.json
+    out = tmp_path / "run"
+    h0 = SpectralField.cosine(1, 1e-3, 32)
+    with pytest.raises(ValueError, match="32 modes, config 128"):
+        run(h0, wnl(sigma=0.1), config(n_modes=128, output_dir=str(out)))
+    assert not (out / "meta.json").exists()
+
+
 def test_solver_failure_retains_partial_output(tmp_path):
     # data far outside the contraction regime: the first-stage solve fails
     # whatever dt is, so the run stops at once and still flushes its output
