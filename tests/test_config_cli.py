@@ -380,6 +380,7 @@ def test_sweep_too_many_keys(tmp_path, capsys):
 @pytest.mark.parametrize("sweeps", [["dt=1e-3,2e-3", "dt=5e-4"],
                                     ["dt=1e-3,1e-3"], ["dt=1e-3,0.001"],
                                     ["initial_condition.k=2,02"],
+                                    ["dt=1e-3,2e-3", "sigma=0.1,1e-1"],
                                     ["dt=1e-3,0.001", "sigma=0,0.1"]])
 def test_sweep_repeated_key_or_value_runs_no_cell(tmp_path, monkeypatch,
                                                   capsys, sweeps):
