@@ -15,6 +15,9 @@ refactor must leave byte-identical:
   ``depth=infinite`` x ``sigma=0,0.3`` and ``scheme=euler,rk4`` at
   ``dt=1.5e-3`` on configs/verify.cfg, and ``epsilon=0,0.2`` on
   configs/lubrication.cfg;
+* the sweeps ``rng_seed=1,2`` and ``epsilon=0.1,0.2`` on configs/verify.cfg
+  at ``t_end = 0.1``, keys its single_mode wnl1 run does not read: each
+  exits 1 and writes nothing;
 * ``simulate`` and ``verify decay`` of configs/verify.cfg with ``sigma =
   1.0``, ``initial_condition.k = 3`` and ``initial_condition.amplitude =
   5``, whose first step's stage-1 solve raises ``NotContractingError``:
@@ -79,6 +82,12 @@ def commands(root):
         assert f"\n{line}\n" in steep_text
         steep_text = steep_text.replace(f"\n{line}\n", f"\n{new}\n")
     Path(steep).write_text(steep_text)
+    # sweeps of a key the run does not read, at a t_end short enough to run
+    # both cells where they are not refused
+    assert "\nt_end = 5.0\n" in ver_text
+    short = os.path.join(root, "verify_short.cfg")
+    Path(short).write_text(ver_text.replace("\nt_end = 5.0\n",
+                                            "\nt_end = 0.1\n"))
     cmds = [(f"simulate_{Path(c).stem}", ["simulate", "--config", c])
             for c in (decay, lub, ver)]
     cmds.append(("simulate_lubrication_seed5",
@@ -98,6 +107,8 @@ def commands(root):
         "sweep_depth_sigma": (ver, ["depth=infinite", "sigma=0,0.3"]),
         "sweep_scheme": (ver, ["scheme=euler,rk4", "dt=1.5e-3"]),
         "sweep_epsilon": (lub, ["epsilon=0,0.2"]),
+        "sweep_unread_rng_seed": (short, ["rng_seed=1,2"]),
+        "sweep_unread_epsilon": (short, ["epsilon=0.1,0.2"]),
     }
     for name, (cfg, specs) in sweeps.items():
         argv = ["simulate", "--config", cfg]

@@ -4,12 +4,12 @@ Exit codes: 0 success, 1 usage or configuration errors, 2 numerical
 failures (a solver breakdown, always an ``elliptic.SolverError``;
 grid-limited verification; failed checks).  Every cell of a sweep is
 loaded by ``config.load_config``, set up and given its directory before
-the first one runs; two cells whose configs load equal are rejected.  The
-cells run in a worker pool capped by the MUSKAT_THREADS environment
-variable; every cell writes only inside its own directory, and from then
-on a cell that fails for any reason keeps its partial output while the
-other cells run on (exit code 2).  ``--seed`` is the config's rng_seed,
-set before a command reads it.
+the first one runs; a cell whose run reads what an earlier cell's run
+reads (``integrate.run_inputs``) is rejected.  The cells run in a worker
+pool capped by the MUSKAT_THREADS environment variable; every cell writes
+only inside its own directory, and from then on a cell that fails for any
+reason keeps its partial output while the other cells run on (exit code
+2).  ``--seed`` is the config's rng_seed, set before a command reads it.
 """
 
 import argparse
@@ -37,13 +37,10 @@ EXIT_NUMERICAL = 2
 
 def _workers(n_jobs):
     cap = os.environ.get("MUSKAT_THREADS")
-    if cap is not None:
-        try:
-            cap = max(1, int(cap))
-        except ValueError:
-            raise ConfigError(f"MUSKAT_THREADS must be an integer, got {cap!r}")
-    else:
-        cap = os.cpu_count() or 1
+    try:
+        cap = (os.cpu_count() or 1) if cap is None else int(cap)
+    except ValueError:
+        raise ConfigError(f"MUSKAT_THREADS must be an integer, got {cap!r}")
     return max(1, min(n_jobs, cap))
 
 
@@ -51,9 +48,9 @@ def _sweep_cells(specs):
     """--sweep KEY=V1,V2,... specs -> [(overrides, directory name)]: the
     cross product of at most two keys, named k1=a__k2=b; no specs give one
     unnamed cell.  A repeated key, which would run every cell at its last
-    value, is rejected, and so are output_dir and the verify.* keys that
-    simulate never reads; repeated values are left to ``cmd_simulate``,
-    which compares the cells' loaded configs."""
+    value, is rejected; a repeated value, or a key the run does not read
+    (output_dir, verify.*), is left to ``cmd_simulate``, which compares
+    the inputs of the cells' runs."""
     axes = {}  # key -> its values
     for spec in specs or []:
         if "=" not in spec:
@@ -65,10 +62,6 @@ def _sweep_cells(specs):
             raise ConfigError(f"--sweep {key}: no values")
         if key in axes:
             raise ConfigError(f"--sweep {key}: key given twice")
-        if key == "output_dir":
-            raise ConfigError("--sweep output_dir: the sweep names the cells")
-        if key.startswith("verify."):
-            raise ConfigError(f"--sweep {key}: simulate reads no verify.* key")
         axes[key] = values
     if len(axes) > 2:
         raise ConfigError("--sweep supports at most 2 keys")
@@ -115,18 +108,17 @@ def cmd_simulate(args):
         raise ConfigError("no output directory (set output_dir or pass --out)")
     cells = _sweep_cells(args.sweep)
     if args.seed is not None and any("rng_seed" in o for o, _ in cells):
-        raise ConfigError("--seed would override --sweep rng_seed in every "
-                          "cell")
-    # every cell is loaded, compared, set up and given its directory
-    # before the first one starts; two equal configs would run one twice
-    loaded = [load_config({**raw, **overrides}) for overrides, _ in cells]
-    for i, cell in enumerate(loaded):
-        if cell in loaded[:i]:
-            raise ConfigError(f"--sweep {cells[i][1]}: a value given twice "
-                              "repeats an earlier cell")
-    jobs = [_prepare_cell(config, params,
+        raise ConfigError("--seed would override --sweep rng_seed in every cell")
+    # every cell is set up and compared before any directory is made
+    jobs = [_prepare_cell(*load_config({**raw, **overrides}),
                           os.path.join(base_out, name) if name else base_out)
-            for (config, params), (_, name) in zip(loaded, cells)]
+            for overrides, name in cells]
+    inputs = [integrate.run_inputs(*job) for job in jobs]
+    for i, key in enumerate(inputs):
+        if (j := inputs.index(key)) < i:
+            raise ConfigError(f"--sweep {cells[i][1]}: repeats the run of "
+                              f"{cells[j][1]} (a value given twice, or a key "
+                              "the run does not read)")
     for _, _, config in jobs:
         os.makedirs(os.path.join(config.output_dir, diagnostics.SNAPSHOT_DIR),
                     exist_ok=True)

@@ -44,6 +44,8 @@ from .spectral import SpectralField, save_spectrum_csv
 DT_FLOOR = 1e-14
 _RECOVER_EVERY = 10
 _RECOVER_FACTOR = 1.2
+RUN_FIELDS = ("n_modes", "dt", "t_end", "scheme", "tol", "max_iter",
+              "output_cadence", "snapshot_cadence")  # of SolverConfig
 
 # Real-axis stability limits: a scheme keeps the linear modes dh/dt = -m h
 # bounded for dt*m up to its limit (RK4's is 2.7853)
@@ -65,7 +67,7 @@ def check_step_size(h0, params, dt, scheme):
     A coupled run reaches every mode 1..N; an uncoupled one (sigma, thin
     film eps, zero) moves only the modes h0 holds, each on its own."""
     tab = _table(h0.n_modes, params)
-    rates = -tab.lin
+    rates = -tab.lin.real
     if not tab.force_active:
         rates = rates[h0.coeffs != 0]
     rate = float(rates.max(initial=0.0))
@@ -201,6 +203,14 @@ def step(state, params, tol=None, max_iter=DEFAULT_MAX_ITER):
         accepted_streak=streak,
     )
     return new, SpectralField._checked(k1), n1 + iters
+
+
+def run_inputs(h0, params, config):
+    """What ``run`` reads: the model's ``evolution_params``, h0's bytes and
+    config's RUN_FIELDS.  Two runs with equal inputs write the same
+    energy.csv and snapshots/; meta.json's dump of the config is not one."""
+    return (models.model_spec(params).evolution_params, h0.coeffs.tobytes(),
+            tuple(getattr(config, f) for f in RUN_FIELDS))
 
 
 @dataclass(slots=True)

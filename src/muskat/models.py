@@ -104,7 +104,7 @@ In a fresh interpreter ``import muskat.cli`` takes about 0.2 s, against
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -149,6 +149,8 @@ class ModelSpec:
     norm_order         : order s of the scheme norm A^s (3 or 4)
     t1                 : T(1), tanh(1) for the bounded strip, 1 unbounded
     energy_coefficient : weight of the A^s norm in the energy
+    evolution_params   : params, the fields no run reads at their defaults
+                         (thin film depth; small slope delta and epsilon)
     """
 
     params: ModelParams
@@ -158,6 +160,7 @@ class ModelSpec:
     norm_order: int
     t1: float
     energy_coefficient: float
+    evolution_params: ModelParams
 
     def T(self, k):
         """Depth factor of G = |k| T(|k|): tanh|k| or 1."""
@@ -215,6 +218,7 @@ def model_spec(params):
     thin_film = params.model == "lubrication"
     finite_depth = params.depth == "finite"
     t1 = math.tanh(1.0) if finite_depth else 1.0
+    unread = ("depth",) if thin_film else ("delta", "epsilon")
     return ModelSpec(
         params=params,
         thin_film=thin_film,
@@ -224,6 +228,8 @@ def model_spec(params):
         t1=t1,
         energy_coefficient=(math.sqrt(params.delta) * params.theta
                             if thin_film else params.theta * t1),
+        evolution_params=replace(params, **{f: getattr(ModelParams, f)
+                                            for f in unread}),
     )
 
 
@@ -249,9 +255,11 @@ class _OpTable:
     The model rows are one set: the sweep's factor rows ``stack`` and
     output rows ``out`` (module docstring), ``lin`` = -rate, the forcing
     weight ``w`` = chi + (lam/4) k^4 and ``tk2`` = theta k^2, the factor of
-    U in the sweep's argument.  ``force_active`` (sigma, thin film eps,
-    nonzero) switches the quadratic terms on.  The split rows depend on
-    the depth only.
+    U in the sweep's argument.  ``lin``, ``w``, ``tk2`` and ``base`` are
+    stored complex, as each product with coefficients would cast a float
+    row (by ``astype``: + 0j would turn lin[0] = -0.0 into +0.0).
+    ``force_active`` (sigma, thin film eps, nonzero) switches the quadratic
+    terms on.  The split rows depend on the depth only.
 
     The arrays are immutable after construction; ``scratch`` is each
     thread's own ``_Scratch``.  Scaling conventions: rows of *stack are
@@ -268,7 +276,7 @@ class _OpTable:
         k = np.arange(n + 1, dtype=float)
         G = k * spec.T(k)
         ik = 1j * k
-        self.base = spec.base(k)
+        self.base = spec.base(k).astype(complex)
         to_phys = self.m / SQRT_2PI
         from_phys = SQRT_2PI / self.m
         self.h_scale = to_phys
@@ -286,10 +294,10 @@ class _OpTable:
             coef = p.sigma
         self.force_active = coef != 0.0
         self.stack = rows * to_phys
-        self.out = rows * (coef * from_phys) / self.base
-        self.lin = -spec.rate(k)
-        self.w = p.chi + (p.lam / 4.0) * k**4
-        self.tk2 = p.theta * k**2
+        self.out = rows * (coef * from_phys) / self.base.real
+        self.lin = (-spec.rate(k)).astype(complex)
+        self.w = (p.chi + (p.lam / 4.0) * k**4).astype(complex)
+        self.tk2 = (p.theta * k**2).astype(complex)
         self.norm_k = k**spec.norm_order
         self.scratch = _Scratch(n, len(rows))
 

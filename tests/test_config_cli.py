@@ -275,26 +275,54 @@ def test_sweep_bad_value_runs_no_cell(tmp_path, monkeypatch, threads, sweep):
     assert not out.exists() or os.listdir(out) == []
 
 
+REPEATS = "(a value given twice, or a key the run does not read)"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--sweep", "output_dir=x,y"],
-     "--sweep output_dir: the sweep names the cells"),
+     f"--sweep output_dir=y: repeats the run of output_dir=x {REPEATS}"),
     (["--seed", "3", "--sweep", "rng_seed=1,2"], "--seed would override"),
     (["--sweep", "verify.dtn.sigmas=0.1,1e-1"],
-     "--sweep verify.dtn.sigmas: simulate reads no verify.* key"),
+     "--sweep verify.dtn.sigmas=1e-1: repeats the run of "
+     f"verify.dtn.sigmas=0.1 {REPEATS}"),
     (["--sweep", "verify.bounds.samples=100,200"],
-     "--sweep verify.bounds.samples: simulate reads no verify.* key"),
+     "--sweep verify.bounds.samples=200: repeats the run of "
+     f"verify.bounds.samples=100 {REPEATS}"),
 ], ids=["output_dir", "seed_and_rng_seed", "verify_dtn_sigmas",
         "verify_bounds_samples"])
 def test_sweep_of_an_overridden_key_runs_no_cell(tmp_path, monkeypatch,
                                                  capsys, argv, message):
     # the sweep names each cell's directory, --seed sets every cell's
-    # rng_seed, and simulate reads no verify.* key: sweeping any of them
+    # rng_seed, and a run reads no verify.* key: sweeping any of them
     # would write identical cells
     monkeypatch.setenv("MUSKAT_THREADS", "1")
     path, _ = write_cfg(tmp_path)
     out = tmp_path / "sweep"
     assert main(["simulate", "--config", path, "--out", str(out)] + argv) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, sweep", [
+    ("verify", "rng_seed=1,2"), ("verify", "epsilon=0.1,0.2"),
+    ("lubrication", "depth=finite,infinite"),
+], ids=["single_mode_rng_seed", "wnl1_epsilon", "lubrication_depth"])
+def test_sweep_of_a_key_the_run_does_not_read_runs_no_cell(
+        tmp_path, monkeypatch, capsys, config, sweep):
+    # a single_mode run draws nothing from rng_seed, the small-slope
+    # models read no epsilon, and the thin film reads no depth: each pair
+    # of cells would write one trajectory twice
+    monkeypatch.setenv("MUSKAT_THREADS", "1")
+    text = open(os.path.join(REPO, "configs", f"{config}.cfg")).read()
+    path = tmp_path / "run.cfg"
+    path.write_text(re.sub(r"\nt_end = \S+\n", "\nt_end = 0.1\n", text))
+    out = tmp_path / "sweep"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--sweep", sweep]) == 1
+    key, values = sweep.split("=")
+    first, second = values.split(",")
+    assert (f"error: --sweep {key}={second}: repeats the run of "
+            f"{key}={first} {REPEATS}") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -363,6 +363,53 @@ def test_deterministic_reruns(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
+@pytest.mark.parametrize("p, field, other", [
+    (wnl(sigma=0.3, lam=1.0), "delta", 0.25),
+    (wnl(sigma=0.3, lam=1.0), "epsilon", 0.2),
+    (wnl(sigma=0.3, lam=1.0, model="wnl2"), "delta", 0.25),
+    (wnl(sigma=0.3, lam=1.0, model="wnl2"), "epsilon", 0.2),
+    (ModelParams.lubrication(lam=1.0, theta=1.0, delta=0.5, epsilon=0.3),
+     "depth", "infinite"),
+], ids=["wnl1_delta", "wnl1_epsilon", "wnl2_delta", "wnl2_epsilon",
+        "lubrication_depth"])
+def test_fields_the_evolution_leaves_unread(p, field, other):
+    # model_spec resets the fields a model's evolution never reads, which
+    # makes a sweep refuse cells that differ only there: two values of
+    # such a field give the same run_inputs and the same records, bit for bit
+    from dataclasses import replace
+
+    from muskat.integrate import run_inputs
+    from muskat.models import model_spec
+
+    q = replace(p, **{field: other})
+    assert q != p and model_spec(q).evolution_params == model_spec(p).evolution_params
+    h0 = random_field(32, np.random.default_rng(5), p=3.0, amplitude=1e-2)
+    cfg = config(dt=0.5 / float(linear_decay_rate(32, p)), t_end=0.05,
+                 output_cadence=1)
+    assert run_inputs(h0, p, cfg) == run_inputs(h0, q, cfg)
+    a, b = run(h0, p, cfg), run(h0, q, cfg)
+    assert len(a.records) > 2
+    assert (np.array(list(a.records.rows())).tobytes()
+            == np.array(list(b.records.rows())).tobytes())
+    assert a.final_h.coeffs.tobytes() == b.final_h.coeffs.tobytes()
+
+
+def test_evolution_params_reset_exactly_the_unread_fields():
+    # every other field is read, so cells that differ there are kept
+    from dataclasses import fields
+
+    from muskat.models import model_spec
+
+    for model, unread in (("wnl1", {"delta", "epsilon"}),
+                          ("wnl2", {"delta", "epsilon"}),
+                          ("lubrication", {"depth"})):
+        p = ModelParams(chi=-1, lam=1.0, theta=0.5, sigma=0.1, delta=0.25,
+                        epsilon=0.2, depth="infinite", model=model)
+        ev = model_spec(p).evolution_params
+        assert {f.name for f in fields(p)
+                if getattr(ev, f.name) != getattr(p, f.name)} == unread
+
+
 def test_model1_vs_model2_sigma_scaling():
     # the two models agree at first order in steepness: halving sigma
     # shrinks the trajectory gap by ~4 (verified 8x under h0-halving too,
