@@ -25,7 +25,8 @@ recorded), and last
 the wall time, peak RSS and loaded scipy modules of ``import muskat.cli``
 in a fresh interpreter, the fixed cost every CLI call and sweep worker
 pays.
-Run:
+Run it from any directory; it imports the package and the test oracles of
+its own tree:
 
     python benchmarks/bench_kernels.py
 """
@@ -40,6 +41,11 @@ from dataclasses import replace
 
 import numpy as np
 
+# this tree's package and test oracles, ahead of any installed copy (the
+# imports below follow this on purpose)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
 import muskat
 from muskat import _kernels, integrate, strip
 from muskat.config import SolverConfig, load_config, make_initial_condition
@@ -48,10 +54,7 @@ from muskat.integrate import IntegratorState, _rhs_raw, step
 from muskat.models import _sweep, _table, linear_decay_rate
 from muskat.params import ModelParams
 from muskat.spectral import SpectralField, tanh_clamped
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "tests"))
-from oracles import (  # noqa: E402
+from oracles import (
     convolve_truncated,
     full_spectrum,
     lu_strip_solve,
@@ -214,8 +217,7 @@ def sweep_rows():
     cfg = SolverConfig(lam=1.0, theta=1.0, sigma=0.1, n_modes=n, dt=dt,
                        t_end=500 * dt, output_cadence=1000, tol=3e-7)
     rows = [("wnl1 N=256, criterion 2 dt", h0, p, cfg)]
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        os.pardir, "configs", "verify.cfg")
+    path = os.path.join(ROOT, "configs", "verify.cfg")
     vcfg, vp = load_config(path)
     vcfg.output_dir = ""
     rows.append(("configs/verify.cfg", make_initial_condition(vcfg), vp, vcfg))

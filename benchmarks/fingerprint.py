@@ -22,6 +22,9 @@ refactor must leave byte-identical:
   1.0``, ``initial_condition.k = 3`` and ``initial_condition.amplitude =
   5``, whose first step's stage-1 solve raises ``NotContractingError``:
   both exit 2 and keep their partial output;
+* ``simulate`` of configs/verify.cfg with ``initial_condition.amplitude =
+  1e200`` and ``t_end = 0.01``, whose first increment overflows
+  (``NonFiniteError``): it exits 2, its ``meta.json`` naming the failure;
 * the body of the benchmark's ``wnl1_n256`` workload at seed 0;
 * ``diagnostics.verify_trajectory_dir`` of every ``simulate_*`` run, its
   result written as sorted-key JSON to ``reverify_<run>.json`` in the run
@@ -31,10 +34,11 @@ Prints one ``sha256  relative/path`` line per output file, sorted by path,
 then one line per command with its exit code.  Each file is hashed as
 written, with the run root's path replaced by ``<root>``: a ``meta.json``
 names it in its ``config.output_dir`` and ``initial_condition.path``, the
-derived from_file config in its ``initial_condition.path``.  Run it in
-each tree and diff the two outputs:
+derived from_file config in its ``initial_condition.path``.  Each tree's
+copy imports that tree's ``src/``.  Run it in each tree and diff the two
+outputs:
 
-    PYTHONPATH=src python benchmarks/fingerprint.py > digests.txt
+    python benchmarks/fingerprint.py > digests.txt
 
 Sweep cells run one at a time (``MUSKAT_THREADS`` defaults to 1 here); the
 whole set took about 15 s on a 2-CPU VM.
@@ -50,6 +54,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+sys.path.insert(0, str(ROOT / "src"))  # this tree's package, not another
+
+
+def _derived(root, name, text, changes):
+    """Write text, each whole line old replaced by new for (old, new) in
+    changes, to root/name.cfg; returns its path."""
+    for line, new in changes:
+        assert f"\n{line}\n" in text
+        text = text.replace(f"\n{line}\n", f"\n{new}\n")
+    path = os.path.join(root, f"{name}.cfg")
+    Path(path).write_text(text)
+    return path
 
 
 def commands(root):
@@ -73,21 +89,20 @@ def commands(root):
         "initial_condition = from_file\n"
         f"initial_condition.path = {spectrum}\n")))
     # outside the contraction regime: the first solve fails
-    steep = os.path.join(root, "verify_steep.cfg")
-    steep_text = ver_text
-    for line, new in (("sigma = 0.1", "sigma = 1.0"),
-                      ("initial_condition.k = 1", "initial_condition.k = 3"),
-                      ("initial_condition.amplitude = 1e-3",
-                       "initial_condition.amplitude = 5")):
-        assert f"\n{line}\n" in steep_text
-        steep_text = steep_text.replace(f"\n{line}\n", f"\n{new}\n")
-    Path(steep).write_text(steep_text)
+    steep = _derived(root, "verify_steep", ver_text, (
+        ("sigma = 0.1", "sigma = 1.0"),
+        ("initial_condition.k = 1", "initial_condition.k = 3"),
+        ("initial_condition.amplitude = 1e-3",
+         "initial_condition.amplitude = 5")))
+    # so far outside it that the first increment overflows to inf
+    overflow = _derived(root, "verify_overflow", ver_text, (
+        ("initial_condition.amplitude = 1e-3",
+         "initial_condition.amplitude = 1e200"),
+        ("t_end = 5.0", "t_end = 0.01")))
     # sweeps of a key the run does not read, at a t_end short enough to run
     # both cells where they are not refused
-    assert "\nt_end = 5.0\n" in ver_text
-    short = os.path.join(root, "verify_short.cfg")
-    Path(short).write_text(ver_text.replace("\nt_end = 5.0\n",
-                                            "\nt_end = 0.1\n"))
+    short = _derived(root, "verify_short", ver_text,
+                     (("t_end = 5.0", "t_end = 0.1"),))
     cmds = [(f"simulate_{Path(c).stem}", ["simulate", "--config", c])
             for c in (decay, lub, ver)]
     cmds.append(("simulate_lubrication_seed5",
@@ -101,6 +116,7 @@ def commands(root):
     cmds.append(("verify_decay_lubrication", ["verify", "decay", "--config", lub]))
     cmds.append(("steep_simulate", ["simulate", "--config", steep]))
     cmds.append(("steep_verify_decay", ["verify", "decay", "--config", steep]))
+    cmds.append(("nonfinite_simulate", ["simulate", "--config", overflow]))
     sweeps = {
         "sweep_model": (ver, ["model=wnl1,wnl2"]),
         "sweep_model_sigma": (ver, ["model=wnl1,wnl2", "sigma=0,0.1"]),

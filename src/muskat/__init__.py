@@ -14,6 +14,7 @@ from .diagnostics import (
 from .elliptic import (
     FixedPointReport,
     MaxIterationsError,
+    NonFiniteError,
     NotContractingError,
     RoundoffStallError,
     SolverError,

@@ -28,7 +28,6 @@ from .config import (ConfigError, load_config, make_initial_condition,
 from .elliptic import SolverError
 from .plots import svg_line_chart
 from .spectral import SpectralField
-from .strip import StripGrid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,61 +141,50 @@ def _write_report(out_dir, name, payload):
 
 
 def cmd_verify(args):
+    """Each kind builds (payload, passed, summary); one tail writes the
+    report, prints its line (to stderr if grid-limited) and exits 0 or 2."""
     config, params = load_config(args.config)
     if args.seed is not None:
         config.rng_seed = args.seed
     out_dir = args.out or config.output_dir or "."
-    if args.kind == "decay":  # run the configured trajectory, then check it
+    kind, summary = args.kind, ""
+    s = None if kind == "decay" else verify_settings(config.verify, kind)
+    if kind == "decay":  # run the configured trajectory, then check it
         h0, params, config = _prepare_cell(
             config, params, os.path.join(out_dir, "trajectory"))
         traj = integrate.run(h0, params, config)
-        checks = diagnostics.decay_checks(traj.records, params)
-        ok = all(c["passed"] for c in checks.values())
-        diagnostics.append_checks_to_meta(config.output_dir, checks)
-        path = _write_report(out_dir, "decay_report.json", checks)
-        print(f"decay report: {path} passed={ok}")
-        return EXIT_OK if ok else EXIT_NUMERICAL
-
-    s = verify_settings(config.verify, args.kind)
-    if args.kind == "bounds":
+        payload = diagnostics.decay_checks(traj.records, params)
+        passed = all(c["passed"] for c in payload.values())
+        diagnostics.append_checks_to_meta(config.output_dir, payload)
+    elif kind == "bounds":
         rep = diagnostics.check_operator_bounds(s["samples"], params,
                                                 config.rng_seed, s["n_modes"])
-        path = _write_report(out_dir, "bounds_report.json", rep.as_dict())
-        print(f"bounds report: {path} passed={rep.passed}")
-        return EXIT_OK if rep.passed else EXIT_NUMERICAL
-
-    grid = StripGrid(s["n_x"], s["n_z"])
-    # flux: every mode the grid resolves; dtn truncates B, by default at 64
-    n_modes = s["n_x"] // 2 - 1
-    # amplitude 1: sigmas and epsilon scale h, and each check is linear in
-    # its datum (psi, f)
-    if args.kind == "dtn":
-        n_modes = min(64, n_modes) if s["n_modes"] is None else s["n_modes"]
-        h = SpectralField.cosine(s["h_mode"], 1.0, n_modes)
-        psi = SpectralField.cosine(s["psi_mode"], 1.0, n_modes)
-        p = replace(params, delta=1.0, sigma=params.epsilon * 1.0)
-        rep = strip.verify_dtn_expansion(h, psi, s["sigmas"], grid, p)
-        path = _write_report(out_dir, "dtn_report.json", rep.as_dict())
-        if rep.grid_limited:
-            print(f"dtn report: {path} grid-limited (discretization floor "
-                  f"{rep.floor:.3g} exceeds 10% of the smallest remainder); "
-                  "refine n_x/n_z", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"dtn report: {path} slope={rep.slope:.3f} passed={rep.passed}")
-        return EXIT_OK if rep.passed else EXIT_NUMERICAL
-
-    f = SpectralField.cosine(s["f_mode"], 1.0, n_modes)
-    if s["h_mode"] is None:
-        h = SpectralField.zeros(n_modes)
+        payload, passed = rep.as_dict(), rep.passed
     else:
-        h = SpectralField.cosine(s["h_mode"], 1.0, n_modes)
-    flux_rep, phi_rep = strip.verify_lub_flux(h, f, s["deltas"], grid, params)
-    payload = {"flux": flux_rep.as_dict(), "phi": phi_rep.as_dict()}
-    path = _write_report(out_dir, "flux_report.json", payload)
-    ok = flux_rep.passed and phi_rep.passed
-    print(f"flux report: {path} flux_slope={flux_rep.slope:.3f} "
-          f"phi_slope={phi_rep.slope:.3f} passed={ok}")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+        grid, n_modes = strip.StripGrid(s["n_x"], s["n_z"]), s["n_x"] // 2 - 1
+        # unit cosines on every mode the grid resolves; sigma/epsilon scale h
+        h = (SpectralField.zeros(n_modes) if s["h_mode"] is None
+             else SpectralField.cosine(s["h_mode"], 1.0, n_modes))
+        if kind == "dtn":
+            psi = SpectralField.cosine(s["psi_mode"], 1.0, n_modes)
+            p = replace(params, delta=1.0, sigma=params.epsilon * 1.0)
+            rep = strip.verify_dtn_expansion(h, psi, s["sigmas"], grid, p)
+            payload, passed = rep.as_dict(), rep.passed
+            summary = f"slope={rep.slope:.3f} "
+        else:
+            f = SpectralField.cosine(s["f_mode"], 1.0, n_modes)
+            flux, phi = strip.verify_lub_flux(h, f, s["deltas"], grid, params)
+            payload = {"flux": flux.as_dict(), "phi": phi.as_dict()}
+            passed = flux.passed and phi.passed
+            summary = f"flux_slope={flux.slope:.3f} phi_slope={phi.slope:.3f} "
+    path = _write_report(out_dir, f"{kind}_report.json", payload)
+    if payload.get("grid_limited"):  # an order report near its grid's floor
+        print(f"{kind} report: {path} grid-limited (discretization floor "
+              f"{payload['discretization_floor']:.3g} exceeds 10% of the "
+              "smallest remainder); refine n_x/n_z", file=sys.stderr)
+        return EXIT_NUMERICAL
+    print(f"{kind} report: {path} {summary}passed={passed}")
+    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def _load_profile(out_dir, idx):

@@ -96,13 +96,12 @@ _IC_KINDS = {
     "from_file": {"path": None},
 }
 
-# verify.<suite>.<key> -> its default; None where `muskat verify` derives it
-# (dtn's n_modes from n_x; flux without h_mode: a flat h).  Others are
-# rejected; flux takes every mode its n_x resolves, so it has no n_modes.
+# verify.<suite>.<key> -> its default; None: flux without h_mode, a flat h.
+# Others are rejected; dtn and flux take every mode their n_x resolves.
 VERIFY_DEFAULTS = {
     "bounds": {"samples": 500, "n_modes": 64},
-    "dtn": {"n_x": 512, "n_z": 256, "sigmas": "0.2,0.1,0.05", "n_modes": None,
-            "h_mode": 1, "psi_mode": 2},
+    "dtn": {"n_x": 512, "n_z": 256, "sigmas": "0.2,0.1,0.05", "h_mode": 1,
+            "psi_mode": 2},
     "flux": {"n_x": 256, "n_z": 65, "deltas": "0.04,0.02,0.01",
              "f_mode": 1, "h_mode": None},
 }

@@ -62,20 +62,25 @@ class NotContractingError(SolverError):
         self.iterations = iterations
 
 
+class NonFiniteError(NotContractingError):
+    """An increment or a step came out inf or nan; a step halves on it."""
+
+    def __init__(self, what, iterations):
+        super().__init__(math.inf, iterations)
+        self.args = (f"{what} not finite after {iterations} iterations",)
+
+
 class RoundoffStallError(NotContractingError):
     """The increments stopped falling although the map contracts (estimate
     below 1): tol lies below the roundoff floor of the increments."""
 
     def __init__(self, contraction_estimate, iterations, increment, tol):
-        SolverError.__init__(
-            self,
+        super().__init__(contraction_estimate, iterations)
+        self.args = (
             f"fixed-point increments stalled at {increment:.3g} above tol "
             f"{tol:.3g} after {iterations} iterations; the map contracts "
             f"(ratio {contraction_estimate:.3g} < 1), so tol lies below the "
-            "roundoff floor of the increments"
-        )
-        self.contraction_estimate = contraction_estimate
-        self.iterations = iterations
+            "roundoff floor of the increments",)
 
 
 class MaxIterationsError(SolverError):
@@ -147,7 +152,7 @@ def _solve_raw(tab, V, a, pre, c, hphys, tol, max_iter):
         increments.append(inc)
         V = Vn
         if not math.isfinite(inc):
-            raise NotContractingError(float("inf"), it)
+            raise NonFiniteError("fixed-point increment", it)
         if inc <= tol:
             return V, it, increments
         if prev is not None and prev > 0.0:

@@ -32,6 +32,7 @@ from .config import SCHEMES, ConfigError
 from .elliptic import (
     DEFAULT_MAX_ITER,
     MaxIterationsError,
+    NonFiniteError,
     NotContractingError,
     SolverError,
     _solve_raw,
@@ -157,7 +158,7 @@ def _try_advance(tab, c, k1, dt, scheme, tol, max_iter):
         iters = n2 + n3 + n4
     cn[0] = 0.0
     if not np.isfinite(cn).all():
-        raise NotContractingError(float("inf"), 0)
+        raise NonFiniteError(f"{scheme} step", iters)
     return cn, iters
 
 

@@ -175,6 +175,25 @@ def _steep_cfg(tmp_path):
     return str(path)
 
 
+def test_non_finite_increment_is_not_reported_as_a_stall(tmp_path, capsys):
+    # the first sweep of an amplitude of 1e200 overflows, so the first
+    # increment is inf: the failure names it, not a non-contracting map
+    text = open(os.path.join(REPO, "configs", "verify.cfg")).read()
+    for a, b in (("amplitude = 1e-3", "amplitude = 1e200"),
+                 ("t_end = 5.0", "t_end = 0.01")):
+        assert f"{a}\n" in text
+        text = text.replace(f"{a}\n", f"{b}\n")
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "res"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    failed = "fixed-point increment not finite after 1 iterations"
+    assert capsys.readouterr().err == (
+        f"solver failure: {out}: {failed} (partial output retained)\n")
+    assert json.loads((out / "meta.json").read_text())["failed"] == failed
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["verify", "decay"]])
 def test_final_evaluation_failure_exit_2(tmp_path, capsys, command):
     # t_end = 0: the only solve is the closing evaluation, and it fails
@@ -352,7 +371,8 @@ def test_seed_draws_the_random_initial_condition(tmp_path, monkeypatch):
 
 RETIRED_KEYS = ["initial_condition.seed = 1", "verify.dtn.h_amplitude = 2",
                 "verify.dtn.psi_amplitude = 2", "verify.flux.f_amplitude = 2",
-                "verify.flux.h_amplitude = 2", "verify.flux.n_modes = 8"]
+                "verify.flux.h_amplitude = 2", "verify.flux.n_modes = 8",
+                "verify.dtn.n_modes = 16"]
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["verify", "bounds"],
@@ -362,8 +382,8 @@ RETIRED_KEYS = ["initial_condition.seed = 1", "verify.dtn.h_amplitude = 2",
 @pytest.mark.parametrize("line", RETIRED_KEYS)
 def test_retired_keys_exit_1(tmp_path, capsys, command, line):
     # rng_seed seeds random_decay, sigmas / epsilon with a linear datum
-    # cover the amplitudes of the strip checks' cosines, and verify flux
-    # takes every mode its n_x resolves
+    # cover the amplitudes of the strip checks' cosines, and verify dtn and
+    # flux take every mode their n_x resolves
     text = open(os.path.join(REPO, "configs", "verify.cfg")).read()
     single = "initial_condition = single_mode\ninitial_condition.k = 1\n"
     assert single in text
@@ -373,12 +393,16 @@ def test_retired_keys_exit_1(tmp_path, capsys, command, line):
     cfg.write_text(f"{text}\n{line}\n")
     out = tmp_path / "res"
     assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     key = line.split(" ")[0]
     # verify.* keys are named in full, initial_condition.* ones by their
     # last part
     assert "unknown" in err
     assert (key if key.startswith("verify.") else key.rpartition(".")[2]) in err
+    if key.startswith("verify."):
+        assert err == f"error: unknown verify keys: ['{key}']\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -500,7 +524,7 @@ def test_verify_bounds_without_modes_exit_1(tmp_path, n_modes):
 def test_verify_dtn_grid_limited_exit_2(tmp_path, capsys):
     p = tmp_path / "d.cfg"
     p.write_text("theta = 1.0\nverify.dtn.n_x = 64\nverify.dtn.n_z = 20\n"
-                 "verify.dtn.n_modes = 16\nverify.dtn.sigmas = 0.2,0.1,0.05\n")
+                 "verify.dtn.sigmas = 0.2,0.1,0.05\n")
     rc = main(["verify", "dtn", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "grid-limited" in capsys.readouterr().err
@@ -511,7 +535,7 @@ def test_verify_dtn_single_sigma_is_a_config_error(tmp_path, capsys):
     # numerical failure
     p = tmp_path / "d.cfg"
     p.write_text("theta = 1.0\nverify.dtn.n_x = 64\nverify.dtn.n_z = 20\n"
-                 "verify.dtn.n_modes = 16\nverify.dtn.sigmas = 0.1\n")
+                 "verify.dtn.sigmas = 0.1\n")
     rc = main(["verify", "dtn", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error: sigmas" in capsys.readouterr().err
@@ -519,14 +543,62 @@ def test_verify_dtn_single_sigma_is_a_config_error(tmp_path, capsys):
 
 
 def test_verify_dtn_modes_past_n_modes_exit_1(tmp_path, capsys):
-    # modes 40 + 30 exceed the 64 modes the model's B(h, psi) carries
+    # modes 20 + 15 exceed the 31 modes a 64-point strip resolves, which
+    # the model's B(h, psi) carries
     p = tmp_path / "d.cfg"
-    p.write_text("theta = 1.0\nverify.dtn.h_mode = 40\n"
-                 "verify.dtn.psi_mode = 30\n")
+    p.write_text("theta = 1.0\nverify.dtn.n_x = 64\nverify.dtn.n_z = 20\n"
+                 "verify.dtn.h_mode = 20\nverify.dtn.psi_mode = 15\n")
     out = tmp_path / "o"
     assert main(["verify", "dtn", "--config", str(p), "--out", str(out)]) == 1
     assert "exceeds n_modes" in capsys.readouterr().err
     assert not (out / "dtn_report.json").exists()
+
+
+def _report_line(kind, path, rep, rc):
+    """The stdout line of kind's report rep, written at path by a command
+    that exited rc: 0 if the check passed, 2 if it failed."""
+    assert rc in (0, 2)
+    summary = ""
+    if kind == "dtn":
+        summary = f"slope={rep['slope']:.3f} "
+    elif kind == "flux":
+        summary = (f"flux_slope={rep['flux']['slope']:.3f} "
+                   f"phi_slope={rep['phi']['slope']:.3f} ")
+    return f"{kind} report: {path} {summary}passed={rc == 0}\n"
+
+
+def test_verify_dtn_modes_up_to_the_grid_run(tmp_path, capsys):
+    # modes 20 + 11 fill the 31 a 64-point strip resolves: the check runs
+    # and reports, whatever its verdict on so coarse a grid
+    p = tmp_path / "d.cfg"
+    p.write_text("theta = 1.0\nverify.dtn.n_x = 64\nverify.dtn.n_z = 20\n"
+                 "verify.dtn.h_mode = 20\nverify.dtn.psi_mode = 11\n")
+    out = tmp_path / "o"
+    rc = main(["verify", "dtn", "--config", str(p), "--out", str(out)])
+    path = out / "dtn_report.json"
+    rep = json.loads(path.read_text())
+    assert not rep["grid_limited"]
+    assert capsys.readouterr().out == _report_line("dtn", path, rep, rc)
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("bounds", "verify.bounds.samples = 10\nverify.bounds.n_modes = 32\n"),
+    ("flux", "verify.flux.n_x = 32\nverify.flux.n_z = 17\n"),
+    ("decay", ""),
+], ids=["bounds", "flux", "decay"])
+def test_verify_prints_one_report_line(tmp_path, capsys, kind, extra):
+    # "<kind> report: <path> <summary>passed=<verdict>", and the verdict
+    # decides the exit code
+    path, _ = write_cfg(tmp_path, t_end=0.4, extra=extra)
+    out = tmp_path / "rep"
+    rc = main(["verify", kind, "--config", path, "--out", str(out)])
+    report = out / f"{kind}_report.json"
+    rep = json.loads(report.read_text())
+    assert capsys.readouterr().out == _report_line(kind, report, rep, rc)
+    if kind == "bounds":  # the verdicts the report holds
+        assert rep["passed"] == (rc == 0)
+    elif kind == "decay":
+        assert all(check["passed"] for check in rep.values()) == (rc == 0)
 
 
 def test_euler_past_its_stability_limit_exit_1(tmp_path, capsys):
@@ -554,7 +626,8 @@ def test_verify_dtn_passes_on_a_fine_grid(tmp_path, capsys):
     rep = json.loads((out / "dtn_report.json").read_text())
     assert not rep["grid_limited"]
     assert rep["slope"] == pytest.approx(2.0, abs=0.3)
-    assert "passed=True" in capsys.readouterr().out
+    line = _report_line("dtn", out / "dtn_report.json", rep, 0)
+    assert capsys.readouterr().out == line
 
 
 def test_verify_flux_h_mode_reaches_the_check(tmp_path, capsys):
@@ -569,8 +642,10 @@ def test_verify_flux_h_mode_reaches_the_check(tmp_path, capsys):
         out = tmp_path / name
         assert main(["verify", "flux", "--config", str(p), "--out",
                      str(out)]) == 0
-        assert "passed=True" in capsys.readouterr().out
         reports[name] = json.loads((out / "flux_report.json").read_text())
+        line = _report_line("flux", out / "flux_report.json", reports[name],
+                            0)
+        assert capsys.readouterr().out == line
     wavy, flat = reports["wavy"], reports["flat"]
     assert wavy["flux"]["remainders"] != flat["flux"]["remainders"]
     assert wavy["phi"]["remainders"] != flat["phi"]["remainders"]
@@ -839,6 +914,25 @@ def test_scipy_fft_imports_after_the_package():
         " print(np.array_equal(scipy.fft.rfft(x), muskat.spectral.rfft(x)),"
         " scipy.fft._pocketfft.basic.pfft is muskat.spectral.pocketfft)")
     assert out == "True True"
+
+
+@pytest.mark.parametrize("script", ["bench_kernels.py", "fingerprint.py"])
+def test_benchmark_script_imports_its_own_tree(tmp_path, script):
+    # README's commands run the scripts with PYTHONPATH unset, from any
+    # directory; each script, loaded without its main(), finds this tree's
+    # package
+    import subprocess
+    import sys
+
+    code = ("import runpy; import sys; runpy.run_path(sys.argv[1]); "
+            "import muskat; print(muskat.__file__)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(REPO, "benchmarks", script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    init = os.path.join(REPO, "src", "muskat", "__init__.py")
+    assert res.stdout == init + "\n"
 
 
 def test_meta_contains_final_solve_report(tmp_path):
@@ -1168,7 +1262,7 @@ def test_output_key_sets(tmp_path):
 
     path, _ = write_cfg(tmp_path, t_end=0.4, extra=(
         "verify.bounds.samples = 10\nverify.bounds.n_modes = 32\n"
-        "verify.dtn.n_x = 64\nverify.dtn.n_z = 20\nverify.dtn.n_modes = 16\n"
+        "verify.dtn.n_x = 64\nverify.dtn.n_z = 20\n"
         "verify.flux.n_x = 32\nverify.flux.n_z = 17\n"))
     out = tmp_path / "rep"
     for kind in ("bounds", "dtn", "flux", "decay"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from muskat.config import ConfigError, SolverConfig
-from muskat.elliptic import NotContractingError
+from muskat.elliptic import NonFiniteError, NotContractingError
 from muskat.integrate import (
     IntegratorState,
     StepSizeUnderflowError,
@@ -248,6 +248,19 @@ def test_step_rejection_halves_dt_then_underflows(monkeypatch):
     with pytest.raises(StepSizeUnderflowError) as info:
         step(state, wnl(sigma=1.0, theta=1.0))
     assert info.value.rejected_steps == 44
+
+
+def test_non_finite_step_is_named():
+    # a finite k1 whose Euler update overflows: the step, not an increment,
+    # is named, and the error is one a step halves on
+    import muskat.integrate as integ
+
+    tab = integ._table(32, wnl(sigma=0.1))
+    c, k1 = np.zeros(33, complex), np.full(33, 1e308 + 0j)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+        integ._try_advance(tab, c, k1, 10.0, "euler", 1e-10, 200)
+    assert isinstance(info.value, NotContractingError)
+    assert str(info.value) == "euler step not finite after 0 iterations"
 
 
 def test_dt_recovery_after_rejection():

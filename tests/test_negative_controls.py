@@ -58,8 +58,7 @@ def test_dtn_check_fails_with_the_dx_row_negated(tmp_path, monkeypatch):
     # B(h, psi) = G(h G psi) - dx(h dx psi) is wrong at first order, so the
     # remainder falls only linearly in sigma.  The check reads the model's
     # own row, so the stepped forcing breaks with it.
-    text = ("theta = 1.0\nverify.dtn.n_x = 256\nverify.dtn.n_z = 96\n"
-            "verify.dtn.n_modes = 32\n")
+    text = "theta = 1.0\nverify.dtn.n_x = 256\nverify.dtn.n_z = 96\n"
     h = SpectralField.cosine(1, 0.1, 32)
     p = ModelParams(lam=1.0, sigma=0.5)
     stepped = models.forcing(h, p).coeffs
