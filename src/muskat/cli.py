@@ -13,11 +13,11 @@ reason keeps its partial output while the other cells run on (exit code
 """
 
 import argparse
+import concurrent.futures
 import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -89,7 +89,8 @@ def _run_cell(h0, params, config):
     that cell's partial output.
     """
     try:
-        integrate.run(h0, params, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrate.run(h0, params, config)
     except SolverError as exc:
         return f"solver failure: {config.output_dir}: {exc}"
     except Exception as exc:
@@ -125,7 +126,9 @@ def cmd_simulate(args):
     if workers == 1:
         results = [_run_cell(*j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the stdlib loads the pool's modules (multiprocessing) on this
+        # first use, so no other command pays for them
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_run_cell, *zip(*jobs)))
     failures = [r for r in results if r]
     for f in failures:
@@ -270,11 +273,12 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_plot(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "simulate":
+                return cmd_simulate(args)
+            if args.command == "verify":
+                return cmd_verify(args)
+            return cmd_plot(args)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -18,10 +18,13 @@ neighbours only; its rows of the unknown (non-Dirichlet) nodes are kept
 as a 9-point stencil on the grid (periodic in x) and the top row's
 couplings to the datum as three x-arrays, summed from the 4x4 cell
 matrices one entry at a time (no cell-matrix tensor, no sparse matrix).
-The operator is exactly symmetric, the scheme is conservative and second
-order, and the bottom condition is the natural boundary condition of the
-quadratic form.  The solve never touches the Fourier-side model
-operators; the surface-map check holds it against the models' own B(h, psi).
+The operator is exactly symmetric, bit for bit, so the stencil stores
+only its 5 independent planes, each with an x-wrap pad, and reads the 4
+mirrored ones from them at the neighbour's offset.  The scheme is
+conservative and second order, and the bottom condition is the natural
+boundary condition of the quadratic form.  The solve never touches the
+Fourier-side model operators; the surface-map check holds it against the
+models' own B(h, psi).
 
 Linear solve: conjugate gradients on the unknown nodes, with the stencil
 as operator and minus the datum's couplings as right-hand side,
@@ -156,22 +159,41 @@ def _local_blocks(dx, dz):
     return kxx, kzz, kxz
 
 
-def assemble_system(h, grid, params):
-    """The stiffness matrix's rows of the unknown nodes as a 9-point
-    stencil, and their couplings to the datum.
+def _add_cells(dst, src, ax):
+    """dst += src, with node i taking cell i - ax (periodic in x): for
+    ax = 1 the rolled cells as two slice additions, not an np.roll copy."""
+    if ax:
+        dst[1:] += src[:-1]
+        dst[:1] += src[-1:]
+    else:
+        dst += src
 
-    Returns (C, top): C[1 + dx, 1 + dz, i, j], shape (3, 3, n_x, n_z - 1),
-    couples node (i, j) to ((i + dx) mod n_x, j + dz), and is 0 where
-    j + dz leaves the unknown rows [0, n_z - 1); top[1 + dx, i] couples
-    node (i, n_z - 2) to the datum at (i + dx) mod n_x.  Node (i, j) is
-    corner (ax, az) of cell (i - ax, j - az).  Each of the 16 cell-matrix
-    entries is one (n_x, n_z - 1) array added into its stencil slice, so a
-    stencil entry adds the cells that hold both nodes in ascending cell
+
+def assemble_system(h, grid, params):
+    """The stiffness matrix's rows of the unknown nodes as the 5 independent
+    planes of a 9-point stencil, and their couplings to the datum.
+
+    Plane d = 3 (1 + dx) + 1 + dz couples node (i, j), at the flat
+    z-fastest index n = i m + j (m = n_z - 1), to its neighbour
+    ((i + dx) mod n_x, j + dz), at the flat offset dx m + dz, and is 0
+    where j + dz leaves the unknown rows [0, m).  Returns (C, top): C
+    holds the planes d = 0..4 as 5 flat arrays of n_x m + m + 1 entries,
+    each plane followed by an x-wrap pad that repeats its first m + 1
+    entries; top[1 + dx, i] couples node (i, m - 1) to the datum at
+    (i + dx) mod n_x.  Plane d >= 5 at n is plane 8 - d at the
+    neighbour, n + dx m + dz, which the pads reach across the x wrap, so
+    it is not stored.
+
+    Node (i, j) is corner (ax, az) of cell (i - ax, j - az).  Each
+    cell-matrix entry that reaches a stored plane or the datum is formed
+    as one (n_x, m) array in a reused buffer and added into its slice, so
+    a stencil entry adds the cells that hold both nodes in ascending cell
     order, the order a COO-to-CSR conversion sums them in (away from the x
-    wrap); it is the same for C[d] at n as for C[-d] at n + d, so C[d](n)
-    == C[-d](n + d) bit for bit.
+    wrap).  That order is the same for plane d at n as for plane 8 - d at
+    the neighbour, so the two are equal bit for bit.
     """
     nx, nu = grid.n_x, grid.n_z - 1
+    n, w = nx * nu, nu + 1
     hv = h.values(nx)
     _check_degeneracy(hv, params.epsilon)
     hx = _x_multiplier(hv, DX)
@@ -181,54 +203,62 @@ def assemble_system(h, grid, params):
     zm = -1.0 + grid.dz * (np.arange(nu) + 0.5)
     a, b, c = coefficient_fields(hm, hxm, zm, params.delta, params.epsilon)
     kxx, kzz, kxz = _local_blocks(grid.dx, grid.dz)
-    C = np.zeros((3, 3, nx, nu))
+    # 5 arrays, not one (5, n + w) block: each is the size of a solve
+    # vector, so a later solve reuses their freed heap space
+    C = [np.zeros(n + w) for _ in range(5)]
+    planes = [plane[:n].reshape(nx, nu) for plane in C]
     top = np.zeros((3, nx))
+    entry, term = np.empty((nx, nu)), np.empty((nx, nu))
     for ax in (1, 0):
         for az in (1, 0):
             for bx in (0, 1):
                 for bz in (0, 1):
+                    d = 3 * (1 + bx - ax) + 1 + bz - az
+                    if d > 4 and bz <= az:  # mirrored, no datum coupling
+                        continue
                     p, q = 2 * ax + az, 2 * bx + bz
-                    entry = kxx[p, q] * a
-                    entry += kzz[p, q] * c
-                    entry += kxz[p, q] * b
-                    if ax:  # cell i - 1 of node i
-                        entry = np.roll(entry, 1, axis=0)
-                    n = nu - (az or bz)  # cells whose two nodes are unknown
-                    C[1 + bx - ax, 1 + bz - az, :, az:az + n] += entry[:, :n]
+                    np.multiply(a, kxx[p, q], out=entry)
+                    entry += np.multiply(c, kzz[p, q], out=term)
+                    entry += np.multiply(b, kxz[p, q], out=term)
+                    if d < 5:  # the cells whose two nodes are unknown
+                        m = nu - (az or bz)
+                        _add_cells(planes[d][:, az:az + m], entry[:, :m], ax)
                     if bz > az:  # the top cell's corner (., nu) is the datum
-                        top[1 + bx - ax] += entry[:, -1]
+                        _add_cells(top[1 + bx - ax], entry[:, -1], ax)
+    for plane in C:
+        plane[n:] = plane[:w]
     return C, top
 
 
 def stencil_apply(C, x):
-    """y(i, j) = sum over d of C[d](i, j) x((i + dx) mod n_x, j + dz) for
-    x of shape (n_x, m) and a stencil C of shape (3, 3, n_x, m) that is 0
-    where j + dz leaves [0, m).
+    """y(n) = sum over the 9 planes d of C[d](n) x(n + dx m + dz) on the flat
+    z-fastest index n of x, shape (n_x, m), for the 5 stored planes C of
+    ``assemble_system`` (0 where j + dz leaves [0, m)).
 
-    On the flattened z-fastest array the neighbour n + d sits at offset
-    dx*m + dz, and the offset wraps in x.  A coefficient that reaches past
-    a z boundary is 0, so the value it would read does not matter.  The
-    sum runs over chunks of STENCIL_CHUNK elements that stay in cache, in
-    the same per-element order as one pass over the whole array (the same
-    bits).
+    The neighbour's offset wraps in x.  A coefficient that reaches past a
+    z boundary is 0, so the value it would read does not matter.  The
+    terms run in plane order 0..8; plane d >= 5 is plane 8 - d read at the
+    neighbour's offset, in its pad past the x wrap.  The sum runs over
+    chunks of STENCIL_CHUNK elements that stay in cache, in the same
+    per-element order as one pass over the whole array (the same bits).
     """
     nx, m = x.shape
     n = nx * m
     w = m + 1
     flat = x.ravel()
     padded = np.concatenate((flat[n - w:], flat, flat[:w]))
-    coeffs = C.reshape(9, n)
     y = np.empty(n)
     term = np.empty(min(n, STENCIL_CHUNK))
     for lo in range(0, n, STENCIL_CHUNK):
         hi = min(lo + STENCIL_CHUNK, n)
         out = y[lo:hi]
         t = term[: hi - lo]
-        np.multiply(coeffs[0, lo:hi], padded[lo:hi], out=out)
+        np.multiply(C[0][lo:hi], padded[lo:hi], out=out)
         for d in range(1, 9):
-            start = (d // 3) * m + d % 3 + lo
-            np.multiply(coeffs[d, lo:hi], padded[start:start + hi - lo],
-                        out=t)
+            start = (d // 3) * m + d % 3 + lo  # lo + offset + w
+            coeff = (C[d][lo:hi] if d < 5
+                     else C[8 - d][start - w:start - w + hi - lo])
+            np.multiply(coeff, padded[start:start + hi - lo], out=t)
             out += t
     return y.reshape(nx, m)
 
@@ -260,15 +290,17 @@ def flat_preconditioner(grid, delta):
     row0[0] = 2.0
 
     def apply(r):
-        y = rfft(dct(r.reshape(nx, nu) * row0, 3, axis=1), axis=0) * scale
+        y = rfft(dct(r.reshape(nx, nu) * row0, 3, axis=1), axis=0)
+        y *= scale
         return dct(irfft(y, nx, axis=0), 2, axis=1).ravel()
 
     return apply
 
 
 def _pcg(A, b, precond):
-    """Preconditioned CG for the SPD operator A (a function of a vector);
-    returns (x, iterations)."""
+    """Preconditioned CG for the SPD operator A (a function of a vector
+    returning a new array; precond too); returns (x, iterations).  The
+    updates run in place, in the bits of the textbook expressions."""
     x = np.zeros_like(b)
     r = b.copy()
     rnorm = b_norm = np.linalg.norm(b)
@@ -280,8 +312,9 @@ def _pcg(A, b, precond):
     for it in range(1, CG_MAXITER + 1):
         q = A(p)
         alpha = rz / (p @ q)
-        x += alpha * p
-        r -= alpha * q
+        r -= np.multiply(q, alpha, out=q)
+        x += np.multiply(p, alpha, out=q)
+        del q  # freed before the next product
         rnorm = np.linalg.norm(r)
         if not math.isfinite(rnorm):
             raise LinearSolveError("strip CG solve failed: non-finite "
@@ -290,7 +323,8 @@ def _pcg(A, b, precond):
             return x, it
         z = precond(r)
         rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
     raise LinearSolveError(
         f"strip CG solve failed: CG did not reach ||r|| <= {CG_RTOL:g}"
         f"*||rhs|| in {CG_MAXITER} iterations (||r|| / ||rhs|| = "
@@ -325,7 +359,9 @@ def solve_strip(h, psi, grid, params):
         return stencil_apply(C, p.reshape(nx, nu)).ravel()
 
     phi_u, iterations = _pcg(Auu, rhs, flat_preconditioner(grid, params.delta))
-    residual = float(np.linalg.norm(Auu(phi_u) - rhs))
+    residual = Auu(phi_u)
+    residual -= rhs
+    residual = float(np.linalg.norm(residual))
     phi = np.empty((nx, nu + 1))
     phi[:, :nu] = phi_u.reshape(nx, nu)
     phi[:, nu] = psi_vals
@@ -502,22 +538,33 @@ def verify_lub_flux(h, f, deltas, grid, params):
     fx = _x_multiplier(fv, DX)
     fxx = _x_multiplier(fv, derivative_symbol(2))
     mob = 1.0 + eps * hv
-    flux_rem, phi_rem = [], []
-    for d in dts:
+
+    def remainders(d):
+        """The flux and potential remainders at delta = d; the arrays of
+        one delta are freed before the next one's solve."""
         p_d = replace(params, delta=d, sigma=eps * math.sqrt(d))
-        sol = solve_strip(h, f, grid, p_d)
-        phi = sol.phi
+        phi = solve_strip(h, f, grid, p_d).phi
         phix = _x_multiplier(phi, DX)
         phiz = np.empty_like(phi)
-        phiz[:, 1:-1] = (phi[:, 2:] - phi[:, :-2]) / (2.0 * dz)
-        phiz[:, 0] = (-3.0 * phi[:, 0] + 4.0 * phi[:, 1] - phi[:, 2]) / (2.0 * dz)
-        phiz[:, -1] = (3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]) / (2.0 * dz)
-        integrand = mob[:, None] * phix - eps * (1.0 + z)[None, :] * hx[:, None] * phiz
-        q = _simpson(integrand, dz)
+        np.subtract(phi[:, 2:], phi[:, :-2], out=phiz[:, 1:-1])
+        phiz[:, 0] = -3.0 * phi[:, 0] + 4.0 * phi[:, 1] - phi[:, 2]
+        phiz[:, -1] = 3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]
+        phiz /= 2.0 * dz
+        # the integrand mob dx(phi) - eps (1+z) h_x dz(phi), built in phix
+        phix *= mob[:, None]
+        phiz *= eps * (1.0 + z)[None, :] * hx[:, None]
+        phix -= phiz
+        q = _simpson(phix, dz)
         asym_flux = mob * fx + (d / 3.0) * _x_multiplier(mob**3 * fxx, DX)
-        flux_rem.append(_a0_of_values(q - asym_flux))
+        # phi - (f + d phi1), built in phi1
         phi1 = -0.5 * z[None, :] * (z[None, :] + 2.0) * (mob**2 * fxx)[:, None]
-        phi_rem.append(float(np.abs(phi - (fv[:, None] + d * phi1)).max()))
+        phi1 *= d
+        phi1 += fv[:, None]
+        np.subtract(phi, phi1, out=phi1)
+        np.abs(phi1, out=phi1)
+        return _a0_of_values(q - asym_flux), float(phi1.max())
+
+    flux_rem, phi_rem = map(list, zip(*map(remainders, dts)))
     flux_report = OrderReport("delta", dts, flux_rem, expected_slope=2.0)
     phi_report = OrderReport("delta", dts, phi_rem, expected_slope=2.0)
     return flux_report, phi_report

@@ -20,10 +20,12 @@ The strip ones form every cell's bilinear-element matrix at once
 ``coefficient_fields``, a (4, 4, n_x, n_z - 1) tensor) and hold the
 program's streamed 9-point stencil against it:
 
-* ``full_stencil`` scatters the cell matrices into a stencil over all
-  nodes, Dirichlet row included, in the program's summation order, so
-  its unknown rows and its couplings to the datum must equal
-  ``strip.assemble_system``'s bit for bit;
+* ``full_stencil`` scatters the cell matrices into all 9 planes of a
+  stencil over all nodes, Dirichlet row included, in the program's
+  summation order, so its unknown rows and its couplings to the datum
+  must equal ``strip.assemble_system``'s bit for bit;
+* ``unfold_stencil`` rebuilds the 9 planes from the 5 that
+  ``strip.assemble_system`` stores, by the mirror relation alone;
 * ``csr_system`` scatters every cell matrix into a scipy CSR matrix over
   all nodes (z-fastest node order), summing the shared entries;
 * ``lu_strip_solve`` solves its unknown block by a sparse LU.
@@ -127,6 +129,19 @@ def full_stencil(h, grid, params):
                         entry = np.roll(entry, 1, axis=0)
                     C[1 + bx - ax, 1 + bz - az, :, nodes] += entry
     return C
+
+
+def unfold_stencil(C, nx, m):
+    """The 9 planes, shape (3, 3, n_x, m), of a stencil stored as its
+    planes d = 0..4, flat arrays on the z-fastest index
+    (``strip.assemble_system``): plane d >= 5 at n is plane 8 - d at
+    n + dx m + dz, d = 3 (1 + dx) + 1 + dz, taken modulo n_x m by
+    ``np.roll``, not from the stored pads."""
+    n = nx * m
+    planes = [C[d][:n] for d in range(5)]
+    for d in range(5, 9):
+        planes.append(np.roll(C[8 - d][:n], -((d // 3 - 1) * m + d % 3 - 1)))
+    return np.array(planes).reshape(3, 3, nx, m)
 
 
 def csr_system(h, grid, params):

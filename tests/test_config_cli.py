@@ -175,9 +175,9 @@ def _steep_cfg(tmp_path):
     return str(path)
 
 
-def test_non_finite_increment_is_not_reported_as_a_stall(tmp_path, capsys):
-    # the first sweep of an amplitude of 1e200 overflows, so the first
-    # increment is inf: the failure names it, not a non-contracting map
+def _overflow_cfg(tmp_path):
+    """configs/verify.cfg at amplitude 1e200 and t_end = 0.01: the first
+    sweep overflows."""
     text = open(os.path.join(REPO, "configs", "verify.cfg")).read()
     for a, b in (("amplitude = 1e-3", "amplitude = 1e200"),
                  ("t_end = 5.0", "t_end = 0.01")):
@@ -185,9 +185,15 @@ def test_non_finite_increment_is_not_reported_as_a_stall(tmp_path, capsys):
         text = text.replace(f"{a}\n", f"{b}\n")
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(text)
+    return cfg
+
+
+def test_non_finite_increment_is_not_reported_as_a_stall(tmp_path, capsys):
+    # the first sweep of an amplitude of 1e200 overflows, so the first
+    # increment is inf: the failure names it, not a non-contracting map
+    cfg = _overflow_cfg(tmp_path)
     out = tmp_path / "res"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     failed = "fixed-point increment not finite after 1 iterations"
     assert capsys.readouterr().err == (
         f"solver failure: {out}: {failed} (partial output retained)\n")
@@ -883,18 +889,25 @@ def test_verify_decay_thin_film_config_passes(tmp_path):
     assert 0.102 < rep["rate_bound"] < 0.103 < 0.114 < rep["fitted_rate"] < 0.331
 
 
-def _fresh_interpreter(code):
-    """stdout of ``code`` run in a new interpreter that finds the package."""
+def _fresh_process(code, *args, **env):
+    """The finished run of ``code`` with ``args`` in a new interpreter that
+    finds the package, with ``env`` added to its environment."""
     import subprocess
     import sys
 
     import muskat
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(muskat.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True,
-                          timeout=120).stdout.strip()
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
+def _fresh_interpreter(code):
+    """stdout of ``code`` run in a new interpreter that finds the package."""
+    res = _fresh_process(code)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
 
 
 def test_import_loads_no_scipy_module():
@@ -905,6 +918,51 @@ def test_import_loads_no_scipy_module():
         "import sys, muskat, muskat.cli; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules)")
     assert out == "[] True"
+
+
+def test_import_leaves_the_worker_pool_unloaded():
+    # the pool's modules (concurrent.futures.process, multiprocessing)
+    # load on first use, when a sweep runs more than one worker
+    out = _fresh_interpreter(
+        "import sys, muskat.cli; print('concurrent.futures.process' in"
+        " sys.modules, 'multiprocessing' in sys.modules)")
+    assert out == "False False"
+
+
+@pytest.mark.parametrize("amplitudes", [[], ["1e200", "1e201"]])
+def test_overflowing_run_prints_only_its_failure(tmp_path, amplitudes):
+    # numpy's overflow warnings stay off stderr, in the CLI's process and
+    # in a two-worker sweep's pool, run as the console script runs
+    cfg, out = _overflow_cfg(tmp_path), tmp_path / "res"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    if amplitudes:
+        key = "initial_condition.amplitude="
+        argv += ["--sweep", key + ",".join(amplitudes)]
+    res = _fresh_process("import sys; from muskat.cli import main;"
+                         " sys.exit(main(sys.argv[1:]))", *argv,
+                         MUSKAT_THREADS="2")
+    failed = "fixed-point increment not finite after 1 iterations"
+    dirs = [out / f"initial_condition.amplitude={a}" for a in amplitudes]
+    assert res.returncode == 2
+    assert res.stderr == "".join(
+        f"solver failure: {d}: {failed} (partial output retained)\n"
+        for d in dirs or [out])
+
+
+def test_pool_entry_point_silences_overflow_warnings(tmp_path):
+    # a worker that does not inherit the CLI's error state (one started by
+    # spawn or forkserver) sets its own: no RuntimeWarning, raised here as
+    # an error, reaches the cell's failure line
+    import warnings
+
+    from muskat.cli import _prepare_cell, _run_cell
+
+    out = str(tmp_path / "res")
+    job = _prepare_cell(*load_config(str(_overflow_cfg(tmp_path))), out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_cell(*job) == (f"solver failure: {out}: fixed-point "
+                                   "increment not finite after 1 iterations")
 
 
 def test_scipy_fft_imports_after_the_package():

@@ -1,8 +1,13 @@
 """The package's import graph, read from the source with ``ast``.
 
 Every import sits at module level, so importing a module loads all it
-needs at once, and the modules import one another without a cycle.  Only
-``spectral`` knows the FFT binding.
+needs at once, and the modules import one another without a cycle.  The
+one deferred load is the CLI's worker pool: ``cli`` imports
+``concurrent.futures``, and the stdlib loads its ``ProcessPoolExecutor``
+(``concurrent.futures.process``, ``multiprocessing``) on first use, when
+a sweep runs more than one worker
+(``test_config_cli.py::test_import_leaves_the_worker_pool_unloaded``).
+Only ``spectral`` knows the FFT binding.
 """
 
 import ast

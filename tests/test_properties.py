@@ -27,13 +27,15 @@ Random grids and parameters, drawn reproducibly (``derandomize=True``):
 * the FFT sign/tanh split of the commutator (``models.commutator_sign_split``,
   which ``diagnostics.check_operator_bounds`` evaluates) equals the direct
   double sum of ``_kernels.sign_split_direct``;
-* the strip's streamed 9-point stencil on the unknown nodes and its
-  couplings to the datum (``strip.assemble_system``) equal the rows of
-  the oracle's full-node scatter of the cell-matrix tensor bit for bit;
-  applied by ``strip.stencil_apply`` they give the matrix-vector product
-  of the oracle's CSR scatter of the same cell matrices, and the stencil
-  is exactly symmetric; the preconditioned CG strip solve equals a
-  sparse LU solve of the oracle's matrix;
+* the strip's streamed 9-point stencil on the unknown nodes, stored as 5
+  planes, and its couplings to the datum (``strip.assemble_system``)
+  equal the rows of the oracle's full-node scatter of the cell-matrix
+  tensor bit for bit, all 9 planes unfolded from the 5; applied by
+  ``strip.stencil_apply`` they give the matrix-vector product of the
+  oracle's CSR scatter of the same cell matrices; the oracle's stencil
+  is exactly symmetric, which is what lets the program store 5 planes;
+  the preconditioned CG strip solve equals a sparse LU solve of the
+  oracle's matrix;
 * ``strip.flat_preconditioner`` inverts the oracle's flat (h = 0,
   eps = 0) operator on the unknown nodes;
 * ``strip._simpson`` is bitwise equal to ``scipy.integrate.simpson``, which
@@ -78,7 +80,7 @@ from muskat.spectral import (
 from conftest import a0_dist, random_field
 from oracles import (convolve_truncated, csr_system, full_spectrum,
                      full_stencil, half_spectrum, lu_strip_solve,
-                     naive_commutator, pointwise_product)
+                     naive_commutator, pointwise_product, unfold_stencil)
 
 PROPS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -269,14 +271,19 @@ strip_grids = dict(nx=st.integers(4, 16).map(lambda m: 2 * m),
 @given(**strip_grids)
 def test_streamed_stencil_equals_full_node_oracle(nx, nz, seed, delta, lift):
     # the same additions in the same order as the full-node scatter: its
-    # unknown rows with the Dirichlet couplings zeroed, and those couplings
+    # unknown rows with the Dirichlet couplings zeroed, all 9 planes, and
+    # those couplings; each stored plane's pad repeats its first n_z
+    # entries past the x wrap
     grid, h, _psi, p = strip_case(nx, nz, seed, delta, lift)
     C, top = strip.assemble_system(h, grid, p)
     full = full_stencil(h, grid, p)
     assert np.array_equal(top, full[:, 2, :, nz - 2])
     full = full[:, :, :, :-1]
     full[:, 2, :, -1] = 0.0
-    assert np.array_equal(C, full)
+    n = nx * (nz - 1)
+    assert [plane.shape for plane in C] == [(n + nz,)] * 5
+    assert np.array_equal(unfold_stencil(C, nx, nz - 1), full)
+    assert all(np.array_equal(plane[n:], plane[:nz]) for plane in C)
 
 
 @PROPS
@@ -298,20 +305,24 @@ def test_stencil_matches_csr_oracle(nx, nz, seed, delta, lift):
 @PROPS
 @given(**strip_grids)
 def test_stencil_exactly_symmetric(nx, nz, seed, delta, lift):
-    # C[d](n) == C[-d](n + d) bit for bit; no entry reaches past z = -1 or
-    # into the Dirichlet row
+    # the oracle's full-node stencil, which assembles all 9 planes, has
+    # C[d](n) == C[-d](n + d) bit for bit, the relation that lets the
+    # program store 5 planes; no entry of the program's unfolded stencil
+    # reaches past z = -1 or into the Dirichlet row
     grid, h, _psi, p = strip_case(nx, nz, seed, delta, lift)
-    C, _top = strip.assemble_system(h, grid, p)
-    nu = nz - 1
-    assert not C[:, 0, :, 0].any() and not C[:, 2, :, -1].any()
+    C = full_stencil(h, grid, p)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             # back[i, j] = C[-d](i + di, j + dj)
             back = np.roll(C[1 - di, 1 - dj], -di, axis=0)
-            rows = slice(max(0, -dj), nu - max(0, dj))
-            back_rows = slice(max(0, dj), nu - max(0, -dj))
+            rows = slice(max(0, -dj), nz - max(0, dj))
+            back_rows = slice(max(0, dj), nz - max(0, -dj))
             assert np.array_equal(C[1 + di, 1 + dj][:, rows],
                                   back[:, back_rows])
+    unfolded = unfold_stencil(strip.assemble_system(h, grid, p)[0], nx,
+                              nz - 1)
+    assert not unfolded[:, 0, :, 0].any()
+    assert not unfolded[:, 2, :, -1].any()
 
 
 @PROPS

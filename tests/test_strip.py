@@ -29,7 +29,7 @@ from muskat.strip import (
     verify_lub_flux,
 )
 
-from oracles import csr_system
+from oracles import csr_system, unfold_stencil
 
 
 def p_of(delta=1.0, eps=0.0):
@@ -142,42 +142,65 @@ def test_assembled_operator_symmetric():
 
 def test_stencil_chunks_give_the_unchunked_bits():
     # 300 x 250 spans two whole chunks and a part; the reference is the
-    # one-pass sum in the same term order
+    # one-pass sum of the 9 unfolded planes in the same term order
     nx, m = 300, 250
     assert 2 * STENCIL_CHUNK < nx * m < 3 * STENCIL_CHUNK
     rng = np.random.default_rng(7)
-    C = rng.standard_normal((3, 3, nx, m))
-    x = rng.standard_normal((nx, m))
     n, w = nx * m, m + 1
+    C = [np.concatenate((plane, plane[:w]))  # the x-wrap pads
+         for plane in rng.standard_normal((5, n))]
+    x = rng.standard_normal((nx, m))
+    full = unfold_stencil(C, nx, m)
     flat = x.ravel()
     padded = np.concatenate((flat[n - w:], flat, flat[:w]))
-    ref = C[0, 0].ravel() * padded[:n]
+    ref = full[0, 0].ravel() * padded[:n]
     for d in range(1, 9):
         start = (d // 3) * m + d % 3
-        ref += C[d // 3, d % 3].ravel() * padded[start:start + n]
+        ref += full[d // 3, d % 3].ravel() * padded[start:start + n]
     assert stencil_apply(C, x).tobytes() == ref.reshape(nx, m).tobytes()
 
 
-def test_solve_strip_traced_peak_bounded():
-    # a 256x65 solve allocates at most 20 arrays of n_x*n_z floats at once
-    # (18.3 with the stencil streamed onto the unknown nodes; 34.6 with the
-    # cell-matrix tensor, the full-node stencil and its unknown-block copy)
-    g = StripGrid(256, 65)
-    p = ModelParams(theta=1.0, sigma=0.2, delta=1.0, epsilon=0.2)
-    h = SpectralField.cosine(1, 1.0, 64)
-    psi = SpectralField.cosine(2, 1.0, 64)
-    solve_strip(h, psi, g, p)  # first-call set-up outside the measurement
+def _traced_peak(call):
+    """The traced peak, in bytes, of a second call(); the first call's
+    set-up stays outside the measurement."""
+    call()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        solve_strip(h, psi, g, p)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 20 * g.n_x * g.n_z * 8
+
+
+def test_solve_strip_traced_peak_bounded():
+    # a 256x65 solve allocates at most 16 arrays of n_x*n_z floats at once
+    # (13.4 with 5 stencil planes and in-place CG updates; 18.3 with all 9
+    # planes; 34.6 with the cell-matrix tensor, the full-node stencil and
+    # its unknown-block copy)
+    g = StripGrid(256, 65)
+    p = ModelParams(theta=1.0, sigma=0.2, delta=1.0, epsilon=0.2)
+    h = SpectralField.cosine(1, 1.0, 64)
+    psi = SpectralField.cosine(2, 1.0, 64)
+    peak = _traced_peak(lambda: solve_strip(h, psi, g, p))
+    assert peak <= 16 * g.n_x * g.n_z * 8
+
+
+@pytest.mark.parametrize("h_amplitude", [0.0, 1.0])
+def test_lub_flux_traced_peak_bounded(h_amplitude):
+    # the flux check over three deltas at 256x65 allocates at most 15
+    # arrays of n_x*n_z floats at once: one delta's arrays are freed
+    # before the next solve (12.6 / 13.5 at h = 0 / cos x; 21.5 / 23.5
+    # when they outlived it and the stencil held 9 planes)
+    g = StripGrid(256, 65)
+    h = SpectralField.cosine(1, h_amplitude, 32)
+    f = SpectralField.cosine(1, 1.0, 32)
+    peak = _traced_peak(
+        lambda: verify_lub_flux(h, f, [0.04, 0.02, 0.01], g, p_of(eps=0.1)))
+    assert peak <= 15 * g.n_x * g.n_z * 8
 
 
 def test_flat_strip_closed_form_second_order():
