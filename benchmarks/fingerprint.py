@@ -10,7 +10,10 @@ refactor must leave byte-identical:
   the run root;
 * ``verify bounds|flux|dtn|decay`` on configs/verify.cfg, ``verify bounds
   --seed 7`` and ``verify flux`` with ``verify.flux.h_mode = 1`` (the
-  mobility path) on it, and ``verify decay`` on configs/lubrication.cfg;
+  mobility path) on it, ``verify decay`` on configs/lubrication.cfg, and
+  ``verify decay`` of configs/verify.cfg with ``lambda = 0``, whose run has
+  no decay rate, so its one rate verdict is the A0 trend over dyadic
+  windows (``a0_dyadic_trend``);
 * the sweeps ``model=wnl1,wnl2``, ``model=wnl1,wnl2`` x ``sigma=0,0.1``,
   ``depth=infinite`` x ``sigma=0,0.3`` and ``scheme=euler,rk4`` at
   ``dt=1.5e-3`` on configs/verify.cfg, and ``epsilon=0,0.2`` on
@@ -103,6 +106,9 @@ def commands(root):
     # both cells where they are not refused
     short = _derived(root, "verify_short", ver_text,
                      (("t_end = 5.0", "t_end = 0.1"),))
+    # no bending: no decay rate to fit
+    lambda0 = _derived(root, "verify_lambda0", ver_text,
+                       (("lambda = 1.0", "lambda = 0"),))
     cmds = [(f"simulate_{Path(c).stem}", ["simulate", "--config", c])
             for c in (decay, lub, ver)]
     cmds.append(("simulate_lubrication_seed5",
@@ -114,6 +120,8 @@ def commands(root):
                  ["verify", "bounds", "--config", ver, "--seed", "7"]))
     cmds.append(("verify_flux_h1", ["verify", "flux", "--config", flux_h1]))
     cmds.append(("verify_decay_lubrication", ["verify", "decay", "--config", lub]))
+    cmds.append(("verify_decay_lambda0",
+                 ["verify", "decay", "--config", lambda0]))
     cmds.append(("steep_simulate", ["simulate", "--config", steep]))
     cmds.append(("steep_verify_decay", ["verify", "decay", "--config", steep]))
     cmds.append(("nonfinite_simulate", ["simulate", "--config", overflow]))

@@ -23,8 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics, integrate, strip
-from .config import (ConfigError, load_config, make_initial_condition,
-                     read_config, verify_settings)
+from .config import (VERIFY_DEFAULTS, ConfigError, load_config,
+                     make_initial_condition, read_config, verify_settings)
 from .elliptic import SolverError
 from .plots import svg_line_chart
 from .spectral import SpectralField
@@ -119,10 +119,10 @@ def cmd_simulate(args):
             raise ConfigError(f"--sweep {cells[i][1]}: repeats the run of "
                               f"{cells[j][1]} (a value given twice, or a key "
                               "the run does not read)")
+    workers = _workers(len(jobs))
     for _, _, config in jobs:
         os.makedirs(os.path.join(config.output_dir, diagnostics.SNAPSHOT_DIR),
                     exist_ok=True)
-    workers = _workers(len(jobs))
     if workers == 1:
         results = [_run_cell(*j) for j in jobs]
     else:
@@ -151,7 +151,7 @@ def cmd_verify(args):
         config.rng_seed = args.seed
     out_dir = args.out or config.output_dir or "."
     kind, summary = args.kind, ""
-    s = None if kind == "decay" else verify_settings(config.verify, kind)
+    s = verify_settings(config.verify, kind)
     if kind == "decay":  # run the configured trajectory, then check it
         h0, params, config = _prepare_cell(
             config, params, os.path.join(out_dir, "trajectory"))
@@ -160,8 +160,8 @@ def cmd_verify(args):
         passed = all(c["passed"] for c in payload.values())
         diagnostics.append_checks_to_meta(config.output_dir, payload)
     elif kind == "bounds":
-        rep = diagnostics.check_operator_bounds(s["samples"], params,
-                                                config.rng_seed, s["n_modes"])
+        rep = diagnostics.check_operator_bounds(
+            s["samples"], params, config.rng_seed, n_modes=config.n_modes)
         payload, passed = rep.as_dict(), rep.passed
     else:
         grid, n_modes = strip.StripGrid(s["n_x"], s["n_z"]), s["n_x"] // 2 - 1
@@ -253,7 +253,7 @@ def build_parser():
                      help="sweep a config key (max 2 keys, cross product)")
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("kind", choices=["dtn", "flux", "bounds", "decay"])
+    ver.add_argument("kind", choices=list(VERIFY_DEFAULTS))
     ver.add_argument("--config", required=True)
     ver.add_argument("--out", help="report directory")
     ver.add_argument("--seed", type=int,

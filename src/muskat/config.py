@@ -18,8 +18,9 @@ from .spectral import SpectralField, load_spectrum_csv, random_decay_field
 
 PACKAGE_VERSION = "0.1.0"
 
-# the time-stepping schemes of ``integrate``, whose state checks this too
-SCHEMES = ("euler", "rk4")
+# each scheme of ``integrate`` -> its real-axis stability limit, the largest
+# dt*m for which it keeps dh/dt = -m h bounded (RK4's is 2.7853)
+SCHEMES = {"euler": 2.0, "rk4": 2.785}
 
 
 class ConfigError(ValueError):
@@ -96,21 +97,23 @@ _IC_KINDS = {
     "from_file": {"path": None},
 }
 
-# verify.<suite>.<key> -> its default; None: flux without h_mode, a flat h.
-# Others are rejected; dtn and flux take every mode their n_x resolves.
+# each verify kind, in the CLI's order -> verify.<kind>.<key> -> its default;
+# None: flux without h_mode, a flat h.  Others are rejected; dtn and flux
+# take every mode their n_x resolves, bounds samples on the config's n_modes.
 VERIFY_DEFAULTS = {
-    "bounds": {"samples": 500, "n_modes": 64},
     "dtn": {"n_x": 512, "n_z": 256, "sigmas": "0.2,0.1,0.05", "h_mode": 1,
             "psi_mode": 2},
     "flux": {"n_x": 256, "n_z": 65, "deltas": "0.04,0.02,0.01",
              "f_mode": 1, "h_mode": None},
+    "bounds": {"samples": 500},
+    "decay": {},
 }
 _VERIFY_KEYS = {f"{suite}.{key}" for suite, keys in VERIFY_DEFAULTS.items()
                 for key in keys}
 
 # the parser of each initial_condition.* and verify.* key, by its name
 _KEY_PARSERS = {"k": _as_int, "amplitude": _as_float, "p": _as_float,
-                "path": _as_str, "samples": _as_int, "n_modes": _as_int,
+                "path": _as_str, "samples": _as_int,
                 "n_x": _as_int, "n_z": _as_int, "sigmas": _as_float_list,
                 "deltas": _as_float_list, "h_mode": _as_int,
                 "psi_mode": _as_int, "f_mode": _as_int}
@@ -188,6 +191,8 @@ class SolverConfig:
             raise ConfigError(f"scheme must be {' or '.join(SCHEMES)}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
+        if self.tol is not None and not self.tol >= 0:  # unmeetable
+            raise ConfigError(f"tol must be >= 0 or auto, got {self.tol}")
 
     as_dict = keyed_dict
 

@@ -48,10 +48,6 @@ _RECOVER_FACTOR = 1.2
 RUN_FIELDS = ("n_modes", "dt", "t_end", "scheme", "tol", "max_iter",
               "output_cadence", "snapshot_cadence")  # of SolverConfig
 
-# Real-axis stability limits: a scheme keeps the linear modes dh/dt = -m h
-# bounded for dt*m up to its limit (RK4's is 2.7853)
-STABILITY_LIMITS = {"euler": 2.0, "rk4": 2.785}
-
 
 class StepSizeUnderflowError(SolverError):
     def __init__(self, dt, t, rejected_steps):
@@ -72,7 +68,7 @@ def check_step_size(h0, params, dt, scheme):
     if not tab.force_active:
         rates = rates[h0.coeffs != 0]
     rate = float(rates.max(initial=0.0))
-    limit = STABILITY_LIMITS[scheme]
+    limit = SCHEMES[scheme]
     if dt * rate > limit:
         raise ConfigError(
             f"dt = {dt:.6g} is past the {scheme} stability limit: dt * max_k "

@@ -480,13 +480,16 @@ def verify_dtn_expansion(h, psi, sigmas, grid, params):
                                    grid, flat)
     floor = _a0_of_values(out0 - g0_psi)
 
-    remainders, first_order_errors = [], []
-    for s in sig:
+    def errors(s):
+        """The remainder and first-order error at sigma = s; one sigma's
+        solution is freed before the next one's solve."""
         p_s = replace(params, epsilon=s, sigma=s)
-        sol = solve_strip(h, psi, grid, p_s)
-        out = surface_normal_velocity(sol, h, grid, p_s)
-        remainders.append(_a0_of_values(out - (g0_psi + s * taylor1)))
-        first_order_errors.append(_a0_of_values((out - out0) / s - taylor1))
+        out = surface_normal_velocity(solve_strip(h, psi, grid, p_s), h,
+                                      grid, p_s)
+        return (_a0_of_values(out - (g0_psi + s * taylor1)),
+                _a0_of_values((out - out0) / s - taylor1))
+
+    remainders, first_order_errors = map(list, zip(*map(errors, sig)))
     return OrderReport("sigma", sig, remainders, expected_slope=2.0,
                        floor=floor, grid_limited=floor > 0.1 * min(remainders),
                        extra={"first_order_errors": first_order_errors})

@@ -378,7 +378,7 @@ def test_seed_draws_the_random_initial_condition(tmp_path, monkeypatch):
 RETIRED_KEYS = ["initial_condition.seed = 1", "verify.dtn.h_amplitude = 2",
                 "verify.dtn.psi_amplitude = 2", "verify.flux.f_amplitude = 2",
                 "verify.flux.h_amplitude = 2", "verify.flux.n_modes = 8",
-                "verify.dtn.n_modes = 16"]
+                "verify.dtn.n_modes = 16", "verify.bounds.n_modes = 64"]
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["verify", "bounds"],
@@ -388,8 +388,8 @@ RETIRED_KEYS = ["initial_condition.seed = 1", "verify.dtn.h_amplitude = 2",
 @pytest.mark.parametrize("line", RETIRED_KEYS)
 def test_retired_keys_exit_1(tmp_path, capsys, command, line):
     # rng_seed seeds random_decay, sigmas / epsilon with a linear datum
-    # cover the amplitudes of the strip checks' cosines, and verify dtn and
-    # flux take every mode their n_x resolves
+    # cover the amplitudes of the strip checks' cosines, verify dtn and flux
+    # take every mode their n_x resolves, and verify bounds samples on n_modes
     text = open(os.path.join(REPO, "configs", "verify.cfg")).read()
     single = "initial_condition = single_mode\ninitial_condition.k = 1\n"
     assert single in text
@@ -459,11 +459,27 @@ def test_sweep_repeated_key_or_value_runs_no_cell(tmp_path, monkeypatch,
 def test_verify_bounds_cli(tmp_path):
     p = tmp_path / "b.cfg"
     p.write_text("theta = 1.0\nlambda = 1.0\nsigma = 1.0\n"
-                 "verify.bounds.samples = 30\nverify.bounds.n_modes = 32\n")
+                 "verify.bounds.samples = 30\nn_modes = 32\n")
     out = str(tmp_path / "rep")
     assert main(["verify", "bounds", "--config", str(p), "--out", out]) == 0
     rep = json.loads((tmp_path / "rep" / "bounds_report.json").read_text())
     assert rep["passed"]
+
+
+def test_verify_bounds_samples_on_the_config_grid(tmp_path):
+    # the report of check_operator_bounds on the config's n_modes (32 here,
+    # not the function's default 64), samples and rng_seed
+    from muskat.diagnostics import check_operator_bounds, write_json
+
+    path, _ = write_cfg(tmp_path, extra="verify.bounds.samples = 20\n")
+    out = tmp_path / "rep"
+    assert main(["verify", "bounds", "--config", path, "--out", str(out)]) == 0
+    config, params = load_config(path)
+    rep = check_operator_bounds(20, params, config.rng_seed,
+                                n_modes=config.n_modes)
+    write_json(str(tmp_path / "ref.json"), rep.as_dict())
+    assert ((out / "bounds_report.json").read_bytes()
+            == (tmp_path / "ref.json").read_bytes())
 
 
 def _seeded_reports(tmp_path, kind, text, seed, *names):
@@ -489,7 +505,7 @@ def _seeded_reports(tmp_path, kind, text, seed, *names):
 def test_verify_bounds_seed_is_rng_seed(tmp_path):
     plain, flag, config = _seeded_reports(
         tmp_path, "bounds", "theta = 1.0\nlambda = 1.0\nsigma = 1.0\n"
-        "verify.bounds.samples = 30\nverify.bounds.n_modes = 32\n", 7,
+        "verify.bounds.samples = 30\nn_modes = 32\n", 7,
         "bounds_report.json")
     assert flag == config != plain
 
@@ -508,14 +524,15 @@ def test_verify_decay_seed_is_rng_seed(tmp_path):
 
 @pytest.mark.parametrize("n_modes", [0, -3])
 def test_verify_bounds_without_modes_exit_1(tmp_path, n_modes):
-    # a usage error, not a division by zero or numpy's empty-array error
+    # bounds samples on the config's n_modes: a usage error, not a division
+    # by zero or numpy's empty-array error
     import subprocess
     import sys
 
     import muskat
 
     p = tmp_path / "b.cfg"
-    p.write_text(f"theta = 1.0\nverify.bounds.n_modes = {n_modes}\n")
+    p.write_text(f"theta = 1.0\nn_modes = {n_modes}\n")
     out = tmp_path / "rep"
     src = os.path.dirname(os.path.dirname(os.path.abspath(muskat.__file__)))
     res = subprocess.run(
@@ -523,8 +540,9 @@ def test_verify_bounds_without_modes_exit_1(tmp_path, n_modes):
          str(p), "--out", str(out)], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=120)
     assert res.returncode == 1
-    assert "n_modes" in res.stderr and "Traceback" not in res.stderr
-    assert not (out / "bounds_report.json").exists()
+    assert res.stderr == ("error: n_modes must be a power of two >= 32, got "
+                          f"{n_modes}\n")
+    assert not out.exists()
 
 
 def test_verify_dtn_grid_limited_exit_2(tmp_path, capsys):
@@ -588,7 +606,7 @@ def test_verify_dtn_modes_up_to_the_grid_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, extra", [
-    ("bounds", "verify.bounds.samples = 10\nverify.bounds.n_modes = 32\n"),
+    ("bounds", "verify.bounds.samples = 10\n"),
     ("flux", "verify.flux.n_x = 32\nverify.flux.n_z = 17\n"),
     ("decay", ""),
 ], ids=["bounds", "flux", "decay"])
@@ -663,8 +681,7 @@ def test_malformed_verify_value_exit_1_for_every_command(tmp_path, capsys,
                                                          command):
     # every verify.* value is parsed at load, whichever command reads it
     path, _ = write_cfg(tmp_path, extra=(
-        "verify.dtn.n_x = abc\nverify.bounds.samples = 10\n"
-        "verify.bounds.n_modes = 32\n"))
+        "verify.dtn.n_x = abc\nverify.bounds.samples = 10\n"))
     out = tmp_path / "res"
     assert main(command + ["--config", path, "--out", str(out)]) == 1
     assert "error: verify.dtn.n_x: " in capsys.readouterr().err
@@ -830,6 +847,38 @@ def test_uncreatable_output_dir_exit_1_before_any_cell(tmp_path, monkeypatch,
         assert err.startswith("error: ") and "Not a directory" in err
         assert "partial output retained" not in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "sigma=0.1,0.2"]],
+                         ids=["single", "two_cells"])
+def test_non_integer_thread_cap_exit_1_with_no_output(tmp_path, monkeypatch,
+                                                      capsys, sweep):
+    # MUSKAT_THREADS is read before any run directory is made
+    monkeypatch.setenv("MUSKAT_THREADS", "abc")
+    path, _ = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out), *sweep]) == 1
+    assert capsys.readouterr().err == ("error: MUSKAT_THREADS must be an "
+                                       "integer, got 'abc'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, tol", [
+    (["simulate"], "-1"), (["simulate", "--sweep", "tol=1e-10,-1"], "auto"),
+    (["verify", "decay"], "-1"), (["verify", "bounds"], "-1"),
+], ids=["simulate", "sweep_cell", "decay", "bounds"])
+def test_negative_tol_exit_1_with_no_output(tmp_path, capsys, command, tol):
+    # no increment meets a negative tol: a usage error before any output,
+    # not a failure to converge; tol = 0 and auto still load
+    assert load_config({"tol": "0"})[0].tol == 0.0
+    assert load_config({"tol": "auto"})[0].tol is None
+    path, _ = write_cfg(tmp_path, extra=f"tol = {tol}\n")
+    out = tmp_path / "out"
+    assert main(command + ["--config", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: tol must be >= 0 or auto, got -1.0\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_process_pool(tmp_path, monkeypatch):
@@ -1319,7 +1368,7 @@ def test_output_key_sets(tmp_path):
                  "rate_bound"}
 
     path, _ = write_cfg(tmp_path, t_end=0.4, extra=(
-        "verify.bounds.samples = 10\nverify.bounds.n_modes = 32\n"
+        "verify.bounds.samples = 10\n"
         "verify.dtn.n_x = 64\nverify.dtn.n_z = 20\n"
         "verify.flux.n_x = 32\nverify.flux.n_z = 17\n"))
     out = tmp_path / "rep"

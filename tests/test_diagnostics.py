@@ -279,7 +279,7 @@ def test_bounds_batch_reads_the_live_split_rows(tmp_path, monkeypatch):
     # dx row times 100 in the cached op table itself: the batches read the
     # table's rows at call time, so the check fails; restored, it passes
     text = ("theta = 1.0\nlambda = 1.0\nsigma = 1.0\n"
-            "verify.bounds.samples = 500\nverify.bounds.n_modes = 64\n")
+            "verify.bounds.samples = 500\nn_modes = 64\n")
     cfg = tmp_path / "bounds.cfg"
     cfg.write_text(text)
     tab = models._table(64, load_config(str(cfg))[1])

@@ -124,7 +124,7 @@ def test_bounds_check_fails_with_a_sign_split_entry_scaled(tmp_path,
     # the factor-two bound holds with wide slack on random samples (ratio
     # 0.02), so only a gross error shows: mode 2 of I_A's dx row times 100
     text = ("theta = 1.0\nlambda = 1.0\nsigma = 1.0\n"
-            "verify.bounds.samples = 30\nverify.bounds.n_modes = 32\n")
+            "verify.bounds.samples = 30\nn_modes = 32\n")
 
     def scale_entry(tab):
         tab.split_outA = tab.split_outA.copy()

@@ -203,6 +203,20 @@ def test_lub_flux_traced_peak_bounded(h_amplitude):
     assert peak <= 15 * g.n_x * g.n_z * 8
 
 
+def test_dtn_check_traced_peak_bounded():
+    # the steepness check over three sigmas at 256x65, on the cosines of
+    # configs/verify.cfg, allocates at most 14 arrays of n_x*n_z floats at
+    # once: one sigma's solution is freed before the next solve (13.5; 14.5
+    # when it outlived it)
+    g = StripGrid(256, 65)
+    p = ModelParams(theta=1.0, sigma=0.1, delta=1.0, epsilon=0.1)
+    h = SpectralField.cosine(1, 1.0, g.n_x // 2 - 1)
+    psi = SpectralField.cosine(2, 1.0, g.n_x // 2 - 1)
+    peak = _traced_peak(
+        lambda: verify_dtn_expansion(h, psi, [0.2, 0.1, 0.05], g, p))
+    assert peak <= 14 * g.n_x * g.n_z * 8
+
+
 def test_flat_strip_closed_form_second_order():
     # phi = cos(x) cosh(1+z)/cosh(1); error drops 4x per refinement
     errs = []
