@@ -21,7 +21,8 @@ set-up and one application of its preconditioner
 (``strip.flat_preconditioner``: DCT in z, rfft in x), the bytes
 per record of a run's ``diagnostics.RecordTable`` and the ``tracemalloc``
 peak of a ``wnl1_n256``-sized run (criterion 2 at t_end = 1, every step
-recorded), and last
+recorded), the time per record of ``diagnostics.make_record`` at N = 64
+and 256, and last
 the wall time, peak RSS and loaded scipy modules of ``import muskat.cli``
 in a fresh interpreter, the fixed cost every CLI call and sweep worker
 pays.
@@ -49,7 +50,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import muskat
 from muskat import _kernels, integrate, strip
 from muskat.config import SolverConfig, load_config, make_initial_condition
-from muskat.diagnostics import check_operator_bounds
+from muskat.diagnostics import (RecordTable, check_operator_bounds,
+                                make_record)
 from muskat.integrate import IntegratorState, _rhs_raw, step
 from muskat.models import _sweep, _table, linear_decay_rate
 from muskat.params import ModelParams
@@ -339,6 +341,19 @@ def records_row():
           f"{peak:.2f} MiB")
 
 
+def make_record_rows(rng, rounds=9, repeat=2000):
+    """Per-record time of ``diagnostics.make_record`` (wnl1: the A^0..A^5
+    norms of h, its energy and the A^0 and A^3 norms of dh/dt), median over
+    rounds of repeat records each appended to a new RecordTable."""
+    p = _rhs_params("wnl1")
+    print(f"\n{'N':>6} {'make_record [us]':>17}")
+    for n in (64, 256):
+        h, dth = (SpectralField(_random_field(n, rng)) for _ in range(2))
+        times = [_timeit(make_record, RecordTable(), 0.0, h, dth, 1, p,
+                         repeat=repeat) for _ in range(rounds)]
+        print(f"{n:>6} {np.median(times) * 1e6:>17.2f}")
+
+
 def main():
     rng = np.random.default_rng(0)
     header = f"{'N':>6} {'kernel':<12} {'numpy [ms]':>12}"
@@ -366,6 +381,7 @@ def main():
     sweep_rows()
     strip_rows()
     records_row()
+    make_record_rows(rng)
     import_row()
 
 

@@ -98,10 +98,14 @@ def _run_cell(h0, params, config):
     return None
 
 
-def cmd_simulate(args):
+def _raw_config(args):
+    """The flat dict of args.config, its rng_seed set by --seed if given."""
     raw = read_config(args.config)
-    if args.seed is not None:
-        raw["rng_seed"] = args.seed
+    return raw if args.seed is None else {**raw, "rng_seed": args.seed}
+
+
+def cmd_simulate(args):
+    raw = _raw_config(args)
     config, _params = load_config(raw)  # validate before spawning work
     base_out = args.out or config.output_dir
     if not base_out:
@@ -146,9 +150,7 @@ def _write_report(out_dir, name, payload):
 def cmd_verify(args):
     """Each kind builds (payload, passed, summary); one tail writes the
     report, prints its line (to stderr if grid-limited) and exits 0 or 2."""
-    config, params = load_config(args.config)
-    if args.seed is not None:
-        config.rng_seed = args.seed
+    config, params = load_config(_raw_config(args))
     out_dir = args.out or config.output_dir or "."
     kind, summary = args.kind, ""
     s = verify_settings(config.verify, kind)

@@ -193,6 +193,8 @@ class SolverConfig:
             raise ConfigError("max_iter must be >= 1")
         if self.tol is not None and not self.tol >= 0:  # unmeetable
             raise ConfigError(f"tol must be >= 0 or auto, got {self.tol}")
+        if self.rng_seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     as_dict = keyed_dict
 

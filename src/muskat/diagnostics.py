@@ -27,7 +27,6 @@ import os
 import sys
 from array import array
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 import numpy.random  # np.random: loaded here, not at its first use
@@ -43,6 +42,7 @@ MONOTONE_SLACK = 1e-9
 MIN_FIT_RECORDS = 20
 BOUNDS_CHUNK = 32  # samples drawn and evaluated per batch by the bounds check
 _BOUND_POWERS = (2, 3, 4)  # sample i: h decays like |k|^-p[i % 3], V the next
+_RECORD_ORDERS = (0, 1, 2, 3, 4, 5)  # the A^s norms of h in a record
 
 
 # one record per row: t, A^0..A^5, energy, dth_a0, dth_high to 17
@@ -126,25 +126,14 @@ def energy(h, params):
             + spec.energy_coefficient * wiener_norm(h, spec.norm_order))
 
 
-@lru_cache(maxsize=16)
-def _k_powers(n_modes):
-    """Rows k^0..k^5 over k = 1..n_modes: the Wiener weights of a record."""
-    k = np.arange(1, n_modes + 1, dtype=float)
-    return k ** np.arange(6.0)[:, None]
-
-
 def make_record(table, t, h, dth, iters, params):
     """Append the record of h at time t to table: the A^0..A^5 norms of h,
     its energy, the A^0 and scheme-order norms of dth = dh/dt and the
     solver's iteration count."""
-    kp = _k_powers(h.n_modes)
-    norms = (2.0 * (kp * np.abs(h.coeffs[1:])).sum(axis=1)).tolist()
-    # row k^0 is all ones, so the A^0 sum needs no weighting
-    dth_abs = np.abs(dth.coeffs[1:])
-    dth_a0 = 2.0 * float(dth_abs.sum())
     spec = models.model_spec(params)
     s = spec.norm_order
-    dth_high = 2.0 * float((kp[s] * dth_abs).sum())
+    norms = wiener_norms(h.coeffs, _RECORD_ORDERS).tolist()
+    dth_a0, dth_high = wiener_norms(dth.coeffs, (0, s)).tolist()
     table.append(t, norms, norms[0] + spec.energy_coefficient * norms[s],
                  dth_a0, dth_high, iters)
 

@@ -32,7 +32,7 @@ import numpy.random  # np.random: loaded here, not at its first use
 from . import models
 from .models import _sweep, _table
 from .spectral import SpectralField, check_same_grid, random_decay_coeffs
-from .spectral import wiener_norm
+from .spectral import wiener_norm, wiener_norms
 
 DEFAULT_MAX_ITER = 200
 _STALL_LIMIT = 3
@@ -110,17 +110,15 @@ class FixedPointReport:
 
 
 def default_tolerance(c):
-    """1e-11 max(1, ||F||_{A0}) for the mean-zero coefficient array c of F.
-
-    The sum runs over k >= 1, as in ``wiener_norm(F, 0)``, so the two give
-    the same bits.  An RK step takes F = N(h) at its first stage and uses
-    that tolerance for all its stages (``integrate``).
-    """
-    return 1e-11 * max(1.0, 2.0 * float(np.abs(c[1:]).sum()))
+    """1e-11 max(1, ||F||_{A0}) for the coefficients c of F; an RK step uses
+    its first stage's, F = N(h), for all its stages (``integrate``)."""
+    return 1e-11 * max(1.0, float(wiener_norms(c, 0)))
 
 
 def _norm_raw(tab, c):
-    """Scheme norm (A^3 small slope, A^4 thin film) of a coefficient array."""
+    """Scheme norm (A^3 small slope, A^4 thin film) of a coefficient array,
+    summed from k = 0: ``wiener_norms`` (k >= 1) pairs the terms otherwise,
+    which moved final_solve.increments in 10 fingerprint meta.json files."""
     return 2.0 * float(np.add.reduce(tab.norm_k * np.abs(c)))
 
 

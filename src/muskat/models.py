@@ -391,8 +391,7 @@ def _rhs_wnl2_raw(tab, c):
     """T(mu), mu = -rate h: model 2's dh/dt from one sweep."""
     mu = tab.lin * c
     out, _ = _sweep(tab, c, None, tab.tk2 * mu + tab.w * c)
-    out += mu
-    out[0] = 0.0
+    out += mu  # mu's mean is a zero (rate(0) = 0), so the sweep's +0 stays
     return out
 
 

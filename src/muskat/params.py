@@ -46,13 +46,13 @@ class ModelParams:
         if self.theta <= 0:
             raise ValueError(THETA_REQUIREMENT)
         if self.chi not in (1, -1):
-            raise ValueError("chi must be +1 or -1")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+            raise ValueError(f"chi must be +1 or -1, got {self.chi}")
         if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.epsilon < 0 or self.sigma < 0:
-            raise ValueError("epsilon and sigma must be nonnegative")
+            raise ValueError(f"delta must be > 0, got {self.delta}")
+        for name in ("lam", "epsilon", "sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{KEY_NAMES.get(name, name)} must be >= 0, "
+                                 f"got {getattr(self, name)}")
         # every comparison above is false for nan, and none bounds inf
         for name in ("lam", "theta", "sigma", "delta", "epsilon"):
             if not math.isfinite(getattr(self, name)):

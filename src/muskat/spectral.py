@@ -30,6 +30,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -226,11 +227,21 @@ def wiener_norm(f, s):
     return float(wiener_norms(f.coeffs, s))
 
 
+@lru_cache(maxsize=16)
+def _wiener_weights(n_modes, s):
+    """Read-only k^s, k = 1..n_modes; a tuple s gives one row per order."""
+    k = np.arange(1, n_modes + 1, dtype=float)
+    w = np.array([k**o for o in s]) if isinstance(s, tuple) else k**s
+    w.flags.writeable = False
+    return w
+
+
 def wiener_norms(c, s):
-    """``wiener_norm`` of each half spectrum along the last axis of the
-    coefficient array c, with the same bits."""
-    k = np.arange(1, c.shape[-1], dtype=float)
-    return 2.0 * np.add.reduce(k**s * np.abs(c[..., 1:]), axis=-1)
+    """``wiener_norm`` of each half spectrum along the last axis of c, with
+    the same bits; a tuple s adds a last axis, one norm per order."""
+    a = np.abs(c[..., 1:])
+    w = _wiener_weights(c.shape[-1] - 1, s)
+    return 2.0 * np.add.reduce(w * (a[..., None, :] if w.ndim > 1 else a), -1)
 
 
 def check_same_grid(f, g):

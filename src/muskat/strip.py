@@ -368,12 +368,13 @@ def solve_strip(h, psi, grid, params):
     return StripSolution(phi, residual, iterations)
 
 
-def surface_normal_velocity(sol, h, grid, params):
-    """(1/sqrt(delta)) dz(Phi) - sigma h_x dx(Phi) at the surface, on x-grid.
+def surface_normal_velocity(h, psi, grid, params):
+    """(1/sqrt(delta)) dz(Phi) - sigma h_x dx(Phi) at the surface, on the
+    x-grid, of the strip solution for the datum psi (``solve_strip``).
 
     Chain rule through the lifting; 3-point one-sided z-derivative at z=0.
     """
-    phi = sol.phi
+    phi = solve_strip(h, psi, grid, params).phi
     hv = h.values(grid.n_x)
     hx = _x_multiplier(hv, DX)
     phiz = (3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]) / (2.0 * grid.dz)
@@ -386,9 +387,8 @@ def surface_normal_velocity(sol, h, grid, params):
 
 def dtn_apply(h, psi, grid, params):
     """Surface-data-to-normal-velocity map, mean-projected spectral output."""
-    sol = solve_strip(h, psi, grid, params)
-    vals = surface_normal_velocity(sol, h, grid, params)
-    out = SpectralField.from_values(vals, n_modes=psi.n_modes)
+    out = SpectralField.from_values(
+        surface_normal_velocity(h, psi, grid, params), n_modes=psi.n_modes)
     out.coeffs[0] = 0.0
     return out
 
@@ -476,16 +476,14 @@ def verify_dtn_expansion(h, psi, sigmas, grid, params):
                              copy=False).values(nx)
     h0 = SpectralField.zeros(h.n_modes)
     flat = replace(params, epsilon=0.0, sigma=0.0)
-    out0 = surface_normal_velocity(solve_strip(h0, psi, grid, flat), h0,
-                                   grid, flat)
+    out0 = surface_normal_velocity(h0, psi, grid, flat)
     floor = _a0_of_values(out0 - g0_psi)
 
     def errors(s):
         """The remainder and first-order error at sigma = s; one sigma's
         solution is freed before the next one's solve."""
         p_s = replace(params, epsilon=s, sigma=s)
-        out = surface_normal_velocity(solve_strip(h, psi, grid, p_s), h,
-                                      grid, p_s)
+        out = surface_normal_velocity(h, psi, grid, p_s)
         return (_a0_of_values(out - (g0_psi + s * taylor1)),
                 _a0_of_values((out - out0) / s - taylor1))
 

@@ -881,6 +881,45 @@ def test_negative_tol_exit_1_with_no_output(tmp_path, capsys, command, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, seed", [
+    (["simulate"], "-3"), (["simulate", "--sweep", "rng_seed=1,-3"], "7"),
+    *((["verify", kind, "--seed", "-3"], "7") for kind in VERIFY_DEFAULTS),
+], ids=["simulate", "sweep_cell", *VERIFY_DEFAULTS])
+def test_negative_rng_seed_exit_1_with_no_output(tmp_path, capsys, command,
+                                                 seed):
+    # numpy's generators take no negative seed: the config refuses it, by
+    # its key, before any output, for every command that reads a config
+    text = (BASE_CFG.format(t_end=0.05, out=tmp_path / "traj")
+            .replace("rng_seed = 7", f"rng_seed = {seed}")
+            .replace("single_mode", "random_decay")
+            .replace("initial_condition.k = 1\n", ""))
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: rng_seed must be >= 0, got -3\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lambda = -1", "lambda must be >= 0, got -1.0"),
+    ("epsilon = -0.5", "epsilon must be >= 0, got -0.5"),
+    ("sigma = -0.1", "sigma must be >= 0, got -0.1"),
+    ("delta = 0", "delta must be > 0, got 0.0"),
+    ("chi = 2", "chi must be +1 or -1, got 2"),
+], ids=["lambda", "epsilon", "sigma", "delta", "chi"])
+def test_param_range_error_names_key_and_value(tmp_path, capsys, line,
+                                               message):
+    p = tmp_path / "bad.cfg"
+    out = tmp_path / "out"
+    p.write_text(f"{line}\noutput_dir = {out}\n")
+    assert main(["simulate", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_process_pool(tmp_path, monkeypatch):
     monkeypatch.setenv("MUSKAT_THREADS", "2")
     path, _ = write_cfg(tmp_path)

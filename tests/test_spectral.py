@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from muskat import spectral
+from muskat.diagnostics import RecordTable, energy, make_record
+from muskat.models import model_spec
+from muskat.params import ModelParams
 from muskat.spectral import (
     COS_MODE,
     GridMismatchError,
@@ -148,6 +151,56 @@ def test_wiener_norm_values():
     assert wiener_norm(SpectralField.cosine(1, 1.0, 8), 1) == pytest.approx(SQ2PI)
     assert wiener_norm(SpectralField.zeros(8), 2.5) == 0.0
     assert wiener_norm(SpectralField.cosine(2, 1.0, 8), 3) == pytest.approx(8 * SQ2PI)
+
+
+def _direct_norm(row, s):
+    """2 sum_{k>=1} k^s |c_k| of one half spectrum, as one 1-D numpy sum."""
+    k = np.arange(1, row.size, dtype=float)
+    return 2.0 * float(np.sum(k**s * np.abs(row[1:])))
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_wiener_norms_equal_the_direct_sum(n, rng):
+    # the one weighted sum, for int, float and tuple orders, on a batch of
+    # spectra and on each one: 2 sum_{k>=1} k^s |c_k| bit for bit, a tuple's
+    # norms along a new last axis; the cached weights are read-only
+    batch = np.array([random_field(n, rng).coeffs for _ in range(5)])
+    for s in (0, 3, 2.5, 0.5, (0, 1, 2, 3, 4, 5), (0, 4)):
+        orders = s if isinstance(s, tuple) else (s,)
+        want = np.array([[_direct_norm(row, o) for o in orders]
+                         for row in batch])
+        want = want if isinstance(s, tuple) else want[:, 0]
+        got = spectral.wiener_norms(batch, s)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for row, w in zip(batch, want):
+            one = spectral.wiener_norms(row, s)
+            assert one.shape == w.shape and one.tobytes() == w.tobytes()
+            if not isinstance(s, tuple):
+                assert wiener_norm(SpectralField(row), s) == w
+    with pytest.raises(ValueError, match="read-only"):
+        spectral._wiener_weights(n, (0, 4))[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("params", [
+    ModelParams(lam=1.0, sigma=0.1),
+    ModelParams.lubrication(lam=1.0, delta=0.5, epsilon=0.1),
+], ids=["wnl1", "lubrication"])
+def test_make_record_columns_are_wiener_norms(n, params, rng):
+    # a record's ten float columns are t, the wiener_norms of h for s =
+    # 0..5, the energy, and the A^0 and scheme-order norms of dh/dt, bit
+    # for bit
+    h, dth = random_field(n, rng), random_field(n, rng, p=0.5)
+    table = RecordTable()
+    make_record(table, 0.25, h, dth, 3, params)
+    *row, iters = next(table.rows())
+    s = model_spec(params).norm_order
+    norms = spectral.wiener_norms(h.coeffs, (0, 1, 2, 3, 4, 5))
+    want = [0.25, *norms, energy(h, params), wiener_norm(dth, 0),
+            wiener_norm(dth, s)]
+    assert np.array(row).tobytes() == np.array(want).tobytes()
+    assert [wiener_norm(h, o) for o in range(6)] == row[1:7]
+    assert iters == 3
 
 
 def test_multiplier_commutes_with_projection(rng):
