@@ -113,6 +113,8 @@ def _rhs_raw(tab, c, tol, max_iter, guess=None):
     if tab.spec.explicit:
         return models._rhs_wnl2_raw(tab, c), 0, tol
     a = tab.lin * c
+    if not tab.force_active:  # T = a: exact in one iteration at any tol
+        return a, 1, tol
     pre = tab.w * c
     hphys = None
     if guess is None:

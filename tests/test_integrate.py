@@ -562,6 +562,24 @@ def test_uncoupled_operations_run_no_transform(monkeypatch, p):
     assert calls == []
 
 
+@pytest.mark.parametrize("p, model", [
+    (wnl(lam=1.0), "wnl1"),
+    (ModelParams.lubrication(lam=1.0, theta=1.0, delta=0.5, epsilon=0.0),
+     "lubrication"),
+], ids=["wnl1", "lubrication"])
+def test_uncoupled_rk4_stages_take_one_iteration_at_tol_zero(p, model):
+    # sigma = 0 (thin film eps = 0): every stage is T = a, exact at its
+    # first iteration whatever the tol, also the warm stages 2-4 whose
+    # guess equals a only up to rounding; so tol = 0 with max_iter = 1
+    # finishes with 4 iterations a step and nothing rejected
+    h0 = random_field(64, np.random.default_rng(3), p=1.5, amplitude=1e-2)
+    traj = run(h0, p, config(model=model, n_modes=64, dt=1e-4, t_end=2e-3,
+                             output_cadence=1, tol=0.0, max_iter=1))
+    iters = traj.records.column("iters")
+    assert len(iters) == 21 and traj.rejected_steps == 0
+    assert list(iters[:-1]) == [4] * 20 and iters[-1] == 1
+
+
 def test_concurrent_runs_write_sequential_bytes(tmp_path):
     # runs on one shared op table, in more threads than cores with a tiny
     # switch interval so that their transform calls interleave, write the
